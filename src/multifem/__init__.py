@@ -11,7 +11,7 @@ from .mesh import (
 )
 from .space import (
     Element, FunctionSpace, Function, lagrange, vector_lagrange, dg0,
-    vector_dg0, rt0, build_space, interpolate, evaluate, basis_row,
+    vector_dg0, rt0, build_space, interpolate, evaluate, basis_row, basis_rows,
 )
 from .forms import (
     Argument, Coefficient, Constant, Analytic, Trace, Average, Restrict,

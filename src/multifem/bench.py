@@ -29,7 +29,9 @@ from .mesh import (
 )
 from .opalg import BlockVec, Matrix, Zero, collapse
 from .reduction import ReductionCache
-from .space import Function, build_space, dg0, evaluate, interpolate, lagrange, rt0, vector_lagrange
+from .space import (
+    Function, basis_rows, build_space, dg0, interpolate, lagrange, rt0, vector_lagrange,
+)
 
 __all__ = [
     "CaseConfig", "StudyRecord", "run_babuska", "run_darcy_stokes",
@@ -460,7 +462,9 @@ def _solve_perfusion(n, radius, n_quad, beta=1.0):
 
 
 def _interp_onto(fn, target_space):
-    vals = np.array([evaluate(fn, x) for x in target_space.dof_coords])
+    """Nodal interpolation of the scalar function ``fn`` into ``target_space``."""
+    cols, rows = basis_rows(fn.space, target_space.dof_coords)
+    vals = np.matmul(rows, fn.coefficients[cols][:, :, None])[:, 0, 0]
     return Function(target_space, vals)
 
 

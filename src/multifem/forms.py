@@ -324,18 +324,21 @@ def replace(e, old: Reduced, new):
     if new.shape != old.shape:
         raise FormError(
             f"invalid substitution: shape {new.shape} does not match {old.shape}")
+    return _replace(e, old, new)
 
-    def rec(node):
-        if _same_reduced(node, old):
-            return new
-        if not node.children:
-            return node
-        new_children = tuple(rec(c) for c in node.children)
-        if all(a is b for a, b in zip(new_children, node.children)):
-            return node
-        return _rebuild(node, new_children)
 
-    return rec(e)
+def _replace(node, old, new):
+    # Module-level rather than a closure: a closure that refers to itself
+    # is a reference cycle, which would keep ``old`` and its spaces and
+    # meshes alive until the cyclic garbage collector runs.
+    if _same_reduced(node, old):
+        return new
+    if not node.children:
+        return node
+    new_children = tuple(_replace(c, old, new) for c in node.children)
+    if all(a is b for a, b in zip(new_children, node.children)):
+        return node
+    return _rebuild(node, new_children)
 
 
 def _rebuild(node, children):

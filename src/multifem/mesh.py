@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 _MIN_MEASURE = 1e-14
+_LOCATE_CHUNK = 4096        # points per batched barycentric solve
 
 _uid_counter = itertools.count()
 
@@ -30,8 +31,9 @@ class MeshError(ValueError):
 class OutOfDomainError(MeshError):
     """Raised when a query point lies outside every cell of a mesh."""
 
-    def __init__(self, point, mesh=None, detail=None):
+    def __init__(self, point, mesh=None, detail=None, index=None):
         self.point = np.asarray(point, dtype=float)
+        self.index = index        # position of the point in a batched query
         msg = f"point {self.point.tolist()} is outside the mesh"
         if detail:
             msg += f" ({detail})"
@@ -52,6 +54,23 @@ def near(a, b=0.0, tol=1e-10):
 _TRI_EDGES = ((1, 2), (0, 2), (0, 1))
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _number_entities(cells, local):
+    """Number the sub-entities of every cell, given as tuples ``local`` of
+    local vertex indices, by first appearance in cell order.  Returns the
+    entities as ascending vertex tuples (ne, k) and the (nc, len(local))
+    map from cells into that numbering."""
+    keys = np.sort(cells[:, np.asarray(local)], axis=2).reshape(-1, len(local[0]))
+    order = np.lexsort(keys.T[::-1])        # stable: equal keys stay in cell order
+    sk = keys[order]
+    new = np.r_[True, np.any(sk[1:] != sk[:-1], axis=1)]
+    first = order[new]                      # first appearance of each distinct key
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return keys[np.sort(first)], inverse.reshape(len(cells), len(local))
 
 
 @dataclass(frozen=True)
@@ -134,20 +153,7 @@ class Mesh:
             self._cell_edges = np.arange(self.num_cells, dtype=np.int64)[:, None]
             return
         local = _TRI_EDGES if self.tdim == 2 else _TET_EDGES
-        index = {}
-        edges = []
-        cell_edges = np.empty((self.num_cells, len(local)), dtype=np.int64)
-        for c, cell in enumerate(self.cells):
-            for k, (a, b) in enumerate(local):
-                key = (cell[a], cell[b]) if cell[a] < cell[b] else (cell[b], cell[a])
-                idx = index.get(key)
-                if idx is None:
-                    idx = len(edges)
-                    index[key] = idx
-                    edges.append(key)
-                cell_edges[c, k] = idx
-        self._edges = np.asarray(edges, dtype=np.int64)
-        self._cell_edges = cell_edges
+        self._edges, self._cell_edges = _number_entities(self.cells, local)
 
     @property
     def edges(self):
@@ -168,28 +174,19 @@ class Mesh:
             facets = self.edges
             cell_facets = self.cell_edges
         elif self.tdim == 3:
-            index = {}
-            facets = []
-            cell_facets = np.empty((self.num_cells, 4), dtype=np.int64)
-            for c, cell in enumerate(self.cells):
-                for k, loc in enumerate(_TET_FACES):
-                    key = tuple(sorted(cell[list(loc)]))
-                    idx = index.get(key)
-                    if idx is None:
-                        idx = len(facets)
-                        index[key] = idx
-                        facets.append(key)
-                    cell_facets[c, k] = idx
-            facets = np.asarray(facets, dtype=np.int64)
+            facets, cell_facets = _number_entities(self.cells, _TET_FACES)
         else:
             raise MeshError("facets are not defined for tdim=1 meshes")
-        adjacency = [[] for _ in range(len(facets))]
-        for c in range(self.num_cells):
-            for f in cell_facets[c]:
-                adjacency[f].append(c)
+        # CSR adjacency: the cells of facet f, ascending, are
+        # _facet_cell_idx[_facet_cell_ptr[f]:_facet_cell_ptr[f + 1]].
+        flat = cell_facets.ravel()
+        order = np.argsort(flat, kind="stable")
+        ptr = np.zeros(len(facets) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=len(facets)), out=ptr[1:])
         self._facets = facets
         self._cell_facets = cell_facets
-        self._facet_cells = adjacency
+        self._facet_cell_ptr = ptr
+        self._facet_cell_idx = order // cell_facets.shape[1]
 
     @property
     def facets(self):
@@ -200,10 +197,21 @@ class Mesh:
 
     @property
     def facet_cells(self):
-        """List of adjacent cell indices per facet (1 on the boundary, else 2)."""
+        """List of adjacent cell indices per facet (1 on the boundary, else
+        2), ascending."""
         if self._facet_cells is None:
-            self._build_facets()
+            if self._facets is None:
+                self._build_facets()
+            idx = self._facet_cell_idx.tolist()
+            ptr = self._facet_cell_ptr.tolist()
+            self._facet_cells = [idx[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
         return self._facet_cells
+
+    def _lowest_facet_cell(self, facets):
+        """Lowest-index adjacent cell of each listed facet."""
+        if self._facets is None:
+            self._build_facets()
+        return self._facet_cell_idx[self._facet_cell_ptr[facets]]
 
     @property
     def locator(self):
@@ -219,76 +227,144 @@ class Mesh:
 class CellLocator:
     """Uniform background grid over cell bounding boxes.
 
-    ``locate`` returns (cell index, barycentric coordinates).  Points shared
-    by several cells resolve to the lowest cell index; containment uses an
-    absolute tolerance on barycentric coordinates (default 1e-10).
+    ``locate_many`` returns (cell indices, barycentric coordinates) for a
+    batch of points.  Points shared by several cells resolve to the lowest
+    cell index; containment uses an absolute tolerance on barycentric
+    coordinates (default 1e-10) and, on manifolds, on the distance to the
+    cell's plane.
+
+    The occupied bins are stored in CSR form: bin ``bin_keys[b]`` (a
+    row-major index into the ``nbins ** gdim`` grid, ascending) holds the
+    cells ``bin_cells[bin_ptr[b]:bin_ptr[b + 1]]`` in ascending order.
+    The locator keeps only the geometry it needs, not the mesh.
     """
 
     def __init__(self, mesh: Mesh, tol: float = 1e-10):
-        self.mesh = mesh
         self.tol = tol
+        self.tdim, self.gdim = mesh.tdim, mesh.gdim
         v = mesh.vertices[mesh.cells]                      # (nc, tdim+1, gdim)
-        self._cell_lo = v.min(axis=1)
-        self._cell_hi = v.max(axis=1)
-        self.lo = self._cell_lo.min(axis=0)
-        self.hi = self._cell_hi.max(axis=0)
+        cell_lo = v.min(axis=1)
+        cell_hi = v.max(axis=1)
+        self.lo = cell_lo.min(axis=0)
+        self.hi = cell_hi.max(axis=0)
         nbins = max(1, math.ceil(mesh.num_cells ** (1.0 / mesh.tdim)))
+        if nbins ** self.gdim >= 2 ** 63:
+            raise MeshError(f"{nbins}^{self.gdim} locator bins overflow int64 keys")
         self.nbins = nbins
+        self._strides = nbins ** np.arange(self.gdim - 1, -1, -1, dtype=np.int64)
         span = self.hi - self.lo
         # Degenerate axes (e.g. a vertical line in 3d) collapse to one bin.
         self.width = np.where(span > 0, span / nbins, 1.0)
-        self._bins = {}
-        pad = 1e-12 + 1e-12 * np.linalg.norm(span)
-        lo_idx = np.clip(np.floor((self._cell_lo - pad - self.lo) / self.width),
+        self._diam = np.linalg.norm(cell_hi - cell_lo, axis=1)
+        # A point with every barycentric coordinate >= -tol lies within
+        # tdim * tol * diam of its cell's box, and one that passes the
+        # residual test within tol * (1 + diam) of the cell's plane.
+        pad = (1e-12 + 1e-12 * np.linalg.norm(span)
+               + tol * (1.0 + (self.tdim + 1) * self._diam))[:, None]
+        lo_idx = np.clip(np.floor((cell_lo - pad - self.lo) / self.width),
                          0, nbins - 1).astype(np.int64)
-        hi_idx = np.clip(np.floor((self._cell_hi + pad - self.lo) / self.width),
+        hi_idx = np.clip(np.floor((cell_hi + pad - self.lo) / self.width),
                          0, nbins - 1).astype(np.int64)
-        for c in range(mesh.num_cells):
-            for key in itertools.product(*(range(a, b + 1)
-                                           for a, b in zip(lo_idx[c], hi_idx[c]))):
-                self._bins.setdefault(key, []).append(c)
+        # (bin, cell) pairs, one offset within the cells' bin boxes at a time
+        first_key = lo_idx @ self._strides
+        box = hi_idx - lo_idx
+        keys, members = [], []
+        for offset in np.ndindex(*box.max(axis=0) + 1):
+            inside = np.flatnonzero(np.all(box >= offset, axis=1))
+            keys.append(first_key[inside] + self._strides @ offset)
+            members.append(inside)
+        keys, members = np.concatenate(keys), np.concatenate(members)
+        order = np.lexsort((members, keys))
+        keys = keys[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        self.bin_keys = keys[first]
+        self.bin_ptr = np.append(first, len(keys))
+        self.bin_cells = members[order]
         # geometry for barycentric solves
-        self._v0 = v[:, 0, :]
-        self._E = v[:, 1:, :] - v[:, :1, :]                # (nc, tdim, gdim)
-        if mesh.tdim == mesh.gdim:
-            self._Einv = np.linalg.inv(self._E)
+        self._v0 = v[:, 0, :].copy()
+        E = v[:, 1:, :] - v[:, :1, :]                     # (nc, tdim, gdim)
+        if self.tdim == self.gdim:
+            self._E = None
+            self._Einv = np.linalg.inv(E)
         else:
-            gram = np.einsum("ctg,csg->cts", self._E, self._E)
-            self._Einv = np.einsum("cts,csg->ctg", np.linalg.inv(gram), self._E)
-        self._diam = np.linalg.norm(self._cell_hi - self._cell_lo, axis=1)
+            self._E = E
+            gram = np.einsum("ctg,csg->cts", E, E)
+            self._Einv = np.einsum("cts,csg->ctg", np.linalg.inv(gram), E)
 
-    def _bin_index(self, x):
-        idx = np.floor((np.asarray(x) - self.lo) / self.width).astype(int)
-        return np.clip(idx, 0, self.nbins - 1)
+    def _candidates(self, x):
+        """(point, cell) pairs of the points ``x`` (N, gdim) and the cells
+        of their bins, grouped by point and ascending in cell."""
+        # fmax/fmin send -inf and nan to bin 0 and +inf to the last bin
+        idx = np.floor(np.fmin(np.fmax((x - self.lo) / self.width, 0),
+                               self.nbins - 1)).astype(np.int64)
+        key = idx @ self._strides
+        b = np.minimum(np.searchsorted(self.bin_keys, key), len(self.bin_keys) - 1)
+        start = self.bin_ptr[b]
+        count = np.where(self.bin_keys[b] == key, self.bin_ptr[b + 1] - start, 0)
+        point = np.repeat(np.arange(len(x)), count)
+        offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
+        return point, self.bin_cells[np.repeat(start, count) + offset]
+
+    def barycentric_many(self, cells, x):
+        """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim)
+        in ``cells`` (N,), plus their distances (N,) off the cells' planes
+        (zero when tdim == gdim)."""
+        # Stacked np.matmul runs the same BLAS kernel per point as the
+        # single-point product, so the coordinates are bitwise those of
+        # ``Einv.T @ d``; einsum sums in another order.
+        d = x - self._v0[cells]
+        if self.tdim == self.gdim:
+            mu = np.matmul(self._Einv[cells].transpose(0, 2, 1), d[:, :, None])[:, :, 0]
+            resid = np.zeros(len(cells))
+        else:
+            mu = np.matmul(self._Einv[cells], d[:, :, None])[:, :, 0]
+            r = d - np.matmul(mu[:, None, :], self._E[cells])[:, 0, :]
+            resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+        lam = np.empty((len(cells), self.tdim + 1))
+        lam[:, 0] = 1.0 - mu.sum(axis=1)
+        lam[:, 1:] = mu
+        return lam, resid
 
     def barycentric(self, cell, x):
         """Barycentric coordinates of x in ``cell`` plus off-manifold distance."""
-        d = np.asarray(x, dtype=float) - self._v0[cell]
-        if self.mesh.tdim == self.mesh.gdim:
-            mu = self._Einv[cell].T @ d
-            resid = 0.0
-        else:
-            mu = self._Einv[cell] @ d
-            resid = float(np.linalg.norm(d - mu @ self._E[cell]))
-        lam = np.empty(self.mesh.tdim + 1)
-        lam[0] = 1.0 - mu.sum()
-        lam[1:] = mu
-        return lam, resid
+        lam, resid = self.barycentric_many(
+            np.array([cell]), np.asarray(x, dtype=float).reshape(1, -1))
+        return lam[0], float(resid[0])
+
+    def locate_many(self, points):
+        """Containing cell (N,) and barycentric coordinates (N, tdim+1) of
+        each of the points (N, gdim).
+
+        Raises OutOfDomainError for the first point, in input order, that
+        no cell contains; its ``index`` is that point's position."""
+        x = np.asarray(points, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.gdim:
+            raise MeshError(f"expected points of shape (N, {self.gdim}), got {x.shape}")
+        cells = np.empty(len(x), dtype=np.int64)
+        lam = np.empty((len(x), self.tdim + 1))
+        for lo in range(0, len(x), _LOCATE_CHUNK):
+            chunk = x[lo:lo + _LOCATE_CHUNK]
+            point, cand = self._candidates(chunk)
+            mu, resid = self.barycentric_many(cand, chunk[point])
+            ok = np.flatnonzero((mu.min(axis=1) >= -self.tol)
+                                & (resid <= self.tol * (1.0 + self._diam[cand])))
+            # a point's candidates ascend in cell, so its first hit is its lowest cell
+            found, first = np.unique(point[ok], return_index=True)
+            if len(found) < len(chunk):
+                miss = int(np.argmin(np.isin(np.arange(len(chunk)), found)))
+                raise OutOfDomainError(chunk[miss], index=lo + miss)
+            cells[lo:lo + len(chunk)] = cand[ok[first]]
+            lam[lo:lo + len(chunk)] = mu[ok[first]]
+        return cells, lam
 
     def locate(self, x):
+        """Containing cell (lowest index on ties) and barycentric
+        coordinates of one point."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.mesh.gdim,):
-            raise MeshError(f"expected point of dimension {self.mesh.gdim}, got shape {x.shape}")
-        candidates = self._bins.get(tuple(self._bin_index(x)), ())
-        best = None
-        for c in candidates:
-            lam, resid = self.barycentric(c, x)
-            if lam.min() >= -self.tol and resid <= self.tol * (1.0 + self._diam[c]):
-                if best is None or c < best[0]:
-                    best = (c, lam)
-        if best is None:
-            raise OutOfDomainError(x, self.mesh)
-        return best
+        if x.shape != (self.gdim,):
+            raise MeshError(f"expected point of dimension {self.gdim}, got shape {x.shape}")
+        cells, lam = self.locate_many(x[None])
+        return int(cells[0]), lam[0]
 
 
 # -- generators --------------------------------------------------------------
@@ -309,47 +385,30 @@ def unit_square_mesh(n, m=None, offset=(0.0, 0.0), extent=(1.0, 1.0)):
     ys = offset[1] + ey * np.arange(m + 1) / m
     X, Y = np.meshgrid(xs, ys)                     # row j = y level j
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(m):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((ll, lr, ur))
-            cells.append((ll, ur, ul))
-    return Mesh(vertices, np.asarray(cells, dtype=np.int64))
+    vid = np.arange((m + 1) * (n + 1), dtype=np.int64).reshape(m + 1, n + 1)
+    ll, lr, ul, ur = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
+    cells = np.stack([np.stack([ll, lr, ur], axis=-1),
+                      np.stack([ll, ur, ul], axis=-1)], axis=2)   # (m, n, 2, 3)
+    return Mesh(vertices, cells.reshape(-1, 3))
 
 
 def unit_cube_mesh(n):
     """[0,1]^3 as n^3 sub-cubes, each split into 6 tetrahedra sharing the
-    main diagonal (Kuhn split): one tet per axis permutation."""
+    main diagonal (Kuhn split): one tet per axis permutation.  Vertex
+    (i, j, k) has index (k*(n+1)+j)*(n+1)+i."""
     n = int(n)
     if n < 1:
         raise MeshError(f"cell count must be >= 1, got {n}")
     axis = np.arange(n + 1) / n
-    vertices = np.array([(x, y, z) for z in axis for y in axis for x in axis])
-
-    def vid(i, j, k):
-        return (k * (n + 1) + j) * (n + 1) + i
-
-    perms = list(itertools.permutations(range(3)))
-    cells = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                base = np.array([i, j, k])
-                for perm in perms:
-                    path = [base.copy()]
-                    p = base.copy()
-                    for ax in perm:
-                        p = p.copy()
-                        p[ax] += 1
-                        path.append(p)
-                    cells.append(tuple(vid(*q) for q in path))
-    return Mesh(vertices, np.asarray(cells, dtype=np.int64))
+    z, y, x = np.meshgrid(axis, axis, axis, indexing="ij")
+    vertices = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    vid = np.arange((n + 1) ** 3, dtype=np.int64).reshape(n + 1, n + 1, n + 1)
+    base = vid[:-1, :-1, :-1].ravel()              # lower corner, i fastest
+    # each tet walks from the lower corner along the axes in permuted order
+    step = np.array([1, n + 1, (n + 1) ** 2], dtype=np.int64)
+    walk = np.zeros((6, 4), dtype=np.int64)
+    walk[:, 1:] = np.cumsum(step[list(itertools.permutations(range(3)))], axis=1)
+    return Mesh(vertices, (base[:, None, None] + walk).reshape(-1, 4))
 
 
 def polyline_mesh(points, cells_per_segment):
@@ -361,13 +420,14 @@ def polyline_mesh(points, cells_per_segment):
     k = int(cells_per_segment)
     if k < 1:
         raise MeshError(f"cells_per_segment must be >= 1, got {k}")
-    verts = [points[0]]
-    for a, b in zip(points[:-1], points[1:]):
-        if np.linalg.norm(b - a) < _MIN_MEASURE:
-            raise MeshError(f"repeated consecutive polyline points at {a.tolist()}")
-        for s in range(1, k + 1):
-            verts.append(a + (b - a) * s / k)
-    vertices = np.asarray(verts)
+    seg = points[1:] - points[:-1]
+    short = np.linalg.norm(seg, axis=1) < _MIN_MEASURE
+    if short.any():
+        raise MeshError(f"repeated consecutive polyline points at "
+                        f"{points[np.argmax(short)].tolist()}")
+    steps = np.arange(1, k + 1)[None, :, None]
+    inner = points[:-1, None, :] + seg[:, None, :] * steps / k
+    vertices = np.vstack([points[:1], inner.reshape(-1, points.shape[1])])
     nc = len(vertices) - 1
     cells = np.column_stack([np.arange(nc), np.arange(1, nc + 1)]).astype(np.int64)
     return Mesh(vertices, cells)
@@ -375,66 +435,48 @@ def polyline_mesh(points, cells_per_segment):
 
 # -- derived meshes ----------------------------------------------------------
 
+def _holds(predicate, points):
+    """Boolean mask of ``predicate`` over the rows of ``points``."""
+    return np.fromiter((bool(predicate(p)) for p in points), dtype=bool,
+                       count=len(points))
+
+
+def _submesh(parent: Mesh, entity_vertices, parent_cells, parent_entities):
+    """Mesh whose cells are the given parent entities (rows of parent
+    vertex indices), vertices renumbered by first appearance."""
+    vertex_map, cells = _number_entities(
+        entity_vertices, [(k,) for k in range(entity_vertices.shape[1])])
+    link = ParentLink(
+        mesh=parent,
+        vertex_map=vertex_map[:, 0],
+        cell_to_parent_cell=np.asarray(parent_cells, dtype=np.int64),
+        cell_to_parent_entity=np.asarray(parent_entities, dtype=np.int64),
+    )
+    return Mesh(parent.vertices[link.vertex_map], cells, parent=link)
+
+
 def facet_submesh(parent: Mesh, predicate):
     """Mesh of the parent facets whose vertices and midpoint all satisfy
     ``predicate``.  Each submesh cell records its parent facet and the
     adjacent parent cell (the unique one on the boundary, else the lowest
-    cell index)."""
+    cell index).  The predicate is called once per parent vertex and once
+    per midpoint of a facet whose vertices all satisfy it."""
     facets = parent.facets
-    fverts = parent.vertices[facets]                 # (nf, tdim, gdim)
-    selected = []
-    for f in range(len(facets)):
-        pts = fverts[f]
-        if all(predicate(p) for p in pts) and predicate(pts.mean(axis=0)):
-            selected.append(f)
-    if not selected:
+    candidates = np.flatnonzero(_holds(predicate, parent.vertices)[facets].all(axis=1))
+    midpoints = parent.vertices[facets[candidates]].mean(axis=1)
+    selected = candidates[_holds(predicate, midpoints)]
+    if not len(selected):
         raise EmptySelectionError("predicate selects no facets")
-    vmap = {}
-    new_vertices = []
-    cells = []
-    p_cells = []
-    for f in selected:
-        local = []
-        for v in facets[f]:
-            if v not in vmap:
-                vmap[v] = len(new_vertices)
-                new_vertices.append(parent.vertices[v])
-            local.append(vmap[v])
-        cells.append(local)
-        p_cells.append(min(parent.facet_cells[f]))
-    link = ParentLink(
-        mesh=parent,
-        vertex_map=np.asarray(sorted(vmap, key=vmap.get), dtype=np.int64),
-        cell_to_parent_cell=np.asarray(p_cells, dtype=np.int64),
-        cell_to_parent_entity=np.asarray(selected, dtype=np.int64),
-    )
-    return Mesh(np.asarray(new_vertices), np.asarray(cells, dtype=np.int64), parent=link)
+    return _submesh(parent, facets[selected], parent._lowest_facet_cell(selected), selected)
 
 
 def cell_submesh(parent: Mesh, predicate):
     """Same-dimension submesh of the parent cells whose centroid satisfies
     ``predicate`` (used for restriction to a subdomain)."""
-    keep = [c for c in range(parent.num_cells) if predicate(parent.cell_centroids[c])]
-    if not keep:
+    keep = np.flatnonzero(_holds(predicate, parent.cell_centroids))
+    if not len(keep):
         raise EmptySelectionError("predicate selects no cells")
-    vmap = {}
-    new_vertices = []
-    cells = []
-    for c in keep:
-        local = []
-        for v in parent.cells[c]:
-            if v not in vmap:
-                vmap[v] = len(new_vertices)
-                new_vertices.append(parent.vertices[v])
-            local.append(vmap[v])
-        cells.append(local)
-    link = ParentLink(
-        mesh=parent,
-        vertex_map=np.asarray(sorted(vmap, key=vmap.get), dtype=np.int64),
-        cell_to_parent_cell=np.asarray(keep, dtype=np.int64),
-        cell_to_parent_entity=np.asarray(keep, dtype=np.int64),
-    )
-    return Mesh(np.asarray(new_vertices), np.asarray(cells, dtype=np.int64), parent=link)
+    return _submesh(parent, parent.cells[keep], keep, keep)
 
 
 # -- debugging dump ----------------------------------------------------------

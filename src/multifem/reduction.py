@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .forms import ReductionKind
 from .mesh import Mesh, OutOfDomainError
-from .space import Element, FunctionSpace, basis_row, build_space
+from .space import Element, FunctionSpace, basis_rows, build_space
 
 __all__ = [
     "ReductionMatrix", "ReductionCache", "default_cache", "UnsupportedReductionError",
@@ -61,34 +61,34 @@ def _parent_cell_hints(target_mesh: Mesh, source: FunctionSpace):
     return None
 
 
-def _point_evaluation_matrix(source: FunctionSpace, target: FunctionSpace,
-                             points_of=None):
+def _point_evaluation_matrix(source: FunctionSpace, target: FunctionSpace):
     """Rows = target dofs; row i holds source basis values at the functional
-    location of dof i (optionally transformed by ``points_of``).  Each dof is
-    evaluated from the first target cell listing it (deterministic side)."""
+    location of dof i.  Each dof is evaluated from the first target cell
+    listing it (deterministic side)."""
     hints = _parent_cell_hints(target.mesh, source)
-    ncomp_t = target.ncomp
-    rows, cols, vals = [], [], []
-    filled = np.zeros(target.dim, dtype=bool)
-    for tc in range(target.mesh.num_cells):
-        hint = int(hints[tc]) if hints is not None else None
-        for dof in target.dofmap[tc]:
-            if filled[dof]:
-                continue
-            filled[dof] = True
-            x = target.dof_coords[dof]
-            comp = target.dof_component[dof] if ncomp_t > 1 else 0
-            try:
-                c, v = basis_row(source, x, cell=hint)
-            except OutOfDomainError:
-                raise OutOfDomainError(x, detail=f"target dof {dof}") from None
-            row_vals = v[comp if source.ncomp > 1 else 0]
-            rows.extend([dof] * len(c))
-            cols.extend(c)
-            vals.extend(row_vals)
-    if not filled.all():
+    # target dofs in order of first appearance in the target cells
+    flat = target.dofmap.ravel()
+    _, first = np.unique(flat, return_index=True)
+    first.sort()
+    dofs = flat[first]
+    x = target.dof_coords[dofs]
+    cells = hints[first // target.nloc] if hints is not None else None
+    try:
+        cols, vals = basis_rows(source, x, cells)
+    except OutOfDomainError as err:
+        raise OutOfDomainError(x[err.index], detail=f"target dof {dofs[err.index]}") from None
+    if len(dofs) != target.dim:
         raise UnsupportedReductionError("target space has dofs not reachable from cells")
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(target.dim, source.dim)).tocsr()
+    if target.ncomp > 1 and source.ncomp > 1:
+        vals = vals[np.arange(len(dofs)), target.dof_component[dofs]]
+    else:
+        vals = vals[:, 0]
+    return _csr(np.repeat(dofs, cols.shape[1]), cols, vals, (target.dim, source.dim))
+
+
+def _csr(rows, cols, vals, shape):
+    """CSR from COO triplets in the given order, duplicates summed."""
+    m = sp.coo_matrix((vals.ravel(), (rows, cols.ravel())), shape=shape).tocsr()
     m.sum_duplicates()
     m.sort_indices()
     return m
@@ -111,26 +111,46 @@ def restriction_matrix(source: FunctionSpace, target: FunctionSpace):
 _AXES = np.eye(3)
 
 
+def _circle_frames(tangents):
+    """Right-handed orthonormal frames (e1, e2, t) of the tangents (N, 3):
+    e1 = normalize(t x a) with a the coordinate axis minimizing |t.a|
+    (lowest index on ties)."""
+    t = np.asarray(tangents, dtype=float)
+    t = t / _norms(t)[:, None]
+    a = _AXES[np.argmin(np.round(np.abs(t), 12), axis=1)]
+    e1 = np.cross(t, a)
+    e1 /= _norms(e1)[:, None]
+    return e1, np.cross(t, e1)
+
+
+def _norms(v):
+    """Euclidean norms of the rows of v, each bitwise ``np.linalg.norm(row)``
+    (a BLAS dot, which ``norm(v, axis=1)`` is not)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def circle_frame(tangent):
     """Right-handed orthonormal (e1, e2, tangent): e1 = normalize(t x a)
     with a the coordinate axis minimizing |t.a| (lowest index on ties)."""
-    t = np.asarray(tangent, dtype=float)
-    t = t / np.linalg.norm(t)
-    dots = np.abs(_AXES @ t)
-    a = _AXES[int(np.argmin(np.round(dots, 12)))]
-    e1 = np.cross(t, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(t, e1)
-    return e1, e2
+    e1, e2 = _circle_frames(np.reshape(tangent, (1, 3)))
+    return e1[0], e2[0]
+
+
+def _circle_points(centers, tangents, radius, n_quad):
+    """(N, n_quad, 3) uniform points on the circles of given radius around
+    the centers (N, 3), in the planes orthogonal to the tangents (N, 3)."""
+    e1, e2 = _circle_frames(tangents)
+    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
+    return (np.asarray(centers)[:, None, :]
+            + radius * (np.cos(theta)[None, :, None] * e1[:, None, :]
+                        + np.sin(theta)[None, :, None] * e2[:, None, :]))
 
 
 def circle_points(center, tangent, radius, n_quad):
     """Uniform points on the circle of given radius in the plane orthogonal
     to the tangent at the center."""
-    e1, e2 = circle_frame(tangent)
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    return (np.asarray(center)[None, :]
-            + radius * (np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2))
+    return _circle_points(np.reshape(center, (1, 3)), np.reshape(tangent, (1, 3)),
+                          radius, n_quad)[0]
 
 
 def curve_dof_tangents(target: FunctionSpace):
@@ -142,9 +162,8 @@ def curve_dof_tangents(target: FunctionSpace):
     cell_t = mesh.vertices[mesh.cells[:, 1]] - mesh.vertices[mesh.cells[:, 0]]
     cell_t = cell_t / np.linalg.norm(cell_t, axis=1)[:, None]
     acc = np.zeros((target.dim, mesh.gdim))
-    for c in range(mesh.num_cells):
-        for dof in target.dofmap[c]:
-            acc[dof] += cell_t[c]
+    # unbuffered, in cell order: the sums of a loop over cells
+    np.add.at(acc, target.dofmap.ravel(), np.repeat(cell_t, target.nloc, axis=0))
     norms = np.linalg.norm(acc, axis=1)
     if np.any(norms < 1e-14):
         raise UnsupportedReductionError("degenerate tangent at a curve dof")
@@ -160,21 +179,14 @@ def average_matrix(source: FunctionSpace, target: FunctionSpace,
     if source.ncomp != 1:
         raise UnsupportedReductionError("averages support scalar sources only")
     tangents = curve_dof_tangents(target)
-    rows, cols, vals = [], [], []
-    for dof in range(target.dim):
-        pts = circle_points(target.dof_coords[dof], tangents[dof], radius, n_quad)
-        for p in pts:
-            try:
-                c, v = basis_row(source, p)
-            except OutOfDomainError:
-                raise OutOfDomainError(p, detail=f"circle point of curve dof {dof}") from None
-            rows.extend([dof] * len(c))
-            cols.extend(c)
-            vals.extend(v[0] / n_quad)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(target.dim, source.dim)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
+    pts = _circle_points(target.dof_coords, tangents, radius, n_quad).reshape(-1, 3)
+    try:
+        cols, vals = basis_rows(source, pts)
+    except OutOfDomainError as err:
+        raise OutOfDomainError(pts[err.index], detail=f"circle point of curve dof "
+                               f"{err.index // n_quad}") from None
+    rows = np.repeat(np.arange(target.dim), n_quad * cols.shape[1])
+    return _csr(rows, cols, vals[:, 0] / n_quad, (target.dim, source.dim))
 
 
 # -- cache ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .mesh import Mesh, MeshError
 __all__ = [
     "Element", "FunctionSpace", "Function", "UnsupportedElementError",
     "lagrange", "vector_lagrange", "dg0", "vector_dg0", "rt0",
-    "build_space", "interpolate", "evaluate", "basis_row",
+    "build_space", "interpolate", "evaluate", "basis_row", "basis_rows",
     "tabulate_lagrange", "rt0_edge_flux",
 ]
 
@@ -288,6 +288,37 @@ def interpolate(space: FunctionSpace, f) -> Function:
     return Function(space, rt0_edge_flux(space, field, range(space.dim)))
 
 
+def basis_rows(space: FunctionSpace, points, cells=None):
+    """Global basis values at each of the points (N, gdim), each from one
+    evaluating cell.
+
+    Returns (columns, values) of shapes (N, nloc) and (N, ncomp, nloc): one
+    row per point and value component.  ``cells`` (N,) overrides the
+    locator's lowest-index tie-break (used to evaluate from a designated
+    parent side).  Out-of-domain points raise the locator's
+    OutOfDomainError, whose ``index`` names the first one.
+    """
+    points = np.asarray(points, dtype=float)
+    loc = space.mesh.locator
+    if cells is None:
+        cells, lam = loc.locate_many(points)
+    else:
+        cells = np.asarray(cells, dtype=np.int64)
+        lam, _ = loc.barycentric_many(cells, points)
+    cols = space.dofmap[cells]
+    if space.element.family == "RaviartThomas":
+        vals, _ = space.rt0_cell_basis(cells, points[:, None, :])
+        return cols, vals[:, 0].transpose(0, 2, 1)     # (N, gdim, 3)
+    vals, _ = tabulate_lagrange(space.mesh.tdim, space.element.degree, lam[:, 1:])
+    if space.ncomp == 1:
+        return cols, vals[:, None, :]
+    nc = space.ncomp
+    out = np.zeros((len(cells), nc, space.nloc_scalar * nc))
+    for c in range(nc):
+        out[:, c, c::nc] = vals
+    return cols, out
+
+
 def basis_row(space: FunctionSpace, x, cell=None):
     """Global basis values at point ``x`` from one evaluating cell.
 
@@ -295,25 +326,9 @@ def basis_row(space: FunctionSpace, x, cell=None):
     per value component.  ``cell`` overrides the locator's lowest-index
     tie-break (used to evaluate from a designated parent side).
     """
-    loc = space.mesh.locator
-    if cell is None:
-        cell, lam = loc.locate(x)
-    else:
-        lam, _ = loc.barycentric(cell, x)
-    cols = space.dofmap[cell]
-    if space.element.family == "RaviartThomas":
-        pts = np.asarray(x, dtype=float).reshape(1, 1, -1)
-        vals, _ = space.rt0_cell_basis(np.array([cell]), pts)
-        return cols, vals[0, 0].T.copy()               # (gdim, 3)
-    ref = lam[1:].reshape(1, -1)
-    vals, _ = tabulate_lagrange(space.mesh.tdim, space.element.degree, ref)
-    if space.ncomp == 1:
-        return cols, vals.reshape(1, -1)
-    nloc_s, nc = space.nloc_scalar, space.ncomp
-    out = np.zeros((nc, nloc_s * nc))
-    for c in range(nc):
-        out[c, c::nc] = vals[0]
-    return cols, out
+    cols, rows = basis_rows(space, np.asarray(x, dtype=float)[None, :],
+                            None if cell is None else [cell])
+    return cols[0], rows[0]
 
 
 def evaluate(fn: Function, x):

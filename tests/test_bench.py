@@ -1,3 +1,4 @@
+import gc
 import os
 
 import numpy as np
@@ -11,8 +12,10 @@ from multifem.bench import (
 )
 from multifem.forms import Analytic
 from multifem.krylov import build_preconditioner, minres
+from multifem.mesh import CellLocator, Mesh
 from multifem.opalg import BlockVec, collapse
 from multifem.reduction import ReductionCache
+from multifem.space import FunctionSpace
 
 
 class TestCaseConfig:
@@ -82,6 +85,27 @@ class TestPerfusionCase:
     def test_radius_guard(self):
         with pytest.raises(ValueError, match="radius"):
             run_case(CaseConfig(case="perfusion", n=2, levels=2, radius=0.5))
+
+
+@pytest.mark.parametrize("case,n,levels", [
+    ("babuska", 4, 1), ("ds-mixed", 4, 1), ("perfusion", 4, 2)])
+def test_run_leaves_no_cyclic_meshes_or_spaces(case, n, levels):
+    """Meshes, spaces and locators of a finished run are freed by reference
+    counting alone; a cycle through them would hold their arrays until a
+    full collection."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_case(CaseConfig(case=case, n=n, levels=levels))
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage
+                  if isinstance(o, (Mesh, FunctionSpace, CellLocator))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert cyclic == []
 
 
 class TestRestrictDemo:

@@ -1,0 +1,128 @@
+"""Property-based check of batched point location against a brute-force
+oracle that tests every cell of the mesh."""
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from multifem.mesh import OutOfDomainError, polyline_mesh, unit_cube_mesh, unit_square_mesh
+
+TOL = 1e-10
+
+
+def oracle_coordinates(mesh, x):
+    """Barycentric coordinates of x in every cell (nc, tdim+1) and the
+    distances off the cells' planes, by one linear solve per cell."""
+    lams, resids = [], []
+    for cell in mesh.cells:
+        v = mesh.vertices[cell]
+        E = v[1:] - v[0]
+        d = x - v[0]
+        mu = np.linalg.solve(E @ E.T, E @ d)
+        lams.append(np.r_[1.0 - mu.sum(), mu])
+        resids.append(np.linalg.norm(d - mu @ E))
+    return np.array(lams), np.array(resids)
+
+
+def oracle_locate(mesh, x):
+    """Lowest-index cell containing x within the tolerance, else None; and
+    whether x lies so close to a tolerance edge that rounding decides."""
+    lam, resid = oracle_coordinates(mesh, x)
+    v = mesh.vertices[mesh.cells]
+    limit = TOL * (1.0 + np.linalg.norm(v.max(axis=1) - v.min(axis=1), axis=1))
+    ok = (lam.min(axis=1) >= -TOL) & (resid <= limit)
+    edge = (np.abs(lam.min(axis=1) + TOL) < 1e-13) | (np.abs(resid - limit) < 1e-13)
+    found = np.flatnonzero(ok)
+    return (int(found[0]) if len(found) else None), bool(edge.any())
+
+
+def coordinate_gradients(mesh, c):
+    """Physical gradients (tdim+1, gdim) of the barycentric coordinates of
+    cell c, tangent to the cell."""
+    v = mesh.vertices[mesh.cells[c]]
+    E = v[1:] - v[0]
+    pinv = np.linalg.solve(E @ E.T, E)          # rows: gradients of lam_1..
+    return np.vstack([-pinv.sum(axis=0), pinv])
+
+
+@st.composite
+def meshes(draw):
+    kind = draw(st.sampled_from(["square", "cube", "curve"]))
+    if kind == "square":
+        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        offset = draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
+        extent = draw(st.tuples(st.floats(0.1, 3), st.floats(0.1, 3)))
+        return unit_square_mesh(n, m, offset=offset, extent=extent)
+    if kind == "cube":
+        return unit_cube_mesh(draw(st.integers(1, 3)))
+    coord = st.floats(-1, 1)
+    start = np.array(draw(st.tuples(coord, coord, coord)))
+    if draw(st.booleans()):                     # axis-aligned: two flat bin axes
+        turns = [start, start + [0.0, 0.0, draw(st.floats(0.2, 2))]]
+    else:
+        turns = [start]
+        for _ in range(draw(st.integers(1, 3))):
+            step = np.array(draw(st.tuples(coord, coord, coord)))
+            assume(np.linalg.norm(step) > 0.1)
+            turns.append(turns[-1] + step)
+    return polyline_mesh(turns, draw(st.integers(1, 3)))
+
+
+@st.composite
+def query_points(draw, mesh):
+    """A point on a vertex, an edge or facet midpoint, inside a cell, or
+    pushed off a cell's boundary or plane to just inside or just outside
+    the tolerance."""
+    kind = draw(st.sampled_from(["vertex", "edge", "facet", "interior", "push", "lift"]))
+    if kind == "vertex":
+        return mesh.vertices[draw(st.integers(0, mesh.num_vertices - 1))]
+    if kind == "edge" or (kind == "facet" and mesh.tdim == 1):
+        e = draw(st.integers(0, len(mesh.edges) - 1))
+        return mesh.vertices[mesh.edges[e]].mean(axis=0)
+    if kind == "facet":
+        f = draw(st.integers(0, len(mesh.facets) - 1))
+        return mesh.vertices[mesh.facets[f]].mean(axis=0)
+    c = draw(st.integers(0, mesh.num_cells - 1))
+    v = mesh.vertices[mesh.cells[c]]
+    weights = np.array(draw(st.lists(st.floats(0.01, 1), min_size=mesh.tdim + 1,
+                                     max_size=mesh.tdim + 1)))
+    factor = draw(st.sampled_from([0.5, 2.0]))   # x tolerance: inside / outside
+    if kind == "interior":
+        return weights / weights.sum() @ v
+    if kind == "push":
+        # a point of the facet opposite local vertex k, moved out through it
+        # until lam_k = -factor * TOL
+        k = draw(st.integers(0, mesh.tdim))
+        weights[k] = 0.0
+        g = coordinate_gradients(mesh, c)[k]
+        return weights / weights.sum() @ v - factor * TOL * g / (g @ g)
+    # lift: off the cell's plane by factor x the residual tolerance
+    assume(mesh.tdim < mesh.gdim)
+    E = v[1:] - v[0]
+    normal = np.array(draw(st.tuples(*[st.floats(-1, 1)] * mesh.gdim)))
+    normal -= np.linalg.solve(E @ E.T, E @ normal) @ E
+    assume(np.linalg.norm(normal) > 1e-3)
+    diam = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
+    return (weights / weights.sum() @ v
+            + factor * TOL * (1.0 + diam) * normal / np.linalg.norm(normal))
+
+
+@given(st.data())
+def test_locate_many_matches_brute_force(data):
+    mesh = data.draw(meshes())
+    points = np.array(data.draw(st.lists(query_points(mesh), min_size=1, max_size=12)))
+    expected = []
+    for x in points:
+        cell, on_edge = oracle_locate(mesh, x)
+        assume(not on_edge)
+        expected.append(cell)
+    if None in expected:
+        with pytest.raises(OutOfDomainError) as err:
+            mesh.locator.locate_many(points)
+        assert err.value.index == expected.index(None)
+        assert np.array_equal(err.value.point, points[err.value.index])
+        return
+    cells, lam = mesh.locator.locate_many(points)
+    assert cells.tolist() == expected
+    for x, c, l in zip(points, cells, lam):
+        assert np.allclose(l, oracle_coordinates(mesh, x)[0][c], rtol=0, atol=1e-9)
+        assert np.allclose(l @ mesh.vertices[mesh.cells[c]], x, rtol=0, atol=1e-9)

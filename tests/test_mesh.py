@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,35 @@ class TestLocate:
         for p in rng.uniform(0, 1, size=(50, 2)):
             _, lam = mesh.locate(p)
             assert lam.min() >= -1e-10 and lam.max() <= 1 + 1e-10
+
+    def test_bins_hold_ascending_cells(self):
+        loc = unit_cube_mesh(3).locator
+        assert np.all(np.diff(loc.bin_keys) > 0)
+        assert loc.bin_ptr[0] == 0 and loc.bin_ptr[-1] == len(loc.bin_cells)
+        for a, b in zip(loc.bin_ptr[:-1], loc.bin_ptr[1:]):
+            assert b > a and np.all(np.diff(loc.bin_cells[a:b]) > 0)
+
+    def test_tolerance_reaches_past_a_bin_edge(self):
+        # the x bin edge lies 5e-12 right of the facet x = 0.5; the point is
+        # 8e-12 right of it, so inside cell 0 by the 1e-10 tolerance but in
+        # the next bin
+        w = 1.0 + 1e-11
+        mesh = Mesh(np.array([[0, 0], [0.5, 0], [0.5, 1], [w, 0], [w, 1]]),
+                    np.array([[0, 1, 2], [1, 3, 2], [3, 4, 2]]))
+        found, lam = mesh.locate(np.array([0.5 + 8e-12, 0.5]))
+        assert found == 0 and -1e-10 < lam.min() < 0
+
+    def test_first_failing_point_is_reported(self):
+        mesh = unit_square_mesh(2, 2)
+        pts = np.array([[0.5, 0.5], [np.nan, 0.2], [3.0, 0.0], [0.3, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError) as err:
+                mesh.locator.locate_many(pts)
+        assert err.value.index == 1
+        with pytest.raises(OutOfDomainError) as err:
+            mesh.locator.locate_many(pts[[0, 3, 2]])
+        assert err.value.index == 2 and err.value.point.tolist() == [3.0, 0.0]
 
 
 class TestSubmeshes:
