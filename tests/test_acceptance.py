@@ -364,7 +364,7 @@ def test_criterion_10_cache_reuse():
 
 def test_criterion_11_scaling_smoke():
     assemble_babuska(32)                      # warm caches
-    def best_time(n, reps=2):
+    def best_time(n, reps=5):
         best = float("inf")
         for _ in range(reps):
             t0 = time.perf_counter()

@@ -3,17 +3,19 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from multifem import bench
 from multifem.assemble import load_matrix_market
 from multifem.bench import (
-    CaseConfig, assemble_babuska, assemble_perfusion,
+    CaseConfig, _solve_perfusion, assemble_babuska, assemble_perfusion,
     export_case, run_babuska, run_case, run_restrict_demo,
 )
 from multifem.forms import Analytic
-from multifem.krylov import build_preconditioner, minres
+from multifem.krylov import build_preconditioner, minres, nested_dissection
 from multifem.mesh import CellLocator, Mesh
-from multifem.opalg import BlockVec, collapse
+from multifem.opalg import BlockVec, Matrix, collapse
 from multifem.reduction import ReductionCache
 from multifem.space import FunctionSpace
 
@@ -85,6 +87,37 @@ class TestPerfusionCase:
     def test_radius_guard(self):
         with pytest.raises(ValueError, match="radius"):
             run_case(CaseConfig(case="perfusion", n=2, levels=2, radius=0.5))
+
+    def test_ordered_solve_matches_unordered(self):
+        sys = assemble_perfusion(8)
+        ref = spla.spsolve(collapse(sys["A"]).tocsc(), BlockVec(sys["b"]).concatenate())
+        u, p = _solve_perfusion(8, 0.2, 16)
+        x = np.concatenate([u.coefficients, p.coefficients])
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_nested_dissection_fill_below_colamd(self):
+        sys = assemble_perfusion(12)
+        V, Q = sys["W"]
+        mono = collapse(sys["A"])
+        perm = nested_dissection(mono, np.vstack([V.dof_coords, Q.dof_coords]))
+        nd = spla.splu(mono[perm].tocsc()[:, perm], permc_spec="NATURAL")
+        colamd = spla.splu(mono.tocsc(), permc_spec="COLAMD")
+        assert nd.L.nnz + nd.U.nnz == 264_478
+        assert colamd.L.nnz + colamd.U.nnz == 366_702
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_singular_system_raises(self, monkeypatch):
+        def singular(n, *args, **kwargs):
+            sys = assemble_perfusion(n, *args, **kwargs)
+            mono = collapse(sys["A"]).tocsr()
+            assert mono[0].nnz == 1 and mono[0, 0] == 1.0     # a Dirichlet row
+            keep = np.ones(mono.shape[0])
+            keep[0] = 0.0
+            sys["A"] = Matrix(sp.diags(keep) @ mono)
+            return sys
+        monkeypatch.setattr(bench, "assemble_perfusion", singular)
+        with pytest.raises(np.linalg.LinAlgError, match=r"n=4 \(130 dofs\)"):
+            run_case(CaseConfig(case="perfusion", n=4, levels=2))
 
 
 @pytest.mark.parametrize("case,n,levels", [

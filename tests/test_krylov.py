@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from multifem.bench import assemble_babuska
 from multifem.krylov import (
     KrylovError, build_preconditioner, cg, fd_dual_pencil, gmres, h1_pencil,
-    hs_norm, inverse_handle, minres, save_history_csv,
+    hs_norm, inverse_handle, minres, nested_dissection, save_history_csv,
 )
 from multifem.mesh import facet_submesh, near, unit_square_mesh
 from multifem.opalg import BlockVec, Identity, Matrix, Scaled, collapse
@@ -230,6 +230,90 @@ class TestInverseHandle:
         inv = inverse_handle(Identity(4), mode="direct")
         with pytest.raises(Exception):
             inv.matvec(np.zeros(5))
+
+    def test_direct_on_structurally_nonsymmetric_block(self):
+        # symmetric mode orders A + A^T; a block outside that assumption
+        # must still be solved, in both directions
+        rng = np.random.default_rng(21)
+        S = (sp.random(80, 80, density=0.06, random_state=21, format="csr")
+             + 4.0 * sp.eye(80)).tocsr()
+        assert (S != S.T).nnz and ((S != 0) != (S.T != 0)).nnz
+        inv = inverse_handle(Matrix(S), mode="direct", label="nonsym")
+        dense = S.toarray()
+        for _ in range(3):
+            b = rng.standard_normal(80)
+            ref = np.linalg.solve(dense, b)
+            assert np.linalg.norm(inv.matvec(b) - ref) <= 1e-10 * np.linalg.norm(ref)
+            ref_t = np.linalg.solve(dense.T, b)
+            assert np.linalg.norm(inv.rmatvec(b) - ref_t) <= 1e-10 * np.linalg.norm(ref_t)
+
+    def test_direct_on_ds_primal_neg_mass_preconditioner(self):
+        from multifem.bench import assemble_darcy_stokes
+        from multifem.krylov import _mass
+        sys = assemble_darcy_stokes(4, "primal")
+        V1, Q1, Q2p = sys["W"]
+        B = build_preconditioner("ds-primal", sys["A"], sys["W"],
+                                 darcy_pressure_block="neg-mass")
+        blocks = [collapse(sys["A"][0, 0]).toarray(), _mass(Q1).toarray(),
+                  -_mass(Q2p).toarray()]
+        offs = np.cumsum([0] + [b.shape[0] for b in blocks])
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(offs[-1])
+        y = B.matvec(x)
+        for k, blk in enumerate(blocks):
+            ref = np.linalg.solve(blk, x[offs[k]:offs[k + 1]])
+            got = y[offs[k]:offs[k + 1]]
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestNestedDissection:
+    @staticmethod
+    def _is_permutation(perm, n):
+        return perm.shape == (n,) and np.array_equal(np.sort(perm), np.arange(n))
+
+    def test_tied_points_of_a_vector_p2_space(self):
+        from multifem.forms import Measure, TestFunction, TrialFunction, inner
+        from multifem.assemble import assemble
+        from multifem.space import vector_lagrange
+        V = build_space(unit_square_mesh(6, 6), vector_lagrange(2))
+        u, v = TrialFunction(V), TestFunction(V)
+        M = assemble(inner(u, v) * Measure(V.mesh))
+        pts = V.dof_coords
+        assert len(np.unique(pts, axis=0)) == V.dim // 2     # each point twice
+        perm = nested_dissection(M, pts)
+        assert self._is_permutation(perm, V.dim)
+
+    def test_all_points_tied(self):
+        S = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(100, 100), format="csr")
+        perm = nested_dissection(S, np.zeros((100, 3)))
+        assert self._is_permutation(perm, 100)
+
+    def test_disconnected_pattern(self):
+        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(70, 70))
+        S = sp.block_diag([lap, lap, sp.eye(50)], format="csr")
+        rng = np.random.default_rng(23)
+        perm = nested_dissection(S, rng.uniform(size=(190, 2)))
+        assert self._is_permutation(perm, 190)
+        perm = nested_dissection(sp.eye(200, format="csr"), rng.uniform(size=(200, 3)))
+        assert self._is_permutation(perm, 200)
+
+    def test_one_row(self):
+        perm = nested_dissection(sp.csr_matrix([[2.0]]), [[0.5, 0.5]])
+        assert perm.tolist() == [0]
+
+    def test_separator_comes_after_both_halves(self):
+        # a path of 100 vertices cut at its median: the first upper-half
+        # vertex separates; the lower half is numbered first, then the
+        # rest of the upper half, then the separator
+        S = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(100, 100), format="csr")
+        perm = nested_dissection(S, np.arange(100.0)[:, None])
+        assert sorted(perm[:50]) == list(range(50))
+        assert sorted(perm[50:99]) == list(range(51, 100))
+        assert perm[99] == 50
+
+    def test_rejects_a_point_count_that_does_not_match(self):
+        with pytest.raises(ValueError, match="one point per row"):
+            nested_dissection(sp.eye(4, format="csr"), np.zeros((3, 2)))
 
 
 class TestPreconditioners:
