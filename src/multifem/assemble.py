@@ -9,6 +9,8 @@ its declared degree) and clamped to the available rules.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
@@ -61,21 +63,31 @@ def _element_degree(space):
 # -- geometry over a chunk of cells -------------------------------------------
 
 class _ChunkGeometry:
+    """The cells ``cells`` (a slice) of a mesh: quadrature weights and
+    gradient transforms sliced from the mesh's geometry, physical
+    quadrature points computed on first use."""
+
     def __init__(self, mesh, cells, ref_pts, ref_wts):
-        v = mesh.vertices[mesh.cells[cells]]            # (C, tdim+1, g)
+        self.mesh = mesh
         self.cells = cells
-        self.v0 = v[:, 0, :]
-        E = v[:, 1:, :] - v[:, :1, :]                   # (C, t, g)
-        gram = np.einsum("ctg,csg->cts", E, E)
-        if mesh.tdim == mesh.gdim:
-            scale = np.abs(np.linalg.det(E))
-        else:
-            scale = np.sqrt(np.abs(np.linalg.det(gram)))
-        # grad transform: phys grad = G @ ref grad, G = E^T (E E^T)^-1 ... (g, t)
-        self.G = np.einsum("cts,csg->ctg", np.linalg.inv(gram), E)
-        self.G = np.swapaxes(self.G, 1, 2)              # (C, g, t)
-        self.phys = self.v0[:, None, :] + np.einsum("qt,ctg->cqg", ref_pts, E)
-        self.weights = ref_wts[None, :] * scale[:, None]  # (C, Q)
+        self.ref_pts = ref_pts
+        self.weights = ref_wts[None, :] * mesh.jacobian_measure[cells, None]  # (C, Q)
+
+    @property
+    def G(self):
+        return self.mesh.gradient_transform[self.cells]      # (C, g, t)
+
+    @functools.cached_property
+    def phys(self):
+        v = self.mesh.vertices[self.mesh.cells[self.cells]]     # (C, tdim+1, g)
+        E = v[:, 1:, None, :] - v[:, :1, None, :]                # (C, t, 1, g)
+        xi = self.ref_pts.T[:, :, None]                          # (t, Q, 1)
+        # v0 + sum_t xi_t E_t: the sum of einsum("qt,ctg->cqg", ref_pts, E),
+        # in its order, at a quarter of its time on these shapes
+        x = xi[0] * E[:, 0]
+        for t in range(1, len(xi)):
+            x += xi[t] * E[:, t]
+        return v[:, 0, None, :] + x
 
 
 # -- expression evaluation ------------------------------------------------------
@@ -83,14 +95,15 @@ class _ChunkGeometry:
 class _Evaluator:
     """Evaluates an integrand over one chunk as arrays (C, Q, T, U, *shape)."""
 
-    def __init__(self, space_mesh, geom, ref_pts, test_arg, trial_arg):
+    def __init__(self, space_mesh, geom, ref_pts, test_arg, trial_arg, tabs):
         self.mesh = space_mesh
         self.geom = geom
         self.ref_pts = ref_pts
         self.test_arg = test_arg
         self.trial_arg = trial_arg
         self.memo = {}
-        self._tab = {}
+        self._tab = tabs              # shared by the chunks of one integral
+        self._grads = {}
 
     def tab(self, space):
         key = space.uid
@@ -170,8 +183,15 @@ class _Evaluator:
         return vv[None, :, None, :, :]
 
     def _phys_scalar_grads(self, space):
-        _, ref_grads = self.tab(space)                  # (Q, nloc_s, t)
-        return np.einsum("qit,cgt->cqig", ref_grads, self.geom.G)
+        """(C, Q, nloc_s, g), or (C, 1, nloc_s, g) where the gradients are
+        constant on each cell (degree <= 1)."""
+        key = space.uid
+        if key not in self._grads:
+            _, ref_grads = self.tab(space)              # (Q, nloc_s, t)
+            if space.element.degree <= 1:
+                ref_grads = ref_grads[:1]
+            self._grads[key] = np.einsum("qit,cgt->cqig", ref_grads, self.geom.G)
+        return self._grads[key]
 
     def _grad(self, term):
         if isinstance(term, Argument):
@@ -249,18 +269,22 @@ class _Evaluator:
             raise FormError("coefficient lives on a different mesh than the measure")
 
     def _analytic(self, e):
+        """``e.fn`` maps points (N, gdim) to values (N,) + e.shape."""
         pts = self.geom.phys
         C, Q, g = pts.shape
         flat = pts.reshape(-1, g)
-        vals = None
+        expected = (len(flat),) + e.shape
         try:
-            cand = np.asarray(e.fn(flat), dtype=float)
-            if cand.shape == (len(flat),) + e.shape:
-                vals = cand
-        except Exception:
-            vals = None
-        if vals is None:
-            vals = np.array([e.fn(p) for p in flat], dtype=float).reshape((len(flat),) + e.shape)
+            vals = np.asarray(e.fn(flat), dtype=float)
+        except Exception as exc:
+            raise FormError(
+                f"{e!r}: the function raised {type(exc).__name__}: {exc} on points "
+                f"of shape {flat.shape}; it must map them to values of shape "
+                f"{expected}") from exc
+        if vals.shape != expected:
+            raise FormError(
+                f"{e!r}: the function returned shape {vals.shape} for points of "
+                f"shape {flat.shape}; expected {expected}")
         return vals.reshape((C, Q, 1, 1) + e.shape)
 
 
@@ -308,33 +332,35 @@ def _assemble_integral(integral, quad_degree):
     nT = test.space.nloc if test is not None else 1
     nU = trial.space.nloc if trial is not None else 1
 
-    rows_acc, cols_acc, vals_acc = [], [], []
+    bilinear = test is not None and trial is not None
+    if bilinear:
+        size = mesh.num_cells * nT * nU
+        rows = np.empty(size, dtype=np.int64)
+        cols = np.empty(size, dtype=np.int64)
+        vals = np.empty(size)
     vec = np.zeros(test.space.dim) if test is not None and trial is None else None
     scalar = 0.0
+    tabs = {}
 
     for start in range(0, mesh.num_cells, _CHUNK):
-        cells = np.arange(start, min(start + _CHUNK, mesh.num_cells))
+        cells = slice(start, min(start + _CHUNK, mesh.num_cells))
         geom = _ChunkGeometry(mesh, cells, ref_pts, ref_wts)
-        ev = _Evaluator(mesh, geom, ref_pts, test, trial)
+        ev = _Evaluator(mesh, geom, ref_pts, test, trial, tabs)
         val = ev.eval(integral.integrand)
         C, Q = geom.weights.shape
         val = np.broadcast_to(val, (C, Q, nT, nU))
         loc = np.einsum("cq,cqtu->ctu", geom.weights, val)
-        if test is not None and trial is not None:
-            r = np.broadcast_to(test.space.dofmap[cells][:, :, None], loc.shape)
-            c = np.broadcast_to(trial.space.dofmap[cells][:, None, :], loc.shape)
-            rows_acc.append(r.ravel())
-            cols_acc.append(c.ravel())
-            vals_acc.append(loc.ravel())
+        if bilinear:
+            out = slice(start * nT * nU, (start + C) * nT * nU)
+            rows[out].reshape(loc.shape)[...] = test.space.dofmap[cells][:, :, None]
+            cols[out].reshape(loc.shape)[...] = trial.space.dofmap[cells][:, None, :]
+            vals[out] = loc.ravel()
         elif test is not None:
             np.add.at(vec, test.space.dofmap[cells], loc[:, :, 0])
         else:
             scalar += float(loc.sum())
 
-    if test is not None and trial is not None:
-        rows = np.concatenate(rows_acc) if rows_acc else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(cols_acc) if cols_acc else np.empty(0, dtype=np.int64)
-        vals = np.concatenate(vals_acc) if vals_acc else np.empty(0)
+    if bilinear:
         return sp.coo_matrix((vals, (rows, cols)),
                              shape=(test.space.dim, trial.space.dim)).tocsr()
     if test is not None:

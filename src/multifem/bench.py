@@ -22,7 +22,7 @@ from .forms import (
 )
 from .interpreter import multi_assemble
 from .krylov import (
-    _mass, build_preconditioner, fd_dual_pencil, gmres, h1_pencil, hs_norm,
+    _mass, _pencil, build_preconditioner, gmres, hs_norm,
     minres, nested_dissection,
 )
 from .manufactured import babuska_data, darcy_stokes_data
@@ -52,11 +52,9 @@ class CaseConfig:
     levels: int = 3
     tol: float = 1e-10
     seed: int | None = 0      # None starts the Krylov solve from zero
-    hs_mode: str = "eig"
     darcy_pressure_block: str = DEFAULT_DARCY_BLOCK
     radius: float = 0.2
     n_quad: int = 16
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -207,7 +205,7 @@ def run_babuska(cfg: CaseConfig) -> StudyRecord:
         t0 = time.perf_counter()
         sys = assemble_babuska(n)
         V, Q = sys["W"]
-        B = build_preconditioner("babuska", sys["A"], sys["W"], hs_mode=cfg.hs_mode)
+        B = build_preconditioner("babuska", sys["A"], sys["W"])
         x, rep = minres(sys["A"], B, sys["b"].concatenate(), tol=cfg.tol, seed=cfg.seed)
         rec.ok = rec.ok and rep.converged
         parts = _split(x, sys["W"])
@@ -340,12 +338,12 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
             "data": data}
 
 
-def _multiplier_errors(ph, data, hs_mode):
+def _multiplier_errors(ph, data):
     """L2 and discrete H^1/2 errors of the interface multiplier."""
     Q = ph.space
     exact = interpolate(Q, data.multiplier)
     e = ph.coefficients - exact.coefficients
-    M, S = fd_dual_pencil(Q) if Q.element.degree == 0 else h1_pencil(Q)
+    M, S = _pencil(Q)
     op = hs_norm(M, S, 0.5).forward_op()
     l2 = err_l2(ph, data.multiplier)
     hhalf = math.sqrt(abs(e @ op.matvec(e)))
@@ -360,8 +358,7 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
         cols = ["u1_h1", "p1_l2", "p2_l2"]
     rec = StudyRecord(f"ds-{formulation}", cols,
                       meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol,
-                            "darcy_pressure_block": cfg.darcy_pressure_block,
-                            "hs_mode": cfg.hs_mode})
+                            "darcy_pressure_block": cfg.darcy_pressure_block})
     n = cfg.n
     for level in range(cfg.levels):
         t0 = time.perf_counter()
@@ -369,7 +366,7 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
         W = sys["W"]
         flat_b = BlockVec(sys["b"]).concatenate()
         if formulation == "mixed":
-            B = build_preconditioner("ds-mixed", sys["A"], W, hs_mode=cfg.hs_mode)
+            B = build_preconditioner("ds-mixed", sys["A"], W)
             x, rep = minres(sys["A"], B, flat_b, tol=cfg.tol, seed=cfg.seed)
         else:
             B = build_preconditioner("ds-primal", sys["A"], W,
@@ -389,7 +386,7 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
             ph = Function(W[4], parts[4])
             errors["u2_hdiv"] = err_hdiv(u2h, data.u2, data.f2)
             errors["p2_l2"] = err_l2(p2h, data.p2)
-            p_l2, p_hhalf = _multiplier_errors(ph, data, cfg.hs_mode)
+            p_l2, p_hhalf = _multiplier_errors(ph, data)
             errors["p_l2"] = p_l2
             errors["composite"] = math.sqrt(
                 errors["u1_h1"] ** 2 + errors["p1_l2"] ** 2
@@ -460,19 +457,22 @@ def _solve_perfusion(n, radius, n_quad, beta=1.0):
     order over the bulk and curve dof points.  ``spsolve`` picks only the
     column order, so the matrix is permuted symmetrically beforehand and
     factorized in NATURAL order.  A singular matrix makes SuperLU warn and
-    return NaNs; that raises here."""
+    return NaNs; that raises here.  The lazy operator and the unpermuted
+    matrix are released before the factorization."""
     sys = assemble_perfusion(n, radius, n_quad, beta)
     V, Q = sys["W"]
-    mono = collapse(sys["A"])
-    perm = nested_dissection(mono, np.vstack([V.dof_coords, Q.dof_coords]))
     b = BlockVec(sys["b"]).concatenate()
+    mono = collapse(sys.pop("A"))
+    perm = nested_dissection(mono, np.vstack([V.dof_coords, Q.dof_coords]))
+    A = mono[perm].tocsc()[:, perm]
+    del sys, mono
     x = np.empty_like(b)
-    x[perm] = spla.spsolve(mono[perm].tocsc()[:, perm], b[perm], permc_spec="NATURAL")
+    x[perm] = spla.spsolve(A, b[perm], permc_spec="NATURAL")
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError(
             f"perfusion direct solve at n={n} ({x.size} dofs) gave non-finite "
             f"values; the system matrix is singular or not finite")
-    parts = _split(x, sys["W"])
+    parts = _split(x, [V, Q])
     return Function(V, parts[0]), Function(Q, parts[1])
 
 

@@ -24,7 +24,6 @@ def _build_parser():
     run.add_argument("--levels", type=int, default=3)
     run.add_argument("--tol", type=float, default=1e-10)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--hs-mode", choices=("eig", "fd-surrogate"), default="eig")
     run.add_argument("--darcy-pressure-block",
                      choices=("mass", "neg-mass", "stiffness"), default="stiffness")
     run.add_argument("--radius", type=float, default=0.2)
@@ -48,9 +47,9 @@ def main(argv=None):
 
     cfg = CaseConfig(
         case=args.case, n=args.n, levels=args.levels, tol=args.tol,
-        seed=args.seed, hs_mode=args.hs_mode,
+        seed=args.seed,
         darcy_pressure_block=args.darcy_pressure_block,
-        radius=args.radius, n_quad=args.nquad, out_dir=args.out,
+        radius=args.radius, n_quad=args.nquad,
     )
     record = run_case(cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -334,18 +334,15 @@ def fd_dual_pencil(space):
     return M, (K + M).tocsr()
 
 
-def _pencil(space, hs_mode):
-    if space.element.degree == 0:
-        return fd_dual_pencil(space)
-    if hs_mode not in ("eig", "fd-surrogate"):
-        raise ValueError(f"unknown hs mode {hs_mode!r}")
-    return h1_pencil(space)
+def _pencil(space):
+    """The dual-grid pencil of a P0 multiplier space, else the H1 pencil."""
+    return fd_dual_pencil(space) if space.element.degree == 0 else h1_pencil(space)
 
 
-def hs_inverse_block(space, s, hs_mode="eig"):
+def hs_inverse_block(space, s):
     """Riesz-map block for an H^s multiplier space: inverse of the
     eigenvalue-realized fractional norm operator."""
-    M, S = _pencil(space, hs_mode)
+    M, S = _pencil(space)
     return hs_norm(M, S, s).inverse_op()
 
 
@@ -479,8 +476,7 @@ def _mass(space):
     return assemble(inner(p, q) * Measure(space.mesh))
 
 
-def build_preconditioner(problem, system, spaces, hs_mode="eig",
-                         darcy_pressure_block="stiffness"):
+def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffness"):
     """Block-diagonal Riesz-map preconditioners for the demo problems.
 
     babuska:  diag(H1 inner product, H^{-1/2} multiplier norm)^-1 -- the H1
@@ -496,7 +492,7 @@ def build_preconditioner(problem, system, spaces, hs_mode="eig",
         V, Q = spaces
         return block_diag_mat([
             _block_inverse(system[0, 0], "H1"),
-            hs_inverse_block(Q, s=-0.5, hs_mode=hs_mode),
+            hs_inverse_block(Q, s=-0.5),
         ])
 
     if problem == "ds-mixed":
@@ -511,7 +507,7 @@ def build_preconditioner(problem, system, spaces, hs_mode="eig",
             _block_inverse(_mass(Q1), "stokes-pressure"),
             _block_inverse(hdiv, "hdiv"),
             _block_inverse(_mass(Q2), "darcy-pressure"),
-            hs_inverse_block(Q, s=0.5, hs_mode=hs_mode),
+            hs_inverse_block(Q, s=0.5),
         ])
 
     if problem == "ds-primal":

@@ -44,6 +44,11 @@ class EmptySelectionError(MeshError):
     pass
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 def near(a, b=0.0, tol=1e-10):
     """Proximity check for coordinate predicates (absolute tolerance)."""
     return abs(a - b) < tol
@@ -90,11 +95,17 @@ class Mesh:
     Derived entities (edges, facets) are numbered deterministically by
     first appearance in cell order, so regenerating a mesh from equal
     inputs reproduces identical arrays.
+
+    The mesh keeps read-only copies of its arrays and owns the geometry of
+    its cells' affine maps x = v0 + xi @ E: ``jacobian_measure`` (nc,),
+    |det E| or sqrt|det(E E^T)| on manifolds, computed at construction, and
+    ``gradient_transform`` (nc, gdim, tdim), computed on first use.
     """
 
     def __init__(self, vertices, cells, parent: ParentLink | None = None):
-        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        # Own read-only copies: the geometry below must not go stale.
+        self.vertices = _read_only(np.array(vertices, dtype=np.float64, order="C"))
+        self.cells = _read_only(np.array(cells, dtype=np.int64, order="C"))
         if self.vertices.ndim != 2 or self.cells.ndim != 2:
             raise MeshError("vertices must be (nv, gdim), cells (nc, tdim+1)")
         self.gdim = self.vertices.shape[1]
@@ -109,6 +120,14 @@ class Mesh:
         self._facet_cells = None
         self._cell_facets = None
         self._locator = None
+        self._gradient_transform = None
+        E = self._edge_vectors()
+        if self.tdim == self.gdim:
+            measure = np.abs(np.linalg.det(E))
+        else:
+            gram = np.einsum("ctg,csg->cts", E, E)
+            measure = np.sqrt(np.abs(np.linalg.det(gram)))
+        self.jacobian_measure = _read_only(measure)
         vols = self.cell_volumes
         if np.any(vols < _MIN_MEASURE):
             bad = int(np.argmin(vols))
@@ -127,19 +146,24 @@ class Mesh:
     @property
     def cell_volumes(self):
         """Unsigned cell measures (length/area/volume)."""
-        try:
-            return self._volumes
-        except AttributeError:
-            pass
-        v = self.vertices[self.cells]              # (nc, tdim+1, gdim)
-        e = v[:, 1:, :] - v[:, :1, :]              # (nc, tdim, gdim)
-        if self.tdim == self.gdim:
-            det = np.abs(np.linalg.det(e))
-        else:
-            gram = np.einsum("ctg,csg->cts", e, e)
-            det = np.sqrt(np.abs(np.linalg.det(gram)))
-        self._volumes = det / math.factorial(self.tdim)
-        return self._volumes
+        return self.jacobian_measure / math.factorial(self.tdim)
+
+    def _edge_vectors(self):
+        """(nc, tdim, gdim) edge vectors E of the affine maps x = v0 + xi @ E."""
+        v = self.vertices[self.cells]
+        return v[:, 1:, :] - v[:, :1, :]
+
+    @property
+    def gradient_transform(self):
+        """(nc, gdim, tdim) per-cell map G of reference to physical
+        gradients, grad = G @ ref_grad, with G = E^T (E E^T)^-1; built on
+        first access and kept."""
+        if self._gradient_transform is None:
+            E = self._edge_vectors()
+            gram = np.einsum("ctg,csg->cts", E, E)
+            G = np.einsum("cts,csg->ctg", np.linalg.inv(gram), E)
+            self._gradient_transform = np.swapaxes(_read_only(G), 1, 2)
+        return self._gradient_transform
 
     @property
     def cell_centroids(self):
@@ -280,16 +304,16 @@ class CellLocator:
         self.bin_keys = keys[first]
         self.bin_ptr = np.append(first, len(keys))
         self.bin_cells = members[order]
-        # geometry for barycentric solves
-        self._v0 = v[:, 0, :].copy()
+        # geometry for barycentric solves, d = x - v0 of each cell
+        self._vertices = mesh.vertices
+        self._cell_v0 = mesh.cells[:, 0]
         E = v[:, 1:, :] - v[:, :1, :]                     # (nc, tdim, gdim)
         if self.tdim == self.gdim:
             self._E = None
             self._Einv = np.linalg.inv(E)
         else:
             self._E = E
-            gram = np.einsum("ctg,csg->cts", E, E)
-            self._Einv = np.einsum("cts,csg->ctg", np.linalg.inv(gram), E)
+            self._Einv = np.swapaxes(mesh.gradient_transform, 1, 2)   # (nc, tdim, gdim)
 
     def _candidates(self, x):
         """(point, cell) pairs of the points ``x`` (N, gdim) and the cells
@@ -312,7 +336,7 @@ class CellLocator:
         # Stacked np.matmul runs the same BLAS kernel per point as the
         # single-point product, so the coordinates are bitwise those of
         # ``Einv.T @ d``; einsum sums in another order.
-        d = x - self._v0[cells]
+        d = x - self._vertices[self._cell_v0[cells]]
         if self.tdim == self.gdim:
             mu = np.matmul(self._Einv[cells].transpose(0, 2, 1), d[:, :, None])[:, :, 0]
             resid = np.zeros(len(cells))

@@ -220,12 +220,12 @@ class FunctionSpace:
         divergences (C, 3).  ``points_phys`` is (C, Q, gdim)."""
         mesh = self.mesh
         verts = mesh.vertices[mesh.cells[cells]]        # (C, 3, gdim)
-        areas = mesh.cell_volumes[cells]                # (C,)
+        twice_area = mesh.jacobian_measure[cells, None]  # (C, 1)
         signs = self.cell_signs[cells]                  # (C, 3)
-        scale = signs / (2.0 * areas[:, None])          # (C, 3)
+        scale = signs / twice_area                      # (C, 3)
         diff = points_phys[:, :, None, :] - verts[:, None, :, :]
         vals = scale[:, None, :, None] * diff
-        divs = signs * (2.0 / (2.0 * areas[:, None]))
+        divs = signs * (2.0 / twice_area)
         return vals, divs
 
 

@@ -7,8 +7,8 @@ from multifem.assemble import (
     save_matrix_market,
 )
 from multifem.forms import (
-    Analytic, Constant, Measure, Trace, grad, inner, TestFunction,
-    TrialFunction,
+    Analytic, Constant, FormError, Measure, Trace, div, grad, inner, sym,
+    TestFunction, TrialFunction,
 )
 from multifem.mesh import Mesh, facet_submesh, near, unit_square_mesh
 from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
@@ -108,6 +108,90 @@ class TestAssemblyProperties:
             errs.append(np.sqrt(e @ (M @ e)))
         rates = [np.log2(errs[k - 1] / errs[k]) for k in (1, 2)]
         assert min(rates) >= 1.9
+
+
+def _geometry_forms(mesh):
+    """Mass, stiffness, vector-P2, RT0 and Analytic-load forms on ``mesh``."""
+    dx = Measure(mesh)
+    V1, V2, R = (build_space(mesh, e) for e in (lagrange(1), vector_lagrange(2), rt0()))
+    u, v = TrialFunction(V1), TestFunction(V1)
+    w, z = TrialFunction(V2), TestFunction(V2)
+    s, t = TrialFunction(R), TestFunction(R)
+    load = Analytic(lambda p: np.sin(3 * p[:, 0]) * p[:, 1], degree=3)
+    return [
+        inner(u, v) * dx,
+        inner(grad(u), grad(v)) * dx + inner(u, v) * dx,
+        inner(sym(grad(w)), sym(grad(z))) * dx + inner(w, z) * dx,
+        inner(s, t) * dx + inner(div(s), div(t)) * dx,
+        inner(load, v) * dx,
+    ]
+
+
+def _same_bits(a, b):
+    if hasattr(a, "indptr"):
+        return all(np.array_equal(x, y) for x, y in
+                   ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+    return np.array_equal(a, b)
+
+
+class TestMeshGeometryReuse:
+    # 1200 cells: three chunks of the assembler, the last one partial
+    @staticmethod
+    def mesh():
+        return unit_square_mesh(30, 20, offset=(0.25, -0.5), extent=(1.5, 0.75))
+
+    def test_warm_geometry_assembles_bitwise_as_cold(self):
+        warm = self.mesh()
+        for form in _geometry_forms(warm):
+            assemble(form)
+        for k, form in enumerate(_geometry_forms(warm)):
+            cold = assemble(_geometry_forms(self.mesh())[k])
+            assert _same_bits(assemble(form), cold), k
+
+    def test_geometry_built_once_per_mesh(self, monkeypatch):
+        mesh = self.mesh()
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        G = None
+        for form in _geometry_forms(mesh) * 2:
+            assemble(form)
+            G = mesh.gradient_transform if G is None else G
+            assert mesh.gradient_transform is G
+        assert calls == [(mesh.num_cells, 2, 2)]
+
+
+class TestAnalyticContract:
+    def setup_method(self):
+        self.V = build_space(unit_square_mesh(4, 3), lagrange(1))
+        self.dx = Measure(self.V.mesh)
+
+    def test_vectorized_function(self):
+        # a linear field is interpolated exactly, so M @ f_h = int f v
+        u, v = TrialFunction(self.V), TestFunction(self.V)
+        f = lambda p: p[:, 0] + 2.0 * p[:, 1]
+        b = assemble(inner(Analytic(f, degree=1), v) * self.dx)
+        M = assemble(inner(u, v) * self.dx)
+        fh = interpolate(self.V, lambda x: x[0] + 2.0 * x[1]).coefficients
+        assert np.abs(b - M @ fh).max() < 1e-15
+
+    def test_wrong_shape_raises(self):
+        v = TestFunction(self.V)
+        with pytest.raises(FormError, match=r"returned shape \(\) .* expected \(\d+,\)"):
+            assemble(inner(Analytic(lambda p: 1.0), v) * self.dx)
+        vec = Analytic(lambda p: p[:, 0], shape=(2,))
+        with pytest.raises(FormError, match=r"expected \(\d+, 2\)"):
+            assemble(inner(vec, Constant((1.0, 0.0))) * self.dx)
+
+    def test_raising_function_surfaces_as_form_error(self):
+        v = TestFunction(self.V)
+
+        def pointwise(p):
+            return float(p[0]) ** 2        # a scalar-only function
+
+        with pytest.raises(FormError, match="TypeError") as info:
+            assemble(inner(Analytic(pointwise), v) * self.dx)
+        assert isinstance(info.value.__cause__, TypeError)
 
 
 class TestQuadratureDegreeEstimate:

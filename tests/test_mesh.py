@@ -76,6 +76,70 @@ class TestGenerators:
         with pytest.raises(MeshError):
             Mesh(verts, np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize("verts", [
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],    # flat tet
+        [[0, 0, 0], [1, 1, 1], [2, 2, 2]],               # collinear triangle in 3d
+        [[0.3, 0.1, 0.2], [0.3, 0.1, 0.2]],              # zero-length segment
+    ])
+    def test_degenerate_cells_rejected_before_any_inverse(self, verts):
+        verts = np.array(verts, dtype=float)
+        with pytest.raises(MeshError, match="measure"):
+            Mesh(verts, np.arange(len(verts))[None, :])
+
+
+def _perturbed(mesh, seed=3, scale=0.1):
+    """The mesh with every vertex moved by up to ``scale`` of the smallest
+    edge, so the cells' affine maps are general."""
+    h = np.linalg.norm(mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]],
+                       axis=1).min()
+    rng = np.random.default_rng(seed)
+    return Mesh(mesh.vertices + scale * h * rng.uniform(-1, 1, mesh.vertices.shape),
+                mesh.cells)
+
+
+def _affine_meshes():
+    cube = _perturbed(unit_cube_mesh(3))
+    return {
+        "triangles": _perturbed(unit_square_mesh(5, 4, offset=(0.5, -1.0), extent=(2.0, 0.5))),
+        "tets": cube,
+        "curve-3d": polyline_mesh([(0.1, 0.2, 0.3), (0.7, 0.4, 0.9), (0.2, 0.9, 0.1)], 5),
+        "facets-3d": facet_submesh(cube, lambda p: True),
+    }
+
+
+class TestAffineGeometry:
+    @pytest.mark.parametrize("name", ["triangles", "tets", "curve-3d", "facets-3d"])
+    def test_geometry_matches_per_cell_oracle(self, name):
+        # oracle, one cell at a time: x = v0 + xi @ E, gradients map by
+        # pinv(E) (inv(E) when square), the measure is |det E| or the square
+        # root of the Gram determinant
+        mesh = _affine_meshes()[name]
+        G = mesh.gradient_transform
+        assert G.shape == (mesh.num_cells, mesh.gdim, mesh.tdim)
+        for c, cell in enumerate(mesh.cells):
+            E = mesh.vertices[cell[1:]] - mesh.vertices[cell[0]]
+            if mesh.tdim == mesh.gdim:
+                Ginv, measure = np.linalg.inv(E), abs(np.linalg.det(E))
+            else:
+                Ginv, measure = np.linalg.pinv(E), np.sqrt(np.linalg.det(E @ E.T))
+            assert np.abs(G[c] - Ginv).max() <= 1e-14 * np.abs(Ginv).max()
+            assert abs(mesh.jacobian_measure[c] - measure) <= 1e-14 * measure
+        factorial = {1: 1, 2: 2, 3: 6}[mesh.tdim]
+        assert np.array_equal(mesh.cell_volumes, mesh.jacobian_measure / factorial)
+
+    def test_mesh_arrays_are_read_only_copies(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        cells = np.array([[0, 1, 2]])
+        mesh = Mesh(verts, cells)
+        for arr in (mesh.vertices, mesh.cells, mesh.jacobian_measure,
+                    mesh.gradient_transform):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        # the caller's arrays stay writable and do not alias the mesh's
+        verts[1, 0] = 2.0
+        cells[0, 0] = 1
+        assert mesh.vertices[1, 0] == 1.0 and mesh.cells[0, 0] == 0
+
 
 class TestLocate:
     def test_centroid_identity_on_all_generated_meshes(self):
