@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from . import quadrature
@@ -475,6 +474,7 @@ def apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric=True):
 
 def save_matrix_market(path, m):
     """Sparse matrices in coordinate format, dense vectors in array format."""
+    import scipy.io         # slow to import; only Matrix Market IO needs it
     if sp.issparse(m):
         scipy.io.mmwrite(str(path), m.tocoo())
     else:
@@ -483,6 +483,7 @@ def save_matrix_market(path, m):
 
 
 def load_matrix_market(path):
+    import scipy.io
     m = scipy.io.mmread(str(path))
     if sp.issparse(m):
         return m.tocsr()

@@ -140,9 +140,7 @@ def err_h1(fn, exact, grad_exact):
     shape = fn.space.value_shape
     e = _diff(fn, exact)
     ge = grad(Coefficient(fn)) - Analytic(grad_exact, shape=shape + (mesh.gdim,), degree=3)
-    q = _qmax(mesh)
-    val = (assemble(inner(e, e) * Measure(mesh), quad_degree=q)
-           + assemble(inner(ge, ge) * Measure(mesh), quad_degree=q))
+    val = assemble((inner(e, e) + inner(ge, ge)) * Measure(mesh), quad_degree=_qmax(mesh))
     return math.sqrt(abs(val))
 
 
@@ -150,9 +148,7 @@ def err_hdiv(fn, exact, div_exact):
     mesh = fn.space.mesh
     e = _diff(fn, exact)
     de = div(Coefficient(fn)) - Analytic(div_exact, shape=(), degree=3)
-    q = _qmax(mesh)
-    val = (assemble(inner(e, e) * Measure(mesh), quad_degree=q)
-           + assemble(inner(de, de) * Measure(mesh), quad_degree=q))
+    val = assemble((inner(e, e) + inner(de, de)) * Measure(mesh), quad_degree=_qmax(mesh))
     return math.sqrt(abs(val))
 
 

@@ -315,21 +315,19 @@ def fd_dual_pencil(space):
         raise ValueError("dual-grid pencil expects a scalar P0 space on a curve")
     p, q = TrialFunction(space), TestFunction(space)
     M = assemble(inner(p, q) * Measure(mesh))
+    # the two cells of each vertex that joins exactly two, lower index first
+    flat = mesh.cells.ravel()
+    order = np.argsort(flat, kind="stable")
+    count = np.bincount(flat, minlength=mesh.num_vertices)
+    start = np.cumsum(count) - count
+    joints = start[count == 2]
+    a = order[joints] // 2
+    b = order[joints + 1] // 2
     centers = mesh.cell_centroids
-    touching = {}
-    for c in range(mesh.num_cells):
-        for v in mesh.cells[c]:
-            touching.setdefault(int(v), []).append(c)
-    rows, cols, vals = [], [], []
-    for cells in touching.values():
-        if len(cells) != 2:
-            continue                      # natural end
-        a, b = cells
-        d = np.linalg.norm(centers[a] - centers[b])
-        w = 1.0 / d
-        rows += [a, a, b, b]
-        cols += [a, b, a, b]
-        vals += [w, -w, -w, w]
+    w = 1.0 / np.linalg.norm(centers[a] - centers[b], axis=1)
+    rows = np.concatenate([a, a, b, b])
+    cols = np.concatenate([a, b, a, b])
+    vals = np.concatenate([w, -w, -w, w])
     K = sp.coo_matrix((vals, (rows, cols)), shape=(space.dim, space.dim)).tocsr()
     return M, (K + M).tocsr()
 

@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 _MIN_MEASURE = 1e-14
-_LOCATE_CHUNK = 4096        # points per batched barycentric solve
+_LOCATE_PAIRS = 1 << 17     # (point, corner offset) pairs per batched lookup
 
 _uid_counter = itertools.count()
 
@@ -247,9 +247,23 @@ class Mesh:
         """Shorthand for ``mesh.locator.locate(x)``."""
         return self.locator.locate(x)
 
+    def barycentric_many(self, cells, x):
+        """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim)
+        in ``cells`` (N,), plus their distances (N,) off the cells' planes
+        (zero when tdim == gdim).  Needs no locator."""
+        return _barycentric(self.vertices, self.cells, self._transposed_gradient_transform(),
+                            np.asarray(cells, dtype=np.int64), np.asarray(x, dtype=float))
+
+    def _transposed_gradient_transform(self):
+        """(nc, tdim, gdim) G^T for barycentric solves on manifolds; None
+        on full-dimensional meshes, which do not use it."""
+        if self.tdim == self.gdim:
+            return None
+        return np.swapaxes(self.gradient_transform, 1, 2)
+
 
 class CellLocator:
-    """Uniform background grid over cell bounding boxes.
+    """Uniform background grid over padded cell bounding boxes.
 
     ``locate_many`` returns (cell indices, barycentric coordinates) for a
     batch of points.  Points shared by several cells resolve to the lowest
@@ -257,10 +271,16 @@ class CellLocator:
     coordinates (default 1e-10) and, on manifolds, on the distance to the
     cell's plane.
 
-    The occupied bins are stored in CSR form: bin ``bin_keys[b]`` (a
-    row-major index into the ``nbins ** gdim`` grid, ascending) holds the
-    cells ``bin_cells[bin_ptr[b]:bin_ptr[b + 1]]`` in ascending order.
-    The locator keeps only the geometry it needs, not the mesh.
+    Each cell is indexed once, under the bin of its padded box's lower
+    corner.  The occupied corner bins are stored in CSR form: bin
+    ``bin_keys[b]`` (a row-major index into the ``nbins ** gdim`` grid,
+    ascending) holds the cells ``bin_cells[bin_ptr[b]:bin_ptr[b + 1]]`` in
+    ascending order, and ``bin_upper`` holds the (gdim,) bin index of each
+    of those cells' upper corner.  ``reach`` is the per-axis maximum of
+    upper minus lower bin index, so a point in bin ``i`` can lie only in
+    the cells whose corner bin is ``i - off`` for some ``0 <= off <=
+    reach`` and whose upper index is ``>= i``.  The locator keeps only the
+    geometry it needs, not the mesh.
     """
 
     def __init__(self, mesh: Mesh, tol: float = 1e-10):
@@ -289,71 +309,41 @@ class CellLocator:
                          0, nbins - 1).astype(np.int64)
         hi_idx = np.clip(np.floor((cell_hi + pad - self.lo) / self.width),
                          0, nbins - 1).astype(np.int64)
-        # (bin, cell) pairs, one offset within the cells' bin boxes at a time
-        first_key = lo_idx @ self._strides
-        box = hi_idx - lo_idx
-        keys, members = [], []
-        for offset in np.ndindex(*box.max(axis=0) + 1):
-            inside = np.flatnonzero(np.all(box >= offset, axis=1))
-            keys.append(first_key[inside] + self._strides @ offset)
-            members.append(inside)
-        keys, members = np.concatenate(keys), np.concatenate(members)
-        order = np.lexsort((members, keys))
-        keys = keys[order]
-        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        self.bin_keys = keys[first]
-        self.bin_ptr = np.append(first, len(keys))
-        self.bin_cells = members[order]
-        # geometry for barycentric solves, d = x - v0 of each cell
-        self._vertices = mesh.vertices
-        self._cell_v0 = mesh.cells[:, 0]
-        E = v[:, 1:, :] - v[:, :1, :]                     # (nc, tdim, gdim)
-        if self.tdim == self.gdim:
-            self._E = None
-            self._Einv = np.linalg.inv(E)
-        else:
-            self._E = E
-            self._Einv = np.swapaxes(mesh.gradient_transform, 1, 2)   # (nc, tdim, gdim)
+        corner = lo_idx @ self._strides
+        order = np.argsort(corner, kind="stable")          # cells ascend in a bin
+        corner = corner[order]
+        first = np.flatnonzero(np.r_[True, corner[1:] != corner[:-1]])
+        self.bin_keys = corner[first]
+        self.bin_ptr = np.append(first, len(corner))
+        self.bin_cells = order
+        self.bin_upper = hi_idx[order]
+        self.reach = (hi_idx - lo_idx).max(axis=0)
+        self._offsets = np.array(list(np.ndindex(*self.reach + 1)), dtype=np.int64)
+        # geometry for barycentric solves: the mesh's own read-only arrays
+        self._vertices, self._cells = mesh.vertices, mesh.cells
+        self._Gt = mesh._transposed_gradient_transform()
 
     def _candidates(self, x):
         """(point, cell) pairs of the points ``x`` (N, gdim) and the cells
-        of their bins, grouped by point and ascending in cell."""
+        whose padded boxes cover their bins, in no particular order."""
         # fmax/fmin send -inf and nan to bin 0 and +inf to the last bin
         idx = np.floor(np.fmin(np.fmax((x - self.lo) / self.width, 0),
                                self.nbins - 1)).astype(np.int64)
-        key = idx @ self._strides
+        # corner bins idx - off inside the grid, as row-major keys
+        inside = np.ones((len(idx), len(self._offsets)), dtype=bool)
+        for a in range(self.gdim):
+            inside &= idx[:, a, None] >= self._offsets[:, a]
+        point = np.nonzero(inside)[0]
+        key = ((idx @ self._strides)[:, None] - self._offsets @ self._strides)[inside]
         b = np.minimum(np.searchsorted(self.bin_keys, key), len(self.bin_keys) - 1)
         start = self.bin_ptr[b]
         count = np.where(self.bin_keys[b] == key, self.bin_ptr[b + 1] - start, 0)
-        point = np.repeat(np.arange(len(x)), count)
-        offset = np.arange(len(point)) - np.repeat(np.cumsum(count) - count, count)
-        return point, self.bin_cells[np.repeat(start, count) + offset]
-
-    def barycentric_many(self, cells, x):
-        """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim)
-        in ``cells`` (N,), plus their distances (N,) off the cells' planes
-        (zero when tdim == gdim)."""
-        # Stacked np.matmul runs the same BLAS kernel per point as the
-        # single-point product, so the coordinates are bitwise those of
-        # ``Einv.T @ d``; einsum sums in another order.
-        d = x - self._vertices[self._cell_v0[cells]]
-        if self.tdim == self.gdim:
-            mu = np.matmul(self._Einv[cells].transpose(0, 2, 1), d[:, :, None])[:, :, 0]
-            resid = np.zeros(len(cells))
-        else:
-            mu = np.matmul(self._Einv[cells], d[:, :, None])[:, :, 0]
-            r = d - np.matmul(mu[:, None, :], self._E[cells])[:, 0, :]
-            resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
-        lam = np.empty((len(cells), self.tdim + 1))
-        lam[:, 0] = 1.0 - mu.sum(axis=1)
-        lam[:, 1:] = mu
-        return lam, resid
-
-    def barycentric(self, cell, x):
-        """Barycentric coordinates of x in ``cell`` plus off-manifold distance."""
-        lam, resid = self.barycentric_many(
-            np.array([cell]), np.asarray(x, dtype=float).reshape(1, -1))
-        return lam[0], float(resid[0])
+        point = np.repeat(point, count)
+        pos = np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(point))
+        covers = np.ones(len(pos), dtype=bool)
+        for a in range(self.gdim):
+            covers &= self.bin_upper[pos, a] >= idx[point, a]
+        return point[covers], self.bin_cells[pos[covers]]
 
     def locate_many(self, points):
         """Containing cell (N,) and barycentric coordinates (N, tdim+1) of
@@ -366,19 +356,23 @@ class CellLocator:
             raise MeshError(f"expected points of shape (N, {self.gdim}), got {x.shape}")
         cells = np.empty(len(x), dtype=np.int64)
         lam = np.empty((len(x), self.tdim + 1))
-        for lo in range(0, len(x), _LOCATE_CHUNK):
-            chunk = x[lo:lo + _LOCATE_CHUNK]
+        step = max(1, _LOCATE_PAIRS // len(self._offsets))
+        for lo in range(0, len(x), step):
+            chunk = x[lo:lo + step]
             point, cand = self._candidates(chunk)
-            mu, resid = self.barycentric_many(cand, chunk[point])
-            ok = np.flatnonzero((mu.min(axis=1) >= -self.tol)
-                                & (resid <= self.tol * (1.0 + self._diam[cand])))
-            # a point's candidates ascend in cell, so its first hit is its lowest cell
-            found, first = np.unique(point[ok], return_index=True)
+            mu, resid = _barycentric(self._vertices, self._cells, self._Gt, cand,
+                                     chunk[point])
+            hit = np.flatnonzero((mu.min(axis=1) >= -self.tol)
+                                 & (resid <= self.tol * (1.0 + self._diam[cand])))
+            # sort the hits by (point, cell): each point's lowest cell first
+            hit = hit[np.argsort(point[hit] * len(self.bin_cells) + cand[hit])]
+            found, first = np.unique(point[hit], return_index=True)
+            hit = hit[first]
             if len(found) < len(chunk):
-                miss = int(np.argmin(np.isin(np.arange(len(chunk)), found)))
+                miss = int(np.setdiff1d(np.arange(len(chunk)), found)[0])
                 raise OutOfDomainError(chunk[miss], index=lo + miss)
-            cells[lo:lo + len(chunk)] = cand[ok[first]]
-            lam[lo:lo + len(chunk)] = mu[ok[first]]
+            cells[lo:lo + len(chunk)] = cand[hit]
+            lam[lo:lo + len(chunk)] = mu[hit]
         return cells, lam
 
     def locate(self, x):
@@ -389,6 +383,44 @@ class CellLocator:
             raise MeshError(f"expected point of dimension {self.gdim}, got shape {x.shape}")
         cells, lam = self.locate_many(x[None])
         return int(cells[0]), lam[0]
+
+
+def _barycentric(vertices, cells, Gt, which, x):
+    """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim) in
+    the cells ``which`` (N,) of the mesh (``vertices``, ``cells``), plus
+    their distances (N,) off the cells' planes (zero when tdim == gdim).
+
+    Full-dimensional cells solve E^T mu = d with the inverses of the edge
+    matrices E of just the cells in use.  On axis-aligned structured cells
+    inv(E) is exact where the mesh's G = E^T (E E^T)^-1 is not, so a point
+    on a grid plane keeps exactly zero coordinates there.  Manifold cells
+    take the least-squares mu = G^T d from ``Gt`` (nc, tdim, gdim), the
+    transposed gradient transform, which full-dimensional meshes need not
+    pass."""
+    tdim, gdim = cells.shape[1] - 1, vertices.shape[1]
+    v0 = vertices[cells[which, 0]]
+    d = x - v0
+    # Stacked np.matmul runs the same BLAS kernel per point as the
+    # single-point product; einsum sums in another order.
+    if tdim == gdim:
+        used = np.zeros(len(cells), dtype=bool)
+        used[which] = True
+        ids = np.flatnonzero(used)
+        slot = np.empty(len(cells), dtype=np.int64)
+        slot[ids] = np.arange(len(ids))
+        v = vertices[cells[ids]]
+        Einv = np.linalg.inv(v[:, 1:] - v[:, :1])[slot[which]]
+        mu = np.matmul(Einv.transpose(0, 2, 1), d[:, :, None])[:, :, 0]
+        resid = np.zeros(len(which))
+    else:
+        mu = np.matmul(Gt[which], d[:, :, None])[:, :, 0]
+        E = vertices[cells[which, 1:]] - v0[:, None, :]
+        r = d - np.matmul(mu[:, None, :], E)[:, 0, :]
+        resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    lam = np.empty((len(which), tdim + 1))
+    lam[:, 0] = 1.0 - mu.sum(axis=1)
+    lam[:, 1:] = mu
+    return lam, resid
 
 
 # -- generators --------------------------------------------------------------

@@ -20,7 +20,7 @@ from .space import Element, FunctionSpace, basis_rows, build_space
 
 __all__ = [
     "ReductionMatrix", "ReductionCache", "default_cache", "UnsupportedReductionError",
-    "deduce_reduced_space", "trace_matrix", "average_matrix", "restriction_matrix",
+    "deduce_reduced_space", "trace_matrix", "average_matrix",
     "circle_frame", "circle_points", "curve_dof_tangents", "reduction_matrix",
 ]
 
@@ -95,14 +95,10 @@ def _csr(rows, cols, vals, shape):
 
 
 def trace_matrix(source: FunctionSpace, target: FunctionSpace):
-    """Point-evaluation trace onto a lower-dimensional target mesh.  Lagrange
-    targets evaluate at dof coordinates; vector-P0 targets (RT0 source) at
-    cell midpoints, from the designated parent side where available."""
-    return _point_evaluation_matrix(source, target)
-
-
-def restriction_matrix(source: FunctionSpace, target: FunctionSpace):
-    """Same-dimension restriction; identical mechanism to the trace."""
+    """Point-evaluation trace onto a lower-dimensional target mesh, or
+    restriction onto a same-dimension submesh.  Lagrange targets evaluate
+    at dof coordinates; vector-P0 targets (RT0 source) at cell midpoints,
+    from the designated parent side where available."""
     return _point_evaluation_matrix(source, target)
 
 
@@ -191,13 +187,6 @@ def average_matrix(source: FunctionSpace, target: FunctionSpace,
 
 # -- cache ----------------------------------------------------------------------
 
-_BUILDERS = {
-    "trace": lambda src, tgt, kind: trace_matrix(src, tgt),
-    "restrict": lambda src, tgt, kind: restriction_matrix(src, tgt),
-    "average": lambda src, tgt, kind: average_matrix(src, tgt, kind.radius, kind.n_quad),
-}
-
-
 class ReductionCache:
     """Build-once map keyed by (source space, target mesh, kind, params)."""
 
@@ -218,8 +207,13 @@ class ReductionCache:
             hit = self._store.get(key)
             if hit is not None:
                 return hit
+            if kind.name not in ("trace", "restrict", "average"):
+                raise UnsupportedReductionError(f"unknown reduction {kind.name!r}")
             target = deduce_reduced_space(source, target_mesh, kind)
-            matrix = _BUILDERS[kind.name](source, target, kind)
+            if kind.name == "average":
+                matrix = average_matrix(source, target, kind.radius, kind.n_quad)
+            else:
+                matrix = trace_matrix(source, target)
             built = ReductionMatrix(kind, source, target, matrix)
             self._store[key] = built
             self.build_count += 1

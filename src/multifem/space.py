@@ -299,12 +299,11 @@ def basis_rows(space: FunctionSpace, points, cells=None):
     OutOfDomainError, whose ``index`` names the first one.
     """
     points = np.asarray(points, dtype=float)
-    loc = space.mesh.locator
     if cells is None:
-        cells, lam = loc.locate_many(points)
+        cells, lam = space.mesh.locator.locate_many(points)
     else:
         cells = np.asarray(cells, dtype=np.int64)
-        lam, _ = loc.barycentric_many(cells, points)
+        lam, _ = space.mesh.barycentric_many(cells, points)
     cols = space.dofmap[cells]
     if space.element.family == "RaviartThomas":
         vals, _ = space.rt0_cell_basis(cells, points[:, None, :])

@@ -27,7 +27,7 @@ from multifem.mesh import (
 from multifem.opalg import Zero, collapse
 from multifem.reduction import (
     ReductionCache, average_matrix, circle_points, deduce_reduced_space,
-    restriction_matrix, trace_matrix,
+    trace_matrix,
 )
 from multifem.space import build_space, interpolate, lagrange, vector_lagrange
 
@@ -238,7 +238,7 @@ def test_criterion_2_reduction_exactness():
                    (2, lambda p: p[0] * p[1] + p[0] ** 2)):
         V = build_space(mesh, lagrange(deg))
         Vb = deduce_reduced_space(V, sub, RESTRICT)
-        worst = max(worst, gap(restriction_matrix(V, Vb), V, Vb, f))
+        worst = max(worst, gap(trace_matrix(V, Vb), V, Vb, f))
 
     check(2, "reduction exactness", worst <= tol, f"sup-norm gap {worst:.3e}")
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 
 import numpy as np
@@ -12,12 +13,17 @@ from multifem.bench import (
     CaseConfig, _solve_perfusion, assemble_babuska, assemble_perfusion,
     export_case, run_babuska, run_case, run_restrict_demo,
 )
-from multifem.forms import Analytic
+from multifem.assemble import assemble
+from multifem.forms import Analytic, Coefficient, Measure, div, grad, inner
 from multifem.krylov import build_preconditioner, minres, nested_dissection
-from multifem.mesh import CellLocator, Mesh
+from multifem.manufactured import babuska_data, darcy_stokes_data
+from multifem.mesh import CellLocator, Mesh, unit_square_mesh
 from multifem.opalg import BlockVec, Matrix, collapse
+from multifem.quadrature import MAX_DEGREE
 from multifem.reduction import ReductionCache
-from multifem.space import FunctionSpace
+from multifem.space import (
+    Function, FunctionSpace, build_space, interpolate, lagrange, rt0, vector_lagrange,
+)
 
 
 class TestCaseConfig:
@@ -54,10 +60,56 @@ class TestBabuskaCase:
         assert header[-1] == "seconds"
         assert len(lines) == 2 + 2
 
+    def test_hinted_trace_builds_no_locator(self):
+        # every boundary dof is evaluated from its parent cell
+        sys = assemble_babuska(32)
+        assert sys["omega"]._locator is None
+
     def test_reproducible_iteration_counts(self):
         a = run_babuska(CaseConfig(case="babuska", n=4, levels=2, seed=5))
         b = run_babuska(CaseConfig(case="babuska", n=4, levels=2, seed=5))
         assert a.iterations() == b.iterations()
+
+
+class TestErrorNorms:
+    """Each error norm is assembled as one integral; it equals the sum of
+    its value and derivative parts assembled as two."""
+
+    @staticmethod
+    def two_integrals(fn, exact, deriv, deriv_exact, deriv_shape):
+        mesh = fn.space.mesh
+        q = MAX_DEGREE[mesh.tdim]
+        e = Coefficient(fn) - Analytic(exact, shape=fn.space.value_shape, degree=3)
+        de = deriv(Coefficient(fn)) - Analytic(deriv_exact, shape=deriv_shape, degree=3)
+        return math.sqrt(abs(assemble(inner(e, e) * Measure(mesh), quad_degree=q)
+                             + assemble(inner(de, de) * Measure(mesh), quad_degree=q)))
+
+    @staticmethod
+    def perturbed(space, f):
+        """Interpolant of f plus a fixed perturbation, so that the error is
+        not the interpolation error alone."""
+        c = interpolate(space, f).coefficients
+        return Function(space, c + 1e-2 * np.random.default_rng(3).standard_normal(len(c)))
+
+    def test_h1_scalar_and_vector(self):
+        mesh = unit_square_mesh(5, 4)
+        bd = babuska_data()
+        uh = self.perturbed(build_space(mesh, lagrange(2)), bd["u"])
+        one = bench.err_h1(uh, bd["u"], bd["grad_u"])
+        two = self.two_integrals(uh, bd["u"], grad, bd["grad_u"], (2,))
+        assert one > 1e-3 and abs(one - two) <= 1e-12 * two
+        data = darcy_stokes_data()
+        u1h = self.perturbed(build_space(mesh, vector_lagrange(2)), data.u1)
+        one = bench.err_h1(u1h, data.u1, data.grad_u1)
+        two = self.two_integrals(u1h, data.u1, grad, data.grad_u1, (2, 2))
+        assert one > 1e-3 and abs(one - two) <= 1e-12 * two
+
+    def test_hdiv(self):
+        data = darcy_stokes_data()
+        u2h = self.perturbed(build_space(unit_square_mesh(4, 6), rt0()), data.u2)
+        one = bench.err_hdiv(u2h, data.u2, data.f2)
+        two = self.two_integrals(u2h, data.u2, div, data.f2, ())
+        assert one > 1e-3 and abs(one - two) <= 1e-12 * two
 
 
 class TestPerfusionCase:

@@ -3,12 +3,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from multifem.bench import assemble_babuska
+from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.krylov import (
     KrylovError, build_preconditioner, cg, fd_dual_pencil, gmres, h1_pencil,
     hs_norm, inverse_handle, minres, nested_dissection, save_history_csv,
 )
-from multifem.mesh import facet_submesh, near, unit_square_mesh
+from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
 from multifem.opalg import BlockVec, Identity, Matrix, Scaled, collapse
 from multifem.space import build_space, dg0, lagrange
 
@@ -195,6 +195,39 @@ class TestHsNorm:
         # constants see only the mass shift
         ones = np.ones(Q.dim)
         assert np.abs(S @ ones - M @ ones).max() < 1e-12
+
+
+def loop_dual_laplacian(mesh):
+    """The dual-grid Laplacian of ``fd_dual_pencil`` by a loop over the
+    vertices joining exactly two cells."""
+    centers = mesh.cell_centroids
+    touching = {}
+    for c in range(mesh.num_cells):
+        for v in mesh.cells[c]:
+            touching.setdefault(int(v), []).append(c)
+    rows, cols, vals = [], [], []
+    for cells in touching.values():
+        if len(cells) != 2:
+            continue                      # natural end
+        a, b = cells
+        w = 1.0 / np.linalg.norm(centers[a] - centers[b])
+        rows += [a, a, b, b]
+        cols += [a, b, a, b]
+        vals += [w, -w, -w, w]
+    n = mesh.num_cells
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("mesh", [
+    _ds_meshes(8)[2],                                            # ds-mixed interface
+    polyline_mesh([(0, 0, 0), (1, 0.2, 0), (1.3, 1, 0.5)], 5),   # one joint, two ends
+    Mesh(np.array([[0, 0], [1, 0], [2, 0.5], [2, -0.5], [3, 1]]),   # three cells
+         np.array([[0, 1], [1, 2], [3, 1], [2, 4]])),                # at vertex 1
+], ids=["interface", "polyline", "branch"])
+def test_fd_dual_pencil_matches_loop(mesh):
+    M, S = fd_dual_pencil(build_space(mesh, dg0()))
+    ref = (loop_dual_laplacian(mesh) + M).toarray()
+    assert np.abs(S.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestInverseHandle:

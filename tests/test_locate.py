@@ -2,25 +2,25 @@
 oracle that tests every cell of the mesh."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from multifem.mesh import OutOfDomainError, polyline_mesh, unit_cube_mesh, unit_square_mesh
+from multifem.mesh import (
+    Mesh, OutOfDomainError, polyline_mesh, unit_cube_mesh, unit_square_mesh,
+)
 
 TOL = 1e-10
 
 
 def oracle_coordinates(mesh, x):
     """Barycentric coordinates of x in every cell (nc, tdim+1) and the
-    distances off the cells' planes, by one linear solve per cell."""
-    lams, resids = [], []
-    for cell in mesh.cells:
-        v = mesh.vertices[cell]
-        E = v[1:] - v[0]
-        d = x - v[0]
-        mu = np.linalg.solve(E @ E.T, E @ d)
-        lams.append(np.r_[1.0 - mu.sum(), mu])
-        resids.append(np.linalg.norm(d - mu @ E))
-    return np.array(lams), np.array(resids)
+    distances off the cells' planes, by one linear solve per cell (the
+    normal equations E E^T mu = E d, stacked)."""
+    v = mesh.vertices[mesh.cells]
+    E = v[:, 1:] - v[:, :1]                             # (nc, tdim, gdim)
+    d = x - v[:, 0]
+    mu = np.linalg.solve(E @ E.transpose(0, 2, 1), (E @ d[:, :, None]))[:, :, 0]
+    resid = np.linalg.norm(d - (mu[:, None, :] @ E)[:, 0], axis=1)
+    return np.column_stack([1.0 - mu.sum(axis=1), mu]), resid
 
 
 def oracle_locate(mesh, x):
@@ -106,9 +106,40 @@ def query_points(draw, mesh):
             + factor * TOL * (1.0 + diam) * normal / np.linalg.norm(normal))
 
 
-@given(st.data())
-def test_locate_many_matches_brute_force(data):
-    mesh = data.draw(meshes())
+@st.composite
+def graded_meshes(draw):
+    """Cells graded along one axis, so that the widest cells' padded boxes
+    reach 3 or more locator bins along it: a square whose x nodes halve
+    towards 0, or a cube whose z nodes are cubed."""
+    if draw(st.booleans()):
+        n, m = draw(st.integers(5, 8)), draw(st.integers(5, 8))
+        base = unit_square_mesh(n, m)
+        x = np.r_[0.0, 0.5 ** np.arange(n - 1, -1, -1)]
+        v = np.column_stack([x[np.rint(base.vertices[:, 0] * n).astype(int)],
+                             base.vertices[:, 1]])
+        offset = np.array(draw(st.tuples(st.floats(-2, 2), st.floats(-2, 2))))
+        extent = np.array(draw(st.tuples(st.floats(0.1, 3), st.floats(0.1, 3))))
+        return Mesh(offset + extent * v, base.cells)
+    base = unit_cube_mesh(draw(st.integers(3, 4)))
+    v = base.vertices.copy()
+    v[:, 2] **= 3
+    return Mesh(v, base.cells)
+
+
+@st.composite
+def long_curves(draw):
+    """A polyline of 2,000 or more cells in 3d: its corner keys are sparse
+    in a grid of 2,000^3 bins."""
+    coord = st.floats(-1, 1)
+    turns = [np.array(draw(st.tuples(coord, coord, coord)))]
+    for _ in range(draw(st.integers(1, 3))):
+        step = np.array(draw(st.tuples(coord, coord, coord)))
+        assume(np.linalg.norm(step) > 0.1)
+        turns.append(turns[-1] + step)
+    return polyline_mesh(turns, -(-2000 // (len(turns) - 1)))
+
+
+def check_against_oracle(data, mesh):
     points = np.array(data.draw(st.lists(query_points(mesh), min_size=1, max_size=12)))
     expected = []
     for x in points:
@@ -126,3 +157,24 @@ def test_locate_many_matches_brute_force(data):
     for x, c, l in zip(points, cells, lam):
         assert np.allclose(l, oracle_coordinates(mesh, x)[0][c], rtol=0, atol=1e-9)
         assert np.allclose(l @ mesh.vertices[mesh.cells[c]], x, rtol=0, atol=1e-9)
+
+
+@given(st.data())
+def test_locate_many_matches_brute_force(data):
+    check_against_oracle(data, data.draw(meshes()))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_locate_many_on_graded_meshes(data):
+    mesh = data.draw(graded_meshes())
+    assert mesh.locator.reach.max() >= 3
+    check_against_oracle(data, mesh)
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_locate_many_on_long_curves(data):
+    mesh = data.draw(long_curves())
+    assert mesh.num_cells >= 2000
+    check_against_oracle(data, mesh)

@@ -171,12 +171,20 @@ class TestLocate:
             _, lam = mesh.locate(p)
             assert lam.min() >= -1e-10 and lam.max() <= 1 + 1e-10
 
-    def test_bins_hold_ascending_cells(self):
-        loc = unit_cube_mesh(3).locator
+    def test_each_cell_indexed_once_by_lower_corner(self):
+        mesh = unit_cube_mesh(3)
+        loc = mesh.locator
         assert np.all(np.diff(loc.bin_keys) > 0)
         assert loc.bin_ptr[0] == 0 and loc.bin_ptr[-1] == len(loc.bin_cells)
+        assert np.array_equal(np.sort(loc.bin_cells), np.arange(mesh.num_cells))
         for a, b in zip(loc.bin_ptr[:-1], loc.bin_ptr[1:]):
             assert b > a and np.all(np.diff(loc.bin_cells[a:b]) > 0)
+        # upper corners lie at most ``reach`` bins above the lower ones
+        keys = np.repeat(loc.bin_keys, np.diff(loc.bin_ptr))
+        lower = np.column_stack(np.unravel_index(keys, (loc.nbins,) * 3))
+        assert loc.bin_upper.shape == lower.shape
+        assert np.array_equal((loc.bin_upper - lower).max(axis=0), loc.reach)
+        assert (loc.bin_upper - lower).min() >= 0
 
     def test_tolerance_reaches_past_a_bin_edge(self):
         # the x bin edge lies 5e-12 right of the facet x = 0.5; the point is

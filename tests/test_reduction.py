@@ -8,8 +8,7 @@ from multifem.mesh import (
 )
 from multifem.reduction import (
     ReductionCache, UnsupportedReductionError, average_matrix, circle_frame,
-    circle_points, curve_dof_tangents, deduce_reduced_space, restriction_matrix,
-    trace_matrix,
+    circle_points, curve_dof_tangents, deduce_reduced_space, trace_matrix,
 )
 from multifem.space import (build_space, dg0, interpolate, lagrange, rt0, vector_lagrange,
 )
@@ -176,7 +175,7 @@ class TestRestrictionMatrix:
         sub = cell_submesh(mesh, lambda c: True)
         V = build_space(mesh, lagrange(1))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
-        R = restriction_matrix(V, Vbar)
+        R = trace_matrix(V, Vbar)
         dense = R.toarray()
         assert np.all(np.isin(dense, (0.0, 1.0)))
         assert np.abs(dense.sum(axis=1) - 1.0).max() == 0.0
@@ -188,7 +187,7 @@ class TestRestrictionMatrix:
         sub = cell_submesh(mesh, lambda c: c[0] <= 0.5)
         V = build_space(mesh, lagrange(1))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
-        R = restriction_matrix(V, Vbar)
+        R = trace_matrix(V, Vbar)
         for i in range(R.shape[0]):
             row = R.getrow(i)
             vals = row.data[np.abs(row.data) > 1e-14]
@@ -200,7 +199,7 @@ class TestRestrictionMatrix:
         sub = cell_submesh(mesh, lambda c: c[0] <= 0.5)
         V = build_space(mesh, lagrange(2))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
-        R = restriction_matrix(V, Vbar)
+        R = trace_matrix(V, Vbar)
         f = lambda p: p[0] * p[1] - 2 * p[1] ** 2
         lifted = R @ interpolate(V, f).coefficients
         assert np.abs(lifted - interpolate(Vbar, f).coefficients).max() < 1e-10
@@ -236,7 +235,7 @@ class TestPolynomialReproductionAllKinds:
         sub = cell_submesh(mesh, lambda c: c[1] <= 0.5)
         V = build_space(mesh, lagrange(1))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
-        R = restriction_matrix(V, Vbar)
+        R = trace_matrix(V, Vbar)
         f = lambda p: 3 * p[0] - p[1]
         gap = R @ interpolate(V, f).coefficients - interpolate(Vbar, f).coefficients
         assert np.abs(gap).max() <= tol
@@ -251,6 +250,14 @@ class TestCache:
         a = cache.get_or_build(V, gamma, TRACE)
         b = cache.get_or_build(V, gamma, TRACE)
         assert a is b and cache.build_count == 1
+
+    def test_unknown_kind_raises(self):
+        cache = ReductionCache()
+        mesh = unit_square_mesh(2, 2)
+        V = build_space(mesh, lagrange(1))
+        with pytest.raises(UnsupportedReductionError, match="unknown reduction 'lift'"):
+            cache.get_or_build(V, facet_submesh(mesh, boundary), ReductionKind("lift"))
+        assert cache.build_count == 0
 
     def test_distinct_radii_distinct_entries(self):
         cache = ReductionCache()
