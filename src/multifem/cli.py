@@ -1,6 +1,6 @@
 """Command line entry point: refinement/iteration studies and matrix export.
 
-    multifem run --case babuska --n 8 --levels 3 --tol 1e-10 --seed 0 --out results/
+    multifem run --case babuska --n 8 --levels 3 --tol 1e-10 --out results/
     multifem export --case ds-mixed --n 4 --what matrices --out matrices/
 """
 from __future__ import annotations
@@ -23,7 +23,8 @@ def _build_parser():
     run.add_argument("--n", type=int, default=8, help="coarsest resolution")
     run.add_argument("--levels", type=int, default=3)
     run.add_argument("--tol", type=float, default=1e-10)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=None,
+                     help="seed of a uniform random Krylov start (default: zero start)")
     run.add_argument("--darcy-pressure-block",
                      choices=("mass", "neg-mass", "stiffness"), default="stiffness")
     run.add_argument("--radius", type=float, default=0.2)

@@ -37,7 +37,6 @@ __all__ = [
     "KrylovReport", "KrylovError", "minres", "gmres", "cg",
     "HsNormOperator", "hs_norm", "inverse_handle", "build_preconditioner",
     "hs_inverse_block", "save_history_csv", "h1_pencil", "fd_dual_pencil",
-    "nested_dissection",
 ]
 
 HS_DIM_LIMIT = 5000
@@ -344,130 +343,36 @@ def hs_inverse_block(space, s):
     return hs_norm(M, S, s).inverse_op()
 
 
-# -- fill-reducing orderings -------------------------------------------------------
-
-_ND_LEAF = 32          # parts of at most this many rows are not split further
-_ND_BITS = 40          # bits of a tree path; far more than the depth reached
-
-
-def nested_dissection(pattern, points):
-    """Geometric nested dissection (George 1973): a fill-reducing symmetric
-    ordering of the graph of ``pattern + pattern^T`` whose vertex i sits at
-    ``points[i]``.  Returns ``perm`` with ``A[perm][:, perm]`` the
-    reordered matrix.
-
-    The points are bisected recursively, every part at the median of its
-    widest coordinate (ties kept in the order already held), until parts
-    have at most ``_ND_LEAF`` vertices; all parts of one depth are cut by
-    one sort.  Then, for each edge between two leaves, the end in the upper
-    half of the tree node where their paths part joins that node's
-    separator; a vertex that joins several stays in the shallowest.  The
-    numbering is the tree's postorder (lower subtree, upper subtree,
-    separator), so no edge joins the two subtrees of a node except through
-    a vertex numbered after both.  On a 3d mesh the separators are planes,
-    and an LU in this order (NATURAL column order of the reordered matrix)
-    has half of COLAMD's fill on the perfusion system at n=24.
-    """
-    pattern = sp.csr_matrix(pattern)
-    n = pattern.shape[0]
-    points = np.asarray(points, dtype=float)
-    if pattern.shape != (n, n) or points.ndim != 2 or points.shape[0] != n:
-        raise ValueError(f"nested dissection needs a square pattern and one point "
-                         f"per row, got {pattern.shape} and {points.shape}")
-    coords = np.ascontiguousarray(points.T)
-    path = np.zeros(n, dtype=np.int64)     # leaf path bits, left-aligned to _ND_BITS
-    depth = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)                  # vertices not in a leaf yet, grouped by part
-    part = np.zeros(n, dtype=np.int64)     # their path so far
-    d = 0
-    while True:
-        starts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
-        sizes = np.diff(np.r_[starts, active.size])
-        big = sizes > _ND_LEAF
-        if not big.all():
-            leaf = np.repeat(~big, sizes)
-            depth[active[leaf]] = d
-            path[active[leaf]] = part[leaf] << (_ND_BITS - d)
-            active, part, sizes = active[~leaf], part[~leaf], sizes[big]
-            starts = np.r_[0, np.cumsum(sizes)[:-1]]
-        if not active.size:
-            break
-        # sort key: part index + position along the part's widest axis in [0, 0.5]
-        pts = coords.take(active, axis=1)
-        lo = np.minimum.reduceat(pts, starts, axis=1)
-        extent = np.maximum.reduceat(pts, starts, axis=1) - lo
-        seg = np.arange(sizes.size)
-        axis = np.argmax(extent, axis=0)
-        width = extent[axis, seg]
-        scale = 0.5 / np.where(width > 0, width, 1.0)
-        x = pts.ravel().take(np.repeat(axis * active.size, sizes) + np.arange(active.size))
-        key = np.repeat(seg, sizes) + (x - np.repeat(lo[axis, seg], sizes)) * np.repeat(scale, sizes)
-        active = active.take(np.argsort(key, kind="stable"))
-        upper = np.arange(active.size) >= np.repeat(starts + sizes // 2, sizes)
-        part = 2 * part + upper
-        d += 1
-    # Two leaf paths part at the depth of their first differing bit; the
-    # end whose path is larger lies in the upper half there.
-    ones = sp.csr_matrix((np.ones(pattern.nnz, np.int8), pattern.indices,
-                          pattern.indptr), shape=(n, n))
-    graph = ones + ones.T
-    row = np.repeat(path, np.diff(graph.indptr))
-    col = path.take(graph.indices)
-    parting = _ND_BITS - np.frexp((row ^ col).astype(float))[1]
-    none = _ND_BITS + 1
-    parting = np.where(row > col, parting, none)
-    sep = np.minimum.reduceat(np.r_[parting, none], graph.indptr[:-1])
-    sep[graph.indptr[:-1] == graph.indptr[1:]] = none
-    depth = np.minimum(depth, sep)
-    node = path >> (_ND_BITS - depth)
-    # postorder: by the right end of each node's span at full depth, deeper
-    # nodes first, then by vertex
-    return np.lexsort((-depth, (node + 1) << (_ND_BITS - depth)))
-
-
 # -- inverse handles ---------------------------------------------------------------
 
-def inverse_handle(block, mode="direct", tol=1e-12, maxiter=2000, label="block"):
-    """Operator applying the (approximate) inverse of a square block.
+def inverse_handle(block, label="block"):
+    """Operator applying the inverse of a square block, factorized once.
 
-    'direct' factorizes the collapsed matrix once by SuperLU with the
-    minimum-degree ordering of A + A^T in symmetric mode: every block the
-    preconditioners hand it is a Riesz map, symmetric in structure, and
-    symmetric mode prefers diagonal pivots and does not postorder the
-    column elimination tree of A^T A, which would spoil an A + A^T order.
-    On the babuska H1 and ds-mixed Stokes blocks this has 40% and 52%
-    less fill than COLAMD, and factor and triangular solves are cheaper.
-    'inner-cg' runs a matrix-free CG per application and raises on
-    non-convergence.
+    SuperLU orders by minimum degree on A + A^T in symmetric mode: every
+    block the preconditioners hand it is a Riesz map, symmetric in
+    structure, and symmetric mode prefers diagonal pivots and does not
+    postorder the column elimination tree of A^T A, which would spoil an
+    A + A^T order.  On the babuska H1 and ds-mixed Stokes blocks this has
+    40% and 52% less fill than COLAMD.  The same ordering serves the
+    perfusion direct solve.  Every block is factorized, whatever its size;
+    a factorization that fails (an exactly singular block, or one whose
+    factors do not fit in memory) raises ``KrylovError`` naming the block.
     """
     op = as_op(block)
     if op.rows != op.cols:
         raise ValueError(f"inverse handle needs a square block, got {op.shape}")
-    if mode == "direct":
-        lu = spla.splu(collapse(op).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
-        return InverseHandle(op.rows, lu.solve,
-                             apply_t=lambda v: lu.solve(v, trans="T"), label=label)
-    if mode == "inner-cg":
-        def apply(v):
-            y, rep = cg(op, v, tol=tol, maxiter=maxiter)
-            if not rep.converged:
-                raise KrylovError(
-                    f"inner CG for block '{label}' stalled at {rep.relative_residual:.3e}")
-            return y
-        return InverseHandle(op.rows, apply, apply_t=apply, label=label)
-    raise ValueError(f"unknown inverse mode {mode!r}")
+    A = collapse(op).tocsc()
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except (RuntimeError, MemoryError) as exc:
+        raise KrylovError(
+            f"LU of block '{label}' ({A.shape[0]} rows, {A.nnz} stored entries) "
+            f"failed: {exc}") from exc
+    return InverseHandle(op.rows, lu.solve,
+                         apply_t=lambda v: lu.solve(v, trans="T"), label=label)
 
 
 # -- benchmark preconditioners ------------------------------------------------------
-
-DIRECT_BLOCK_LIMIT = 50_000
-
-
-def _block_inverse(block, label):
-    mode = "direct" if as_op(block).rows <= DIRECT_BLOCK_LIMIT else "inner-cg"
-    return inverse_handle(block, mode=mode, label=label)
-
 
 def _mass(space):
     p, q = TrialFunction(space), TestFunction(space)
@@ -489,7 +394,7 @@ def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffnes
     if problem == "babuska":
         V, Q = spaces
         return block_diag_mat([
-            _block_inverse(system[0, 0], "H1"),
+            inverse_handle(system[0, 0], "H1"),
             hs_inverse_block(Q, s=-0.5),
         ])
 
@@ -501,26 +406,26 @@ def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffnes
         bc = DirichletBC(V2, (0.0, 0.0), lambda x: near(x[1] * (1.0 - x[1]), 0.0))
         hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), [bc], symmetric=True)
         return block_diag_mat([
-            _block_inverse(system[0, 0], "stokes"),
-            _block_inverse(_mass(Q1), "stokes-pressure"),
-            _block_inverse(hdiv, "hdiv"),
-            _block_inverse(_mass(Q2), "darcy-pressure"),
+            inverse_handle(system[0, 0], "stokes"),
+            inverse_handle(_mass(Q1), "stokes-pressure"),
+            inverse_handle(hdiv, "hdiv"),
+            inverse_handle(_mass(Q2), "darcy-pressure"),
             hs_inverse_block(Q, s=0.5),
         ])
 
     if problem == "ds-primal":
         V1, Q1, Q2p = spaces
         if darcy_pressure_block == "mass":
-            darcy = _block_inverse(_mass(Q2p), "darcy-pressure")
+            darcy = inverse_handle(_mass(Q2p), "darcy-pressure")
         elif darcy_pressure_block == "neg-mass":
-            darcy = -1.0 * _block_inverse(_mass(Q2p), "darcy-pressure")
+            darcy = -1.0 * inverse_handle(_mass(Q2p), "darcy-pressure")
         elif darcy_pressure_block == "stiffness":
-            darcy = _block_inverse(system[2, 2], "darcy-pressure")
+            darcy = inverse_handle(system[2, 2], "darcy-pressure")
         else:
             raise ValueError(f"unknown darcy pressure block {darcy_pressure_block!r}")
         return block_diag_mat([
-            _block_inverse(system[0, 0], "stokes"),
-            _block_inverse(_mass(Q1), "stokes-pressure"),
+            inverse_handle(system[0, 0], "stokes"),
+            inverse_handle(_mass(Q1), "stokes-pressure"),
             darcy,
         ])
 

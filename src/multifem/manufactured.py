@@ -8,21 +8,23 @@ the derived fields lives in the test suite.
 
 Conventions: the interface normal n = (1, 0) points from the Stokes domain
 into the Darcy domain, tau = (0, 1); sigma = sym(grad u1) - p1 I.
+
+sympy takes ~0.15 s to import, so it is imported by the cached builders
+of the data, not at module load: cases without manufactured data (the
+perfusion study, the restriction demo) never load it.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-import sympy as sym
 
 __all__ = ["DarcyStokesData", "darcy_stokes_data", "babuska_data"]
 
-_X, _Y = sym.symbols("x y", real=True)
 
-
-def _wrap_scalar(expr):
-    f = sym.lambdify((_X, _Y), expr, modules="numpy")
+def _wrap_scalar(xy, expr):
+    from sympy import lambdify
+    f = lambdify(xy, expr, modules="numpy")
 
     def field(p):
         p = np.asarray(p, dtype=float)
@@ -32,8 +34,9 @@ def _wrap_scalar(expr):
     return field
 
 
-def _wrap_vector(exprs):
-    fns = [sym.lambdify((_X, _Y), e, modules="numpy") for e in exprs]
+def _wrap_vector(xy, exprs):
+    from sympy import lambdify
+    fns = [lambdify(xy, e, modules="numpy") for e in exprs]
 
     def field(p):
         p = np.asarray(p, dtype=float)
@@ -45,8 +48,9 @@ def _wrap_vector(exprs):
     return field
 
 
-def _wrap_matrix(mat):
-    rows = [[sym.lambdify((_X, _Y), mat[i, j], modules="numpy") for j in range(2)]
+def _wrap_matrix(xy, mat):
+    from sympy import lambdify
+    rows = [[lambdify(xy, mat[i, j], modules="numpy") for j in range(2)]
             for i in range(2)]
 
     def field(p):
@@ -64,7 +68,8 @@ class DarcyStokesData:
     sympy expressions in ``exprs`` for re-derivation in tests."""
 
     def __init__(self):
-        x, y = _X, _Y
+        import sympy as sym
+        x, y = xy = sym.symbols("x y", real=True)
         pi = sym.pi
         # stream function with a polynomial part so no interface residual
         # degenerates to zero on x = 1/2
@@ -94,21 +99,21 @@ class DarcyStokesData:
             "g_bjs": g_bjs, "multiplier": multiplier,
         }
 
-        self.u1 = _wrap_vector(list(u1))
-        self.grad_u1 = _wrap_matrix(gradu1)
-        self.p1 = _wrap_scalar(p1)
-        self.p2 = _wrap_scalar(p2)
-        self.grad_p2 = _wrap_vector([sym.diff(p2, x), sym.diff(p2, y)])
-        self.u2 = _wrap_vector(list(u2))
-        self.f1 = _wrap_vector(list(f1))
-        self.f2 = _wrap_scalar(f2)
-        self.g_mass = _wrap_scalar(g_mass)
-        self.g_stress = _wrap_scalar(g_stress)
-        self.g_bjs = _wrap_scalar(g_bjs)
-        self.multiplier = _wrap_scalar(multiplier)
+        self.u1 = _wrap_vector(xy, list(u1))
+        self.grad_u1 = _wrap_matrix(xy, gradu1)
+        self.p1 = _wrap_scalar(xy, p1)
+        self.p2 = _wrap_scalar(xy, p2)
+        self.grad_p2 = _wrap_vector(xy, [sym.diff(p2, x), sym.diff(p2, y)])
+        self.u2 = _wrap_vector(xy, list(u2))
+        self.f1 = _wrap_vector(xy, list(f1))
+        self.f2 = _wrap_scalar(xy, f2)
+        self.g_mass = _wrap_scalar(xy, g_mass)
+        self.g_stress = _wrap_scalar(xy, g_stress)
+        self.g_bjs = _wrap_scalar(xy, g_bjs)
+        self.multiplier = _wrap_scalar(xy, multiplier)
         # column sigma . e_y; tractions on y = 0/1 are -/+ this column
-        self.stress_col_y = _wrap_vector([stress[0, 1], stress[1, 1]])
-        self.dp2_dy = _wrap_scalar(sym.diff(p2, y))
+        self.stress_col_y = _wrap_vector(xy, [stress[0, 1], stress[1, 1]])
+        self.dp2_dy = _wrap_scalar(xy, sym.diff(p2, y))
 
     def traction_horizontal(self, p):
         """sigma . n on the y=0 / y=1 boundary pieces (outward normals)."""
@@ -133,14 +138,15 @@ def babuska_data():
     """u* = cos(pi x) cos(pi y) with f = (2 pi^2 + 1) u*, boundary value
     g = u*, multiplier -du*/dn (identically zero for this solution); the
     gradient field is included for H1 errors."""
-    x, y = _X, _Y
+    import sympy as sym
+    x, y = xy = sym.symbols("x y", real=True)
     pi = sym.pi
     u = sym.cos(pi * x) * sym.cos(pi * y)
     f = -sym.diff(u, x, 2) - sym.diff(u, y, 2) + u
     return {
-        "u": _wrap_scalar(u),
-        "grad_u": _wrap_vector([sym.diff(u, x), sym.diff(u, y)]),
-        "f": _wrap_scalar(f),
-        "g": _wrap_scalar(u),
-        "multiplier": _wrap_scalar(sym.S.Zero * x),
+        "u": _wrap_scalar(xy, u),
+        "grad_u": _wrap_vector(xy, [sym.diff(u, x), sym.diff(u, y)]),
+        "f": _wrap_scalar(xy, f),
+        "g": _wrap_scalar(xy, u),
+        "multiplier": _wrap_scalar(xy, sym.S.Zero * x),
     }

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from conftest import dropped_residue
 from multifem.assemble import (
     DirichletBC, NotSinglescaleError, apply_bc, assemble, load_matrix_market,
     save_matrix_market,
@@ -10,7 +11,7 @@ from multifem.forms import (
     Analytic, Constant, FormError, Measure, Trace, div, grad, inner, sym,
     TestFunction, TrialFunction,
 )
-from multifem.mesh import Mesh, facet_submesh, near, unit_square_mesh
+from multifem.mesh import Mesh, facet_submesh, near, unit_cube_mesh, unit_square_mesh
 from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
 
 
@@ -159,6 +160,36 @@ class TestMeshGeometryReuse:
             G = mesh.gradient_transform if G is None else G
             assert mesh.gradient_transform is G
         assert calls == [(mesh.num_cells, 2, 2)]
+
+
+def _cube_stiffness(n, scale=1.0):
+    V = build_space(unit_cube_mesh(n), lagrange(1))
+    u, v = TrialFunction(V), TestFunction(V)
+    return scale * inner(grad(u), grad(v)) * Measure(V.mesh)
+
+
+class TestCancellationResidue:
+    # The Kuhn-cube P1 stiffness couples some vertex pairs with weight zero;
+    # summed in floating point, those couplings leave residue at n=12 and 24
+    # and cancel exactly at n=16.
+    @pytest.mark.parametrize("n", [12, 24])
+    def test_only_residue_is_dropped(self, n, unpruned):
+        pruned = assemble(_cube_stiffness(n))
+        full = unpruned(assemble, _cube_stiffness(n))
+        assert dropped_residue(pruned, full) > 0.3 * full.nnz
+
+    def test_exact_cancellation_keeps_every_nonzero(self, unpruned):
+        full = unpruned(assemble, _cube_stiffness(16))
+        full.eliminate_zeros()
+        assert _same_bits(assemble(_cube_stiffness(16)), full)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e30])
+    def test_scale_free(self, scale):
+        plain = assemble(_cube_stiffness(12))
+        scaled = assemble(_cube_stiffness(12, scale))
+        assert plain.nnz == 14_365
+        assert np.array_equal(scaled.indptr, plain.indptr)
+        assert np.array_equal(scaled.indices, plain.indices)
 
 
 class TestAnalyticContract:

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import dropped_residue
 from multifem import bench
 from multifem.assemble import load_matrix_market
 from multifem.bench import (
@@ -15,7 +16,7 @@ from multifem.bench import (
 )
 from multifem.assemble import assemble
 from multifem.forms import Analytic, Coefficient, Measure, div, grad, inner
-from multifem.krylov import build_preconditioner, minres, nested_dissection
+from multifem.krylov import build_preconditioner, minres
 from multifem.manufactured import babuska_data, darcy_stokes_data
 from multifem.mesh import CellLocator, Mesh, unit_square_mesh
 from multifem.opalg import BlockVec, Matrix, collapse
@@ -147,15 +148,35 @@ class TestPerfusionCase:
         x = np.concatenate([u.coefficients, p.coefficients])
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_nested_dissection_fill_below_colamd(self):
-        sys = assemble_perfusion(12)
-        V, Q = sys["W"]
-        mono = collapse(sys["A"])
-        perm = nested_dissection(mono, np.vstack([V.dof_coords, Q.dof_coords]))
-        nd = spla.splu(mono[perm].tocsc()[:, perm], permc_spec="NATURAL")
-        colamd = spla.splu(mono.tocsc(), permc_spec="COLAMD")
-        assert nd.L.nnz + nd.U.nnz == 264_478
-        assert colamd.L.nnz + colamd.U.nnz == 366_702
+    def test_minimum_degree_fill_on_the_true_pattern(self):
+        # 23,867 entries with the cancellation residue; minimum degree on
+        # A + A^T has about half of COLAMD's fill on the true pattern
+        A = collapse(assemble_perfusion(12)["A"]).tocsc()
+        assert A.nnz == 14_371
+        mmd = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        colamd = spla.splu(A, permc_spec="COLAMD")
+        assert mmd.L.nnz + mmd.U.nnz == 131_629
+        assert colamd.L.nnz + colamd.U.nnz == 246_959
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_exact_cancellation_operator_bitwise_unpruned(self, n, unpruned):
+        def operator():
+            A = collapse(assemble_perfusion(n)["A"]).tocsr()
+            A.sort_indices()
+            return A
+        pruned, full = operator(), unpruned(operator)
+        for a, b in [(pruned.indptr, full.indptr), (pruned.indices, full.indices),
+                     (pruned.data, full.data)]:
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n,kept_rtol", [(12, 1e-15), (24, 0.0)])
+    def test_residue_operator_drops_only_residue(self, n, kept_rtol, unpruned):
+        # At n=12, 92 kept entries are the sum of a bulk residue and a
+        # circle-average coupling; without the residue they move by at most
+        # 3e-17 of their row's largest.  At n=24 every kept entry is bitwise.
+        operator = lambda: collapse(assemble_perfusion(n)["A"])
+        pruned, full = operator(), unpruned(operator)
+        assert dropped_residue(pruned, full, kept_rtol) > 0.3 * full.nnz
 
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_singular_system_raises(self, monkeypatch):

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.krylov import (
     KrylovError, build_preconditioner, cg, fd_dual_pencil, gmres, h1_pencil,
-    hs_norm, inverse_handle, minres, nested_dissection, save_history_csv,
+    hs_norm, inverse_handle, minres, save_history_csv,
 )
 from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
 from multifem.opalg import BlockVec, Identity, Matrix, Scaled, collapse
@@ -235,32 +235,25 @@ class TestInverseHandle:
         rng = np.random.default_rng(16)
         A = rng.standard_normal((15, 15))
         S = sp.csr_matrix(A @ A.T + 15 * np.eye(15))
-        inv = inverse_handle(Matrix(S), mode="direct", label="m")
+        inv = inverse_handle(Matrix(S), label="m")
         for _ in range(5):
             x = rng.standard_normal(15)
             assert np.linalg.norm(inv.matvec(S @ x) - x) <= 1e-9 * np.linalg.norm(x)
 
-    def test_roundtrip_inner_cg(self):
-        rng = np.random.default_rng(17)
-        A = rng.standard_normal((15, 15))
-        S = sp.csr_matrix(A @ A.T + 15 * np.eye(15))
-        inv = inverse_handle(Matrix(S), mode="inner-cg", label="m")
-        x = rng.standard_normal(15)
-        assert np.linalg.norm(inv.matvec(S @ x) - x) <= 1e-8 * np.linalg.norm(x)
-
-    def test_inner_cg_failure_names_block(self):
-        S = sp.csr_matrix(np.diag(np.linspace(1e-12, 1, 10)))
-        inv = inverse_handle(Matrix(S), mode="inner-cg", maxiter=2, label="darcy")
-        with pytest.raises(KrylovError, match="darcy"):
-            inv.matvec(np.ones(10))
+    def test_singular_block_names_its_label(self):
+        S = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(10, 10)).tolil()
+        S[9, :] = 0.0                                       # one zero row
+        with pytest.raises(KrylovError, match=r"'darcy' \(10 rows, 26 stored") as err:
+            inverse_handle(Matrix(S.tocsr()), label="darcy")
+        assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_identity_block(self):
-        inv = inverse_handle(Identity(4), mode="direct", label="id")
+        inv = inverse_handle(Identity(4), label="id")
         x = np.arange(4.0)
         assert np.abs(inv.matvec(x) - x).max() < 1e-12
 
     def test_mismatched_length_rejected(self):
-        inv = inverse_handle(Identity(4), mode="direct")
+        inv = inverse_handle(Identity(4))
         with pytest.raises(Exception):
             inv.matvec(np.zeros(5))
 
@@ -271,7 +264,7 @@ class TestInverseHandle:
         S = (sp.random(80, 80, density=0.06, random_state=21, format="csr")
              + 4.0 * sp.eye(80)).tocsr()
         assert (S != S.T).nnz and ((S != 0) != (S.T != 0)).nnz
-        inv = inverse_handle(Matrix(S), mode="direct", label="nonsym")
+        inv = inverse_handle(Matrix(S), label="nonsym")
         dense = S.toarray()
         for _ in range(3):
             b = rng.standard_normal(80)
@@ -297,56 +290,6 @@ class TestInverseHandle:
             ref = np.linalg.solve(blk, x[offs[k]:offs[k + 1]])
             got = y[offs[k]:offs[k + 1]]
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-
-
-class TestNestedDissection:
-    @staticmethod
-    def _is_permutation(perm, n):
-        return perm.shape == (n,) and np.array_equal(np.sort(perm), np.arange(n))
-
-    def test_tied_points_of_a_vector_p2_space(self):
-        from multifem.forms import Measure, TestFunction, TrialFunction, inner
-        from multifem.assemble import assemble
-        from multifem.space import vector_lagrange
-        V = build_space(unit_square_mesh(6, 6), vector_lagrange(2))
-        u, v = TrialFunction(V), TestFunction(V)
-        M = assemble(inner(u, v) * Measure(V.mesh))
-        pts = V.dof_coords
-        assert len(np.unique(pts, axis=0)) == V.dim // 2     # each point twice
-        perm = nested_dissection(M, pts)
-        assert self._is_permutation(perm, V.dim)
-
-    def test_all_points_tied(self):
-        S = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(100, 100), format="csr")
-        perm = nested_dissection(S, np.zeros((100, 3)))
-        assert self._is_permutation(perm, 100)
-
-    def test_disconnected_pattern(self):
-        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(70, 70))
-        S = sp.block_diag([lap, lap, sp.eye(50)], format="csr")
-        rng = np.random.default_rng(23)
-        perm = nested_dissection(S, rng.uniform(size=(190, 2)))
-        assert self._is_permutation(perm, 190)
-        perm = nested_dissection(sp.eye(200, format="csr"), rng.uniform(size=(200, 3)))
-        assert self._is_permutation(perm, 200)
-
-    def test_one_row(self):
-        perm = nested_dissection(sp.csr_matrix([[2.0]]), [[0.5, 0.5]])
-        assert perm.tolist() == [0]
-
-    def test_separator_comes_after_both_halves(self):
-        # a path of 100 vertices cut at its median: the first upper-half
-        # vertex separates; the lower half is numbered first, then the
-        # rest of the upper half, then the separator
-        S = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(100, 100), format="csr")
-        perm = nested_dissection(S, np.arange(100.0)[:, None])
-        assert sorted(perm[:50]) == list(range(50))
-        assert sorted(perm[50:99]) == list(range(51, 100))
-        assert perm[99] == 50
-
-    def test_rejects_a_point_count_that_does_not_match(self):
-        with pytest.raises(ValueError, match="one point per row"):
-            nested_dissection(sp.eye(4, format="csr"), np.zeros((3, 2)))
 
 
 class TestPreconditioners:

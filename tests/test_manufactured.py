@@ -4,6 +4,10 @@ Every derived field (forcing, interface residuals, tractions) is rebuilt
 here from the primitive manufactured fields with central differences and
 compared against the symbolic version at random points.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,3 +154,14 @@ class TestBabuskaData:
         batch = bd["f"](pts)
         single = np.array([bd["f"](p) for p in pts])
         assert np.abs(batch - single).max() < 1e-14
+
+
+def test_sympy_loaded_only_for_manufactured_data():
+    # the cases without manufactured data never pay sympy's import
+    import multifem
+    src = os.path.dirname(os.path.dirname(multifem.__file__))
+    code = ("import sys, multifem.bench; print('sympy' in sys.modules); "
+            "multifem.bench.babuska_data(); print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.split() == ["False", "True"]
