@@ -31,15 +31,16 @@ _CHUNK = 512
 # An assembled entry a_ij is a sum of element contributions, each at most
 # m_K = max|A_K| in size.  Where they cancel in exact arithmetic (the
 # Kuhn-cube P1 stiffness couples some vertex pairs with weight zero), the
-# floating-point sum leaves residue.  An entry is not stored when
+# floating-point sum can leave residue, and it stores an explicit zero
+# where they cancel exactly.  An entry is not stored when
 # |a_ij| <= _RESIDUE_ULPS * eps * min(r_i, c_j), where r_i and c_j sum m_K
 # over the cells of test dof i and of trial dof j.  The rule is scale-free
-# and has no h in it.  Measured, the Kuhn-cube residue stays under 1 such
-# ulp (n = 12, 24), and the smallest true entry of every benchmark matrix
-# lies above 1e13 of them; 8 leaves room on both sides.  Residue made inside one
-# element is dropped only while it stays under the bound: RT0 couplings
-# that vanish on right triangles come out at 3, 11 and 21 ulps at
-# n = 8, 32 and 64, because the basis is evaluated at absolute coordinates.
+# and has no h in it.  Measured, the Kuhn-cube couplings cancel to exact
+# zeros (n = 12, 24), the RT0 couplings that vanish on right triangles
+# come out under half an ulp at n = 8, 32 and 64 (the basis is evaluated
+# at coordinates relative to each cell), and the smallest true entry of
+# every benchmark matrix lies above 1e13 of them; 8 leaves room on both
+# sides.
 _RESIDUE_ULPS = 8
 
 
@@ -75,48 +76,66 @@ def _element_degree(space):
 
 # -- geometry over a chunk of cells -------------------------------------------
 
-class _ChunkGeometry:
-    """The cells ``cells`` (a slice) of a mesh: quadrature weights and
-    gradient transforms sliced from the mesh's geometry, physical
-    quadrature points computed on first use."""
+def _sum_products(pairs):
+    """a_0 * b_0 + a_1 * b_1 + ... over ``pairs``, summed in order: a
+    contraction over one short axis, written out."""
+    (a, b), *rest = pairs
+    out = a * b
+    for a, b in rest:
+        out += a * b
+    return out
 
-    def __init__(self, mesh, cells, ref_pts, ref_wts):
+
+class _ChunkGeometry:
+    """The cells ``cells`` (a slice) of a mesh, cells last: gradient
+    transforms (gdim, tdim, C) sliced from the mesh's geometry; the
+    quadrature points' offsets from each cell's first vertex and their
+    physical positions (Q, gdim, C) on first use."""
+
+    def __init__(self, mesh, cells, ref_pts):
         self.mesh = mesh
         self.cells = cells
         self.ref_pts = ref_pts
-        self.weights = ref_wts[None, :] * mesh.jacobian_measure[cells, None]  # (C, Q)
 
     @property
     def G(self):
-        return self.mesh.gradient_transform[self.cells]      # (C, g, t)
+        return self.mesh.gradient_transform[self.cells].transpose(1, 2, 0)
+
+    @functools.cached_property
+    def offsets(self):
+        """sum_t xi_t E_t of the edge vectors E of x = v0 + xi @ E."""
+        v = self.mesh.vertices.T[:, self.mesh.cells[self.cells].T]  # (g, tdim+1, C)
+        E = v[:, 1:] - v[:, :1]
+        xi = self.ref_pts[:, :, None, None]
+        return _sum_products((xi[:, t], E[:, t]) for t in range(E.shape[1]))
 
     @functools.cached_property
     def phys(self):
-        v = self.mesh.vertices[self.mesh.cells[self.cells]]     # (C, tdim+1, g)
-        E = v[:, 1:, None, :] - v[:, :1, None, :]                # (C, t, 1, g)
-        xi = self.ref_pts.T[:, :, None]                          # (t, Q, 1)
-        # v0 + sum_t xi_t E_t: the sum of einsum("qt,ctg->cqg", ref_pts, E),
-        # in its order, at a quarter of its time on these shapes
-        x = xi[0] * E[:, 0]
-        for t in range(1, len(xi)):
-            x += xi[t] * E[:, t]
-        return v[:, 0, None, :] + x
+        return self.mesh.vertices[self.mesh.cells[self.cells, 0]].T + self.offsets
 
 
 # -- expression evaluation ------------------------------------------------------
 
-class _Evaluator:
-    """Evaluates an integrand over one chunk as arrays (C, Q, T, U, *shape)."""
+def _basis_slot(arr, arg):
+    """Basis values (Q, nloc, ...) of ``arg`` as (Q, T, U, ...): its basis
+    axis in the test or trial slot, the other of length 1."""
+    return np.expand_dims(arr, 2 if arg.role == "test" else 1)
 
-    def __init__(self, space_mesh, geom, ref_pts, test_arg, trial_arg, tabs):
+
+class _Evaluator:
+    """Evaluates an integrand over one chunk as arrays (Q, T, U, *shape, C):
+    quadrature points, test and trial basis functions, the value's axes,
+    then the chunk's cells, so that every product runs along the cells.
+    Any axis but the value's may have length 1 and broadcast."""
+
+    def __init__(self, space_mesh, geom, ref_pts, tabs):
         self.mesh = space_mesh
         self.geom = geom
         self.ref_pts = ref_pts
-        self.test_arg = test_arg
-        self.trial_arg = trial_arg
         self.memo = {}
         self._tab = tabs              # shared by the chunks of one integral
         self._grads = {}
+        self._rt0 = {}
 
     def tab(self, space):
         key = space.uid
@@ -125,10 +144,6 @@ class _Evaluator:
                 space.mesh.tdim, space.element.degree, self.ref_pts)
         return self._tab[key]
 
-    def _axis_slot(self, arg):
-        # returns a reshape inserting the basis axis into the T or U slot
-        return 2 if arg.role == "test" else 3
-
     def eval(self, e):
         key = id(e)
         if key not in self.memo:
@@ -136,8 +151,6 @@ class _Evaluator:
         return self.memo[key]
 
     def _eval(self, e):
-        geom = self.geom
-        C, Q = geom.weights.shape
         if isinstance(e, Argument):
             return self._argument_values(e)
         if isinstance(e, Grad):
@@ -147,25 +160,24 @@ class _Evaluator:
         if isinstance(e, Coefficient):
             return self._coefficient_values(e)
         if isinstance(e, Constant):
-            return e.value.reshape((1, 1, 1, 1) + e.shape)
+            return e.value.reshape((1, 1, 1) + e.shape + (1,))
         if isinstance(e, Analytic):
             return self._analytic(e)
         if isinstance(e, Inner):
             a, b = (self.eval(c) for c in e.children)
-            rank = len(e.children[0].shape)
-            if rank == 0:
-                return a * b
-            spec = "...i,...i->..." if rank == 1 else "...ij,...ij->..."
-            return np.einsum(spec, a, b)
+            at = [(..., *i, slice(None)) for i in np.ndindex(e.children[0].shape)]
+            return _sum_products((a[i], b[i]) for i in at)
         if isinstance(e, Dot):
+            # a's last value axis against b's first
             a, b = (self.eval(c) for c in e.children)
             ra, rb = len(e.children[0].shape), len(e.children[1].shape)
-            spec = {(1, 1): "...i,...i->...", (2, 1): "...ij,...j->...i",
-                    (1, 2): "...i,...ij->...j", (2, 2): "...ij,...jk->...ik"}[(ra, rb)]
-            return np.einsum(spec, a, b)
+            return _sum_products(
+                (a[(..., j) + (None,) * (rb - 1) + (slice(None),)],
+                 b[(...,) + (None,) * (ra - 1) + (j,) + (slice(None),) * rb])
+                for j in range(e.children[0].shape[-1]))
         if isinstance(e, Sym):
             a = self.eval(e.children[0])
-            return 0.5 * (a + np.swapaxes(a, -1, -2))
+            return 0.5 * (a + np.swapaxes(a, -2, -3))
         if isinstance(e, Add):
             return self.eval(e.children[0]) + self.eval(e.children[1])
         if isinstance(e, Neg):
@@ -176,116 +188,107 @@ class _Evaluator:
 
     # terminal helpers ---------------------------------------------------
 
+    def _rt0_basis(self, space):
+        """RT0 values (Q, 3, g, C) and divergences (3, C) on the chunk."""
+        key = space.uid
+        if key not in self._rt0:
+            self._rt0[key] = space.rt0_cell_basis(self.geom.cells, self.geom.offsets)
+        return self._rt0[key]
+
     def _argument_values(self, arg):
-        slot = self._axis_slot(arg)
         space = arg.space
         if space.element.family == "RaviartThomas":
-            vals, _ = space.rt0_cell_basis(self.geom.cells, self.geom.phys)
-            return np.expand_dims(vals, axis=3 if slot == 2 else 2)
+            return _basis_slot(self._rt0_basis(space)[0], arg)
         vals, _ = self.tab(space)                       # (Q, nloc_s)
         nc = space.ncomp
         if nc == 1:
-            arr = vals[None, :, :, None] if slot == 2 else vals[None, :, None, :]
-            return arr
-        nloc = space.nloc_scalar * nc
-        vv = np.zeros((len(self.ref_pts), nloc, nc))
+            return _basis_slot(vals[:, :, None], arg)
+        vv = np.zeros((len(self.ref_pts), space.nloc, nc, 1))
         for c in range(nc):
-            vv[:, c::nc, c] = vals
-        if slot == 2:
-            return vv[None, :, :, None, :]
-        return vv[None, :, None, :, :]
+            vv[:, c::nc, c, 0] = vals
+        return _basis_slot(vv, arg)
 
     def _phys_scalar_grads(self, space):
-        """(C, Q, nloc_s, g), or (C, 1, nloc_s, g) where the gradients are
+        """(Q, nloc_s, g, C), or (1, nloc_s, g, C) where the gradients are
         constant on each cell (degree <= 1)."""
         key = space.uid
         if key not in self._grads:
             _, ref_grads = self.tab(space)              # (Q, nloc_s, t)
             if space.element.degree <= 1:
                 ref_grads = ref_grads[:1]
-            self._grads[key] = np.einsum("qit,cgt->cqig", ref_grads, self.geom.G)
+            G = self.geom.G                             # (g, t, C)
+            self._grads[key] = _sum_products(
+                (ref_grads[:, :, None, t, None], G[:, t]) for t in range(G.shape[1]))
         return self._grads[key]
+
+    def _coefficients(self, term):
+        """The term's space and its coefficients on the chunk (nloc, C)."""
+        space, coeffs = term.function.space, term.function.coefficients
+        if space.mesh is not self.mesh:
+            raise FormError("coefficient lives on a different mesh than the measure")
+        return space, coeffs[space.dofmap[self.geom.cells].T]
 
     def _grad(self, term):
         if isinstance(term, Argument):
             space = term.space
-            slot = self._axis_slot(term)
-            sg = self._phys_scalar_grads(space)         # (C, Q, nloc_s, g)
+            sg = self._phys_scalar_grads(space)         # (Q, nloc_s, g, C)
             nc = space.ncomp
             if nc == 1:
-                return np.expand_dims(sg, axis=3 if slot == 2 else 2)
-            C, Q, nloc_s, g = sg.shape
-            vg = np.zeros((C, Q, nloc_s * nc, nc, g))
+                return _basis_slot(sg, term)
+            Q, nloc_s, g, C = sg.shape
+            vg = np.zeros((Q, nloc_s * nc, nc, g, C))
             for c in range(nc):
-                vg[:, :, c::nc, c, :] = sg
-            if slot == 2:
-                return vg[:, :, :, None, :, :]
-            return vg[:, :, None, :, :, :]
-        space, coeffs = _coefficient_data(term)
-        self._check_mesh(space)
+                vg[:, c::nc, c] = sg
+            return _basis_slot(vg, term)
+        space, cf = self._coefficients(term)
         sg = self._phys_scalar_grads(space)
-        cf = coeffs[space.dofmap[self.geom.cells]]      # (C, nloc)
-        nc = space.ncomp
-        if nc == 1:
-            out = np.einsum("cqig,ci->cqg", sg, cf)
-            return out[:, :, None, None, :]
-        cfv = cf.reshape(len(cf), space.nloc_scalar, nc)
-        out = np.einsum("cqig,cid->cqdg", sg, cfv)
-        return out[:, :, None, None, :, :]
+        if space.ncomp == 1:
+            out = _sum_products((sg[:, i], cf[i]) for i in range(len(cf)))
+        else:
+            cfv = cf.reshape(space.nloc_scalar, space.ncomp, -1)
+            out = _sum_products((sg[:, i, None], cfv[i, :, None]) for i in range(len(cfv)))
+        return out[:, None, None]
 
     def _div(self, term):
         if isinstance(term, Argument):
             space = term.space
-            slot = self._axis_slot(term)
             if space.element.family == "RaviartThomas":
-                _, divs = space.rt0_cell_basis(self.geom.cells, self.geom.phys)
-                arr = divs[:, None, :]                  # (C, 1, nloc)
-                return np.expand_dims(arr, axis=3 if slot == 2 else 2)
+                return _basis_slot(self._rt0_basis(space)[1][None], term)
             sg = self._phys_scalar_grads(space)
             nc = space.ncomp
-            C, Q, nloc_s, _ = sg.shape
-            dv = np.zeros((C, Q, nloc_s * nc))
+            Q, nloc_s, _, C = sg.shape
+            dv = np.zeros((Q, nloc_s * nc, C))
             for c in range(nc):
-                dv[:, :, c::nc] = sg[:, :, :, c]
-            return np.expand_dims(dv, axis=3 if slot == 2 else 2)
-        space, coeffs = _coefficient_data(term)
-        self._check_mesh(space)
-        cf = coeffs[space.dofmap[self.geom.cells]]
+                dv[:, c::nc] = sg[:, :, c]
+            return _basis_slot(dv, term)
+        space, cf = self._coefficients(term)
         if space.element.family == "RaviartThomas":
-            _, divs = space.rt0_cell_basis(self.geom.cells, self.geom.phys)
-            out = np.einsum("ck,ck->c", divs, cf)
-            return out[:, None, None, None]
+            divs = self._rt0_basis(space)[1]
+            return _sum_products((divs[k], cf[k]) for k in range(len(cf)))[None, None, None]
         sg = self._phys_scalar_grads(space)
-        cfv = cf.reshape(len(cf), space.nloc_scalar, space.ncomp)
-        out = np.einsum("cqid,cid->cq", sg, cfv)
-        return out[:, :, None, None]
+        cfv = cf.reshape(space.nloc_scalar, space.ncomp, -1)
+        out = _sum_products((sg[:, i, d], cfv[i, d])
+                            for i in range(len(cfv)) for d in range(space.ncomp))
+        return out[:, None, None]
 
     def _coefficient_values(self, e):
-        space, coeffs = _coefficient_data(e)
-        self._check_mesh(space)
-        cf = coeffs[space.dofmap[self.geom.cells]]
+        space, cf = self._coefficients(e)
         if space.element.family == "RaviartThomas":
-            vals, _ = space.rt0_cell_basis(self.geom.cells, self.geom.phys)
-            out = np.einsum("cqkd,ck->cqd", vals, cf)
-            return out[:, :, None, None, :]
-        vals, _ = self.tab(space)
-        nc = space.ncomp
-        if nc == 1:
-            out = np.einsum("qi,ci->cq", vals, cf)
-            return out[:, :, None, None]
-        cfv = cf.reshape(len(cf), space.nloc_scalar, nc)
-        out = np.einsum("qi,cid->cqd", vals, cfv)
-        return out[:, :, None, None, :]
-
-    def _check_mesh(self, space):
-        if space.mesh is not self.mesh:
-            raise FormError("coefficient lives on a different mesh than the measure")
+            vals = self._rt0_basis(space)[0]
+            out = _sum_products((vals[:, k], cf[k]) for k in range(len(cf)))
+            return out[:, None, None]
+        vals, _ = self.tab(space)                       # (Q, nloc_s)
+        cfv = cf.reshape(space.nloc_scalar, -1)         # (nloc_s, ncomp * C)
+        out = _sum_products((vals[:, i, None], cfv[i]) for i in range(len(cfv)))
+        if space.ncomp > 1:
+            out = out.reshape(len(vals), space.ncomp, -1)
+        return out[:, None, None]
 
     def _analytic(self, e):
         """``e.fn`` maps points (N, gdim) to values (N,) + e.shape."""
         pts = self.geom.phys
-        C, Q, g = pts.shape
-        flat = pts.reshape(-1, g)
+        Q, g, C = pts.shape
+        flat = pts.transpose(0, 2, 1).reshape(-1, g)
         expected = (len(flat),) + e.shape
         try:
             vals = np.asarray(e.fn(flat), dtype=float)
@@ -298,11 +301,7 @@ class _Evaluator:
             raise FormError(
                 f"{e!r}: the function returned shape {vals.shape} for points of "
                 f"shape {flat.shape}; expected {expected}")
-        return vals.reshape((C, Q, 1, 1) + e.shape)
-
-
-def _coefficient_data(term):
-    return term.function.space, term.function.coefficients
+        return np.moveaxis(vals.reshape((Q, C) + e.shape), 1, -1)[:, None, None]
 
 
 # -- assembly -------------------------------------------------------------------
@@ -347,10 +346,11 @@ def _assemble_integral(integral, quad_degree):
 
     bilinear = test is not None and trial is not None
     if bilinear:
-        size = mesh.num_cells * nT * nU
-        rows = np.empty(size, dtype=np.int64)
-        cols = np.empty(size, dtype=np.int64)
-        vals = np.empty(size)
+        # entry (c, t, u) of the cell-major triplets couples test dof t and
+        # trial dof u of cell c
+        rows = np.repeat(test.space.dofmap.ravel(), nU)
+        cols = np.tile(trial.space.dofmap, nT).ravel()
+        vals = np.empty(len(rows))
         cell_max = np.empty(mesh.num_cells)
     vec = np.zeros(test.space.dim) if test is not None and trial is None else None
     scalar = 0.0
@@ -358,20 +358,20 @@ def _assemble_integral(integral, quad_degree):
 
     for start in range(0, mesh.num_cells, _CHUNK):
         cells = slice(start, min(start + _CHUNK, mesh.num_cells))
-        geom = _ChunkGeometry(mesh, cells, ref_pts, ref_wts)
-        ev = _Evaluator(mesh, geom, ref_pts, test, trial, tabs)
-        val = ev.eval(integral.integrand)
-        C, Q = geom.weights.shape
-        val = np.broadcast_to(val, (C, Q, nT, nU))
-        loc = np.einsum("cq,cqtu->ctu", geom.weights, val)
+        geom = _ChunkGeometry(mesh, cells, ref_pts)
+        val = _Evaluator(mesh, geom, ref_pts, tabs).eval(integral.integrand)
+        val = np.broadcast_to(val, (len(ref_wts),) + val.shape[1:])
+        # sum_q w_q |det E| val_q, with |det E| factored out: a value that is
+        # the same on every cell (a mass matrix) is summed once, not per cell
+        loc = _sum_products(zip(ref_wts, val)) * mesh.jacobian_measure[cells]
+        C = loc.shape[-1]
+        loc = np.broadcast_to(loc, (nT, nU, C))
         if bilinear:
             out = slice(start * nT * nU, (start + C) * nT * nU)
-            rows[out].reshape(loc.shape)[...] = test.space.dofmap[cells][:, :, None]
-            cols[out].reshape(loc.shape)[...] = trial.space.dofmap[cells][:, None, :]
-            vals[out] = loc.ravel()
-            cell_max[cells] = np.abs(loc).max(axis=(1, 2))
+            vals[out].reshape(C, nT, nU)[...] = loc.transpose(2, 0, 1)
+            cell_max[cells] = np.abs(loc.reshape(-1, C)).max(axis=0)
         elif test is not None:
-            np.add.at(vec, test.space.dofmap[cells], loc[:, :, 0])
+            np.add.at(vec, test.space.dofmap[cells], loc[:, 0].T)
         else:
             scalar += float(loc.sum())
 

@@ -19,6 +19,7 @@ refinement study from a zero start.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,7 +263,8 @@ class HsNormOperator:
     """H^s norm operator from the generalized eigenproblem S u = lam M u
     with U^T M U = I (S the mass-shifted stiffness, so lam >= 1).
 
-    forward: M U lam^s U^T M (reconstructs S at s=1, M at s=0);
+    forward: M U lam^s U^T M (reconstructs S at s=1, M at s=0), built on
+    first use, since a Riesz-map block needs only the inverse;
     inverse: U lam^-s U^T.
     """
 
@@ -277,11 +279,14 @@ class HsNormOperator:
         lam, U = scipy.linalg.eigh(Sd, Md)
         if lam.min() < 1.0 - 1e-10:
             raise ValueError(f"shifted pencil has eigenvalue {lam.min():.12g} < 1")
-        self.M, self.S, self.s = Md, Sd, s
+        self.M, self.s = Md, s
         self.eigenvalues, self.eigenvectors = lam, U
-        MU = Md @ U
-        self._forward = (MU * (lam ** s)[None, :]) @ MU.T
         self._inverse = (U * (lam ** -s)[None, :]) @ U.T
+
+    @functools.cached_property
+    def _forward(self):
+        MU = self.M @ self.eigenvectors
+        return (MU * (self.eigenvalues ** self.s)[None, :]) @ MU.T
 
     def forward_op(self):
         return Matrix(self._forward)

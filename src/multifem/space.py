@@ -215,16 +215,18 @@ class FunctionSpace:
     def is_point_evaluation(self):
         return self.element.family != "RaviartThomas"
 
-    def rt0_cell_basis(self, cells, points_phys):
-        """Physical RT0 basis on the given cells: values (C, Q, 3, gdim) and
-        divergences (C, 3).  ``points_phys`` is (C, Q, gdim)."""
+    def rt0_cell_basis(self, cells, offsets):
+        """Physical RT0 basis on the given cells (C,), cells last: values
+        (Q, 3, gdim, C) and divergences (3, C) at the points ``offsets``
+        (Q, gdim, C), given relative to each cell's first vertex.  Relative
+        coordinates keep the basis exact where it vanishes: absolute ones
+        would carry the rounding of the cells' position into every value."""
         mesh = self.mesh
-        verts = mesh.vertices[mesh.cells[cells]]        # (C, 3, gdim)
-        twice_area = mesh.jacobian_measure[cells, None]  # (C, 1)
-        signs = self.cell_signs[cells]                  # (C, 3)
-        scale = signs / twice_area                      # (C, 3)
-        diff = points_phys[:, :, None, :] - verts[:, None, :, :]
-        vals = scale[:, None, :, None] * diff
+        v = mesh.vertices.T[:, mesh.cells[cells].T]     # (gdim, 3, C)
+        twice_area = mesh.jacobian_measure[cells]       # (C,)
+        signs = self.cell_signs[cells].T                # (3, C)
+        diff = offsets[:, None] - (v - v[:, :1]).transpose(1, 0, 2)
+        vals = (signs / twice_area)[:, None] * diff
         divs = signs * (2.0 / twice_area)
         return vals, divs
 
@@ -306,8 +308,9 @@ def basis_rows(space: FunctionSpace, points, cells=None):
         lam, _ = space.mesh.barycentric_many(cells, points)
     cols = space.dofmap[cells]
     if space.element.family == "RaviartThomas":
-        vals, _ = space.rt0_cell_basis(cells, points[:, None, :])
-        return cols, vals[:, 0].transpose(0, 2, 1)     # (N, gdim, 3)
+        v0 = space.mesh.vertices[space.mesh.cells[cells, 0]]
+        vals, _ = space.rt0_cell_basis(cells, (points - v0).T[None])
+        return cols, vals[0].transpose(2, 1, 0)        # (N, gdim, 3)
     vals, _ = tabulate_lagrange(space.mesh.tdim, space.element.degree, lam[:, 1:])
     if space.ncomp == 1:
         return cols, vals[:, None, :]

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -8,11 +10,15 @@ from multifem.assemble import (
     save_matrix_market,
 )
 from multifem.forms import (
-    Analytic, Constant, FormError, Measure, Trace, div, grad, inner, sym,
+    Analytic, Coefficient, Constant, FormError, Measure, Trace, div, grad, inner, sym,
     TestFunction, TrialFunction,
 )
+from multifem import mesh as mesh_module
+from multifem.bench import _ds_meshes
 from multifem.mesh import Mesh, facet_submesh, near, unit_cube_mesh, unit_square_mesh
 from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
+
+assemble_module = importlib.import_module("multifem.assemble")   # not the function
 
 
 def reference_triangle():
@@ -149,17 +155,30 @@ class TestMeshGeometryReuse:
             cold = assemble(_geometry_forms(self.mesh())[k])
             assert _same_bits(assemble(form), cold), k
 
+    @pytest.mark.parametrize("chunk", [7, 1199])    # 1199: a last chunk of one cell
+    def test_chunk_size_does_not_change_bits(self, chunk, monkeypatch):
+        mesh = self.mesh()
+        fh = Coefficient(interpolate(build_space(mesh, lagrange(2)), lambda p: p[0] * p[1] ** 2))
+        v = TestFunction(build_space(mesh, lagrange(1)))
+        forms = _geometry_forms(mesh) + [
+            inner(fh, v) * Measure(mesh) + inner(grad(fh), grad(v)) * Measure(mesh)]
+        ref = [assemble(form) for form in forms]
+        monkeypatch.setattr(assemble_module, "_CHUNK", chunk)
+        for k, form in enumerate(forms):
+            assert _same_bits(assemble(form), ref[k]), k
+
     def test_geometry_built_once_per_mesh(self, monkeypatch):
         mesh = self.mesh()
         calls = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        build = mesh_module._gradient_transform
+        monkeypatch.setattr(mesh_module, "_gradient_transform",
+                            lambda E: calls.append(E.shape) or build(E))
         G = None
         for form in _geometry_forms(mesh) * 2:
             assemble(form)
             G = mesh.gradient_transform if G is None else G
             assert mesh.gradient_transform is G
-        assert calls == [(mesh.num_cells, 2, 2)]
+        assert calls == [(2, 2, mesh.num_cells)]
 
 
 def _cube_stiffness(n, scale=1.0):
@@ -170,8 +189,8 @@ def _cube_stiffness(n, scale=1.0):
 
 class TestCancellationResidue:
     # The Kuhn-cube P1 stiffness couples some vertex pairs with weight zero;
-    # summed in floating point, those couplings leave residue at n=12 and 24
-    # and cancel exactly at n=16.
+    # summed, those couplings leave stored zeros (or residue, with a less
+    # exact gradient transform) at n=12 and 24 and cancel exactly at n=16.
     @pytest.mark.parametrize("n", [12, 24])
     def test_only_residue_is_dropped(self, n, unpruned):
         pruned = assemble(_cube_stiffness(n))
@@ -182,6 +201,17 @@ class TestCancellationResidue:
         full = unpruned(assemble, _cube_stiffness(16))
         full.eliminate_zeros()
         assert _same_bits(assemble(_cube_stiffness(16)), full)
+
+    # RT0 mass couplings that vanish on the right triangles of the Darcy
+    # mesh come out under half an ulp of the bound at every n, so all of
+    # them are dropped; from absolute coordinates they grew like 1/h.
+    @pytest.mark.parametrize("n,kept", [(8, 920), (32, 14_432), (64, 57_536)])
+    def test_rt0_vanishing_couplings_dropped_at_every_n(self, n, kept, unpruned):
+        R = build_space(_ds_meshes(n)[1], rt0())
+        form = inner(TrialFunction(R), TestFunction(R)) * Measure(R.mesh)
+        pruned, full = assemble(form), unpruned(assemble, form)
+        assert pruned.nnz == kept
+        assert dropped_residue(pruned, full) == full.nnz - kept
 
     @pytest.mark.parametrize("scale", [1e-30, 1e30])
     def test_scale_free(self, scale):

@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import dropped_residue
 from multifem import bench
 from multifem.assemble import load_matrix_market
 from multifem.bench import (
@@ -149,8 +148,8 @@ class TestPerfusionCase:
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_minimum_degree_fill_on_the_true_pattern(self):
-        # 23,867 entries with the cancellation residue; minimum degree on
-        # A + A^T has about half of COLAMD's fill on the true pattern
+        # minimum degree on A + A^T has about half of COLAMD's fill on the
+        # true pattern
         A = collapse(assemble_perfusion(12)["A"]).tocsc()
         assert A.nnz == 14_371
         mmd = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
@@ -158,7 +157,10 @@ class TestPerfusionCase:
         assert mmd.L.nnz + mmd.U.nnz == 131_629
         assert colamd.L.nnz + colamd.U.nnz == 246_959
 
-    @pytest.mark.parametrize("n", [16, 32])
+    # Every bulk coupling that vanishes in exact arithmetic cancels exactly
+    # (to a zero that collapsing drops), so the assembler prunes nothing
+    # from the operator at any of these sizes.
+    @pytest.mark.parametrize("n", [12, 16, 24, 32])
     def test_exact_cancellation_operator_bitwise_unpruned(self, n, unpruned):
         def operator():
             A = collapse(assemble_perfusion(n)["A"]).tocsr()
@@ -168,15 +170,6 @@ class TestPerfusionCase:
         for a, b in [(pruned.indptr, full.indptr), (pruned.indices, full.indices),
                      (pruned.data, full.data)]:
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("n,kept_rtol", [(12, 1e-15), (24, 0.0)])
-    def test_residue_operator_drops_only_residue(self, n, kept_rtol, unpruned):
-        # At n=12, 92 kept entries are the sum of a bulk residue and a
-        # circle-average coupling; without the residue they move by at most
-        # 3e-17 of their row's largest.  At n=24 every kept entry is bitwise.
-        operator = lambda: collapse(assemble_perfusion(n)["A"])
-        pruned, full = operator(), unpruned(operator)
-        assert dropped_residue(pruned, full, kept_rtol) > 0.3 * full.nnz
 
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_singular_system_raises(self, monkeypatch):

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from multifem import krylov
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.krylov import (
     KrylovError, build_preconditioner, cg, fd_dual_pencil, gmres, h1_pencil,
-    hs_norm, inverse_handle, minres, save_history_csv,
+    hs_inverse_block, hs_norm, inverse_handle, minres, save_history_csv,
 )
 from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
 from multifem.opalg import BlockVec, Identity, Matrix, Scaled, collapse
@@ -177,6 +178,16 @@ class TestHsNorm:
         x = np.random.default_rng(15).standard_normal(M.shape[0])
         y = op.inverse_op().matvec(op.forward_op().matvec(x))
         assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
+
+    def test_inverse_block_builds_no_forward_operator(self, monkeypatch):
+        built = []
+        make = krylov.hs_norm
+        monkeypatch.setattr(krylov, "hs_norm", lambda *a: built.append(make(*a)) or built[-1])
+        gamma = polyline_mesh([(0.0, 0.0), (1.0, 0.0)], 16)
+        hs_inverse_block(build_space(gamma, lagrange(1)), -0.5)
+        assert len(built) == 1 and "_forward" not in vars(built[0])
+        built[0].forward_op()
+        assert "_forward" in vars(built[0])
 
     def test_dimension_guard(self):
         n = 5001

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multifem.mesh import (
     EmptySelectionError, Mesh, MeshError, OutOfDomainError, cell_submesh,
@@ -139,6 +141,59 @@ class TestAffineGeometry:
         verts[1, 0] = 2.0
         cells[0, 0] = 1
         assert mesh.vertices[1, 0] == 1.0 and mesh.cells[0, 0] == 0
+
+
+# (tdim, gdim) of the cells the closed-form kernels handle: intervals,
+# triangles and tets, curves in 2d and 3d, surfaces in 3d
+_CELL_KINDS = [(1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _cells_of(vertices):
+    """Mesh of the independent cells ``vertices`` (nc, tdim+1, gdim)."""
+    nc, k, gdim = vertices.shape
+    return Mesh(vertices.reshape(-1, gdim), np.arange(nc * k).reshape(nc, k))
+
+
+def _random_cells(tdim, gdim):
+    return st.integers(1, 4).flatmap(lambda nc: arrays(
+        np.float64, (nc, tdim + 1, gdim), elements=st.floats(-4, 4, width=64)))
+
+
+class TestClosedFormGeometry:
+    # Oracle: LAPACK inverse, determinant and pseudo-inverse per cell.  The
+    # adjugate inverse is accurate to about cond(E) eps; on manifolds it
+    # inverts the Gram matrix, whose condition number is cond(E)^2.
+    @given(data=st.data())
+    def test_matches_lapack_oracle(self, data):
+        tdim, gdim = data.draw(st.sampled_from(_CELL_KINDS))
+        v = data.draw(_random_cells(tdim, gdim))
+        E = v[:, 1:] - v[:, :1]
+        cond = np.linalg.cond(E)
+        assume(np.all(cond < 1e6))
+        manifold = tdim < gdim
+        measure = (np.sqrt(np.linalg.det(E @ E.transpose(0, 2, 1))) if manifold
+                   else np.abs(np.linalg.det(E)))
+        assume(np.all(measure > 1e-6))
+        mesh = _cells_of(v)
+        G = np.linalg.pinv(E) if manifold else np.linalg.inv(E)
+        tol = 64 * np.finfo(float).eps * cond ** (2 if manifold else 1)
+        gap = np.abs(mesh.gradient_transform - G).max(axis=(1, 2))
+        assert np.all(gap <= tol * np.abs(G).max(axis=(1, 2)))
+        assert np.all(np.abs(mesh.jacobian_measure - measure) <= tol * measure)
+
+    @given(data=st.data())
+    def test_degenerate_cell_raises(self, data):
+        tdim, gdim = data.draw(st.sampled_from(_CELL_KINDS))
+        v = data.draw(_random_cells(tdim, gdim))
+        E = v[:, 1:] - v[:, :1]
+        assume(np.all(np.linalg.det(E @ E.transpose(0, 2, 1)) > 1e-6))
+        bad = data.draw(st.integers(0, len(v) - 1))
+        if data.draw(st.booleans()):        # a repeated vertex: measure exactly 0
+            v[bad, -1] = v[bad, 0]
+        else:                               # a cell far below the measure floor
+            v[bad] = v[bad, :1] + 1e-16 * (v[bad] - v[bad, :1])
+        with pytest.raises(MeshError, match=f"cell {bad} has measure"):
+            _cells_of(v)
 
 
 class TestLocate:
