@@ -19,7 +19,8 @@ from .forms import (
     Add, Analytic, Argument, Coefficient, Constant, Div, Dot, Form, FormError,
     Grad, Inner, Neg, Scale, Sym, reduced_terminals,
 )
-from .space import FunctionSpace, rt0_edge_flux, tabulate_lagrange, _as_field
+from .mesh import _call_on_points, _facets_where
+from .space import FunctionSpace, tabulate_lagrange, _dof_values
 
 __all__ = [
     "assemble", "NotSinglescaleError", "DirichletBC", "apply_bc",
@@ -289,18 +290,7 @@ class _Evaluator:
         pts = self.geom.phys
         Q, g, C = pts.shape
         flat = pts.transpose(0, 2, 1).reshape(-1, g)
-        expected = (len(flat),) + e.shape
-        try:
-            vals = np.asarray(e.fn(flat), dtype=float)
-        except Exception as exc:
-            raise FormError(
-                f"{e!r}: the function raised {type(exc).__name__}: {exc} on points "
-                f"of shape {flat.shape}; it must map them to values of shape "
-                f"{expected}") from exc
-        if vals.shape != expected:
-            raise FormError(
-                f"{e!r}: the function returned shape {vals.shape} for points of "
-                f"shape {flat.shape}; expected {expected}")
+        vals = _call_on_points(e.fn, flat, e.shape, error=FormError)
         return np.moveaxis(vals.reshape((Q, C) + e.shape), 1, -1)[:, None, None]
 
 
@@ -406,30 +396,23 @@ def _drop_residue(A, cell_max, test_dofmap, trial_dofmap):
 class DirichletBC:
     """Essential condition on the dofs selected by a coordinate predicate.
 
-    Lagrange spaces: dofs whose coordinate satisfies the predicate.  RT0:
-    edge dofs whose midpoint and both endpoints satisfy it; values are the
-    edge fluxes of the prescribed field.
+    ``predicate`` maps points (N, gdim) to a boolean mask (N,) and
+    ``value`` is a constant or a field mapping points to values (N,) +
+    value shape; each is called once per point set.  Lagrange spaces: the
+    dofs whose coordinate satisfies the predicate (one call, on all dof
+    coordinates), valued at those coordinates.  RT0: the edge dofs whose
+    endpoints and midpoint satisfy it (a call on all vertices, then one on
+    the candidate midpoints), valued by the edge fluxes of the field.
     """
 
     def __init__(self, space: FunctionSpace, value, predicate):
         self.space = space
-        field = _as_field(value, space.value_shape)
         if space.is_point_evaluation:
-            dofs = [i for i, x in enumerate(space.dof_coords) if predicate(x)]
-            if space.ncomp == 1:
-                values = [float(field(space.dof_coords[i])) for i in dofs]
-            else:
-                values = [float(np.asarray(field(space.dof_coords[i]))[space.dof_component[i]])
-                          for i in dofs]
+            dofs = np.flatnonzero(_call_on_points(predicate, space.dof_coords))
         else:
-            mesh = space.mesh
-            ev = mesh.vertices[mesh.edges]
-            dofs = [e for e in range(space.dim)
-                    if predicate(space.edge_midpoints[e])
-                    and predicate(ev[e, 0]) and predicate(ev[e, 1])]
-            values = rt0_edge_flux(space, field, dofs)
-        self.dofs = np.asarray(dofs, dtype=np.int64)
-        self.values = np.asarray(values, dtype=float)
+            dofs = _facets_where(space.mesh, predicate)
+        self.dofs = dofs
+        self.values = _dof_values(space, value, dofs)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("boundary values must be finite")
 

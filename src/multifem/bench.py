@@ -21,7 +21,7 @@ from .forms import (
     TestFunction, TestFunctions, TrialFunction, TrialFunctions,
 )
 from .interpreter import multi_assemble
-from .krylov import _mass, _pencil, build_preconditioner, gmres, hs_norm, minres
+from .krylov import _pencil, build_preconditioner, gmres, hs_norm, minres
 from .manufactured import babuska_data, darcy_stokes_data
 from .mesh import (
     cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
@@ -156,7 +156,7 @@ def _split(x, spaces):
 # -- Babuska ---------------------------------------------------------------------
 
 def _square_boundary(p):
-    return near(p[0], 0) or near(p[0], 1) or near(p[1], 0) or near(p[1], 1)
+    return near(p[:, 0], 0) | near(p[:, 0], 1) | near(p[:, 1], 0) | near(p[:, 1], 1)
 
 
 def assemble_babuska(n, cache=None, data=None):
@@ -224,12 +224,12 @@ _TAU_IF = Constant((0.0, 1.0))
 def _ds_meshes(n):
     m1 = unit_square_mesh(n, n, offset=(0.0, 0.0), extent=(0.5, 1.0))
     m2 = unit_square_mesh(n, 2 * n, offset=(0.5, 0.0), extent=(0.5, 1.0))
-    gamma = facet_submesh(m2, lambda p: near(p[0], 0.5))
+    gamma = facet_submesh(m2, lambda p: near(p[:, 0], 0.5))
     return m1, m2, gamma
 
 
 def _horizontal(p):
-    return near(p[1] * (1.0 - p[1]), 0.0)
+    return near(p[:, 1] * (1.0 - p[:, 1]), 0.0)
 
 
 def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
@@ -281,8 +281,8 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
               - inner(g_m, Trace(q2, gamma)) * dl)
 
         bcs = {
-            0: [DirichletBC(V1, data.u1, lambda p: near(p[0], 0.0))],
-            2: [DirichletBC(Q2p, data.p2, lambda p: near(p[0], 1.0))],
+            0: [DirichletBC(V1, data.u1, lambda p: near(p[:, 0], 0.0))],
+            2: [DirichletBC(Q2p, data.p2, lambda p: near(p[:, 0], 1.0))],
         }
     elif formulation == "mixed":
         V2 = build_space(m2, rt0())
@@ -291,7 +291,7 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
         W = [V1, Q1, V2, Q2, Q]
         u1, p1, u2, p2, p = TrialFunctions(W)
         v1, q1, v2, q2, q = TestFunctions(W)
-        gd2 = facet_submesh(m2, lambda p: near(p[0], 1.0))
+        gd2 = facet_submesh(m2, lambda p: near(p[:, 0], 1.0))
 
         a = BlockForm(W, 2)
         a.add(inner(sym(grad(u1)), sym(grad(v1))) * dx1
@@ -317,7 +317,7 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
         L.add(inner(g_m, q) * dl)
 
         bcs = {
-            0: [DirichletBC(V1, data.u1, lambda p: near(p[0], 0.0))],
+            0: [DirichletBC(V1, data.u1, lambda p: near(p[:, 0], 0.0))],
             2: [DirichletBC(V2, data.u2, _horizontal)],
         }
     else:
@@ -397,8 +397,8 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
 # -- perfusion ----------------------------------------------------------------------
 
 def _cube_boundary(p):
-    return (near(p[0] * (1.0 - p[0]), 0.0) or near(p[1] * (1.0 - p[1]), 0.0)
-            or near(p[2] * (1.0 - p[2]), 0.0))
+    return (near(p[:, 0] * (1.0 - p[:, 0]), 0.0) | near(p[:, 1] * (1.0 - p[:, 1]), 0.0)
+            | near(p[:, 2] * (1.0 - p[:, 2]), 0.0))
 
 
 def _gamma_line(n):
@@ -408,7 +408,7 @@ def _gamma_line(n):
 
 def _p_closure(p):
     # 1 at the lower curve endpoint, 2 at the upper
-    return 1.0 + (p[2] - 0.1) / 0.8
+    return 1.0 + (p[:, 2] - 0.1) / 0.8
 
 
 def assemble_perfusion(n, radius=0.2, n_quad=16, beta=1.0, cache=None,
@@ -439,7 +439,7 @@ def assemble_perfusion(n, radius=0.2, n_quad=16, beta=1.0, cache=None,
         bcs = {
             0: [DirichletBC(V, 0.0, _cube_boundary)],
             1: [DirichletBC(Q, _p_closure,
-                            lambda x: near(x[2], 0.1) or near(x[2], 0.9))],
+                            lambda x: near(x[:, 2], 0.1) | near(x[:, 2], 0.9))],
         }
         A, b = apply_bc_block(A, b, bcs, symmetric=False)
     return {"A": A, "b": b, "W": W, "omega": omega, "gamma": gamma, "cache": cache}
@@ -473,8 +473,10 @@ def _interp_onto(fn, target_space):
     return Function(target_space, vals)
 
 
-def _mass_norm(masses, vecs):
-    return math.sqrt(abs(sum(vec @ (M @ vec) for M, vec in zip(masses, vecs))))
+def _l2_norm(*fns):
+    """Square root of the summed squared L2 norms of the functions."""
+    return math.sqrt(sum(assemble(inner(Coefficient(f), Coefficient(f)) * Measure(f.space.mesh))
+                         for f in fns))
 
 
 def run_perfusion(cfg: CaseConfig) -> StudyRecord:
@@ -498,9 +500,8 @@ def run_perfusion(cfg: CaseConfig) -> StudyRecord:
         Vf, Qf = u_f.space, p_f.space
         du = u_f.coefficients - _interp_onto(u_c, Vf).coefficients
         dp = p_f.coefficients - _interp_onto(p_c, Qf).coefficients
-        masses = [_mass(Vf), _mass(Qf)]
-        num = _mass_norm(masses, [du, dp])
-        den = _mass_norm(masses, [u_f.coefficients, p_f.coefficients])
+        num = _l2_norm(Function(Vf, du), Function(Qf, dp))
+        den = _l2_norm(u_f, p_f)
         rec.add_row(level, 1.0 / sizes[level], Vf.dim + Qf.dim, 0,
                     {"diff": num / den}, times[level])
     return rec
@@ -515,7 +516,7 @@ def run_restrict_demo(cfg: CaseConfig) -> StudyRecord:
     rec = StudyRecord("restrict-demo", ["restrict_interp", "rowsum"],
                       meta={"n0": cfg.n})
     omega = unit_square_mesh(cfg.n, cfg.n)
-    sub = cell_submesh(omega, lambda c: c[0] <= 0.5)
+    sub = cell_submesh(omega, lambda c: c[:, 0] <= 0.5)
     V = build_space(omega, lagrange(1))
     Vw = build_space(sub, lagrange(1))
     phi = TrialFunction(V)
@@ -528,7 +529,7 @@ def run_restrict_demo(cfg: CaseConfig) -> StudyRecord:
     rec.ok = cache.build_count == 1
 
     red = cache.get_or_build(V, sub, ReductionKind("restrict"))
-    f = lambda p: p[0] + 2.0 * p[1]
+    f = lambda p: p[:, 0] + 2.0 * p[:, 1]
     lifted = red.matrix @ interpolate(V, f).coefficients
     dev_interp = float(np.abs(lifted - interpolate(red.target_space, f).coefficients).max())
 

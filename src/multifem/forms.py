@@ -103,8 +103,10 @@ class Constant(Expr):
 
 
 class Analytic(Expr):
-    """Field evaluated at quadrature points; ``degree`` drives the
-    quadrature estimate (analytic data defaults to degree 2)."""
+    """Field evaluated at quadrature points: ``fn`` maps points (N, gdim)
+    to values (N,) + ``shape`` and is called once per chunk of cells.
+    ``degree`` drives the quadrature estimate (analytic data defaults to
+    degree 2)."""
 
     def __init__(self, fn, shape=(), degree=2):
         self.fn = fn

@@ -408,7 +408,7 @@ def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffnes
         u, v = TrialFunction(V2), TestFunction(V2)
         dx2 = Measure(V2.mesh)
         hdiv = assemble(inner(u, v) * dx2 + inner(div(u), div(v)) * dx2)
-        bc = DirichletBC(V2, (0.0, 0.0), lambda x: near(x[1] * (1.0 - x[1]), 0.0))
+        bc = DirichletBC(V2, (0.0, 0.0), lambda x: near(x[:, 1] * (1.0 - x[:, 1]), 0.0))
         hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), [bc], symmetric=True)
         return block_diag_mat([
             inverse_handle(system[0, 0], "stokes"),

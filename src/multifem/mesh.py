@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,43 @@ def _read_only(a):
 
 
 def near(a, b=0.0, tol=1e-10):
-    """Proximity check for coordinate predicates (absolute tolerance)."""
+    """Elementwise proximity check for coordinate predicates (absolute
+    tolerance): ``near(p[:, 0], 1)`` is the boolean mask of the points
+    ``p`` (N, gdim) on the plane x = 1."""
     return abs(a - b) < tol
+
+
+def _call_on_points(fn, points, shape=None, error=ValueError):
+    """Call the coordinate callback ``fn`` once on all ``points`` (N, gdim).
+
+    Every callback of the package follows this convention.  A predicate
+    (``shape`` None) returns a boolean mask (N,); a field returns values of
+    shape (N,) + ``shape``, returned as float64.  An exception from ``fn``,
+    or a result of another shape or dtype, raises ``error`` naming the
+    callable, the shape of the points and the expected result; ``fn`` is
+    never called once per point instead."""
+    points = np.asarray(points, dtype=float)
+    expected = (len(points),) + (() if shape is None else tuple(shape))
+
+    def failure(problem):
+        code, where = getattr(fn, "__code__", None), ""
+        if code is not None:
+            where = f" ({os.path.basename(code.co_filename)}:{code.co_firstlineno})"
+        kind, want = ("predicate", "a boolean mask") if shape is None else ("field", "float values")
+        name = getattr(fn, "__qualname__", None) or repr(fn)
+        return error(f"{kind} {name}{where} {problem} for points of shape "
+                     f"{points.shape}; expected {expected}, {want}")
+
+    try:
+        out = fn(points)
+        out = np.asarray(out) if shape is None else np.asarray(out, dtype=float)
+    except Exception as exc:
+        raise failure(f"raised {type(exc).__name__} ({exc})") from exc
+    if out.shape != expected:
+        raise failure(f"returned shape {out.shape}")
+    if shape is None and out.dtype != bool:
+        raise failure(f"returned dtype {out.dtype}")
+    return out
 
 
 # Local sub-entity numbering. Edge/facet k is opposite local vertex k where
@@ -553,12 +589,6 @@ def polyline_mesh(points, cells_per_segment):
 
 # -- derived meshes ----------------------------------------------------------
 
-def _holds(predicate, points):
-    """Boolean mask of ``predicate`` over the rows of ``points``."""
-    return np.fromiter((bool(predicate(p)) for p in points), dtype=bool,
-                       count=len(points))
-
-
 def _submesh(parent: Mesh, entity_vertices, parent_cells, parent_entities):
     """Mesh whose cells are the given parent entities (rows of parent
     vertex indices), vertices renumbered by first appearance."""
@@ -573,25 +603,37 @@ def _submesh(parent: Mesh, entity_vertices, parent_cells, parent_entities):
     return Mesh(parent.vertices[link.vertex_map], cells, parent=link)
 
 
+def _facets_where(mesh: Mesh, predicate):
+    """Ascending indices of the facets whose vertices and midpoint all
+    satisfy ``predicate``: one call on all vertices, then one on the
+    midpoints of the facets whose vertices all satisfy it."""
+    facets = mesh.facets
+    on = _call_on_points(predicate, mesh.vertices, error=MeshError)
+    candidates = np.flatnonzero(on[facets].all(axis=1))
+    midpoints = mesh.vertices[facets[candidates]].mean(axis=1)
+    return candidates[_call_on_points(predicate, midpoints, error=MeshError)]
+
+
 def facet_submesh(parent: Mesh, predicate):
     """Mesh of the parent facets whose vertices and midpoint all satisfy
     ``predicate``.  Each submesh cell records its parent facet and the
     adjacent parent cell (the unique one on the boundary, else the lowest
-    cell index).  The predicate is called once per parent vertex and once
-    per midpoint of a facet whose vertices all satisfy it."""
-    facets = parent.facets
-    candidates = np.flatnonzero(_holds(predicate, parent.vertices)[facets].all(axis=1))
-    midpoints = parent.vertices[facets[candidates]].mean(axis=1)
-    selected = candidates[_holds(predicate, midpoints)]
+    cell index).  The predicate maps points (N, gdim) to a boolean mask
+    (N,); it is called on all parent vertices, then on the midpoints of
+    the facets whose vertices all satisfy it."""
+    selected = _facets_where(parent, predicate)
     if not len(selected):
         raise EmptySelectionError("predicate selects no facets")
-    return _submesh(parent, facets[selected], parent._lowest_facet_cell(selected), selected)
+    return _submesh(parent, parent.facets[selected],
+                    parent._lowest_facet_cell(selected), selected)
 
 
 def cell_submesh(parent: Mesh, predicate):
     """Same-dimension submesh of the parent cells whose centroid satisfies
-    ``predicate`` (used for restriction to a subdomain)."""
-    keep = np.flatnonzero(_holds(predicate, parent.cell_centroids))
+    ``predicate`` (used for restriction to a subdomain).  The predicate
+    is called once, on all centroids (nc, gdim), and returns a boolean
+    mask (nc,)."""
+    keep = np.flatnonzero(_call_on_points(predicate, parent.cell_centroids, error=MeshError))
     if not len(keep):
         raise EmptySelectionError("predicate selects no cells")
     return _submesh(parent, parent.cells[keep], keep, keep)

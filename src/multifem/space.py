@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, MeshError
+from .mesh import Mesh, MeshError, _call_on_points
 
 __all__ = [
     "Element", "FunctionSpace", "Function", "UnsupportedElementError",
@@ -249,45 +249,50 @@ class Function:
                 f"coefficient length {self.coefficients.shape} != space dim {space.dim}")
 
 
-def _as_field(f, value_shape):
-    """Normalize constants / callables to a point -> value callable."""
+def _field_values(f, points, value_shape):
+    """Values (N,) + value_shape of ``f`` at the points (N, gdim): one call
+    of a callable field, or a constant broadcast to that shape."""
     if callable(f):
-        return f
-    val = np.asarray(f, dtype=float)
-    if val.shape != value_shape:
-        val = np.broadcast_to(val, value_shape).copy() if value_shape else float(val)
-    return lambda x, v=val: v
+        return _call_on_points(f, points, value_shape)
+    return np.broadcast_to(np.asarray(f, dtype=float), (len(points),) + value_shape)
 
 
 def rt0_edge_flux(space: FunctionSpace, field, edges):
-    """Edge fluxes int_e f.n ds against the global edge normals, by 2-point
-    Gauss on each listed edge."""
+    """Edge fluxes int_e f.n ds of ``field`` (a constant or a callable
+    field) against the global normals of the listed edges, by 2-point
+    Gauss on each.  A callable is called once, on the Gauss points of all
+    the edges (2 len(edges), gdim)."""
+    edges = np.asarray(edges, dtype=np.int64)
     g = 1.0 / math.sqrt(3.0)
-    ev = space.mesh.vertices[space.mesh.edges]
+    ev = space.mesh.vertices[space.mesh.edges[edges]]
     mid, half = ev.mean(axis=1), 0.5 * (ev[:, 1] - ev[:, 0])
-    out = np.empty(len(edges))
-    for k, e in enumerate(edges):
-        pa, pb = mid[e] - g * half[e], mid[e] + g * half[e]
-        avg = 0.5 * (np.asarray(field(pa)) + np.asarray(field(pb)))
-        out[k] = space.edge_lengths[e] * float(avg @ space.edge_normals[e])
-    return out
+    vals = _field_values(field, np.concatenate([mid - g * half, mid + g * half]),
+                         space.value_shape)
+    avg = 0.5 * (vals[:len(edges)] + vals[len(edges):])
+    # stacked matmul runs the BLAS dot of a single edge's avg @ normal
+    flux = np.matmul(avg[:, None, :], space.edge_normals[edges, :, None])[:, 0, 0]
+    return space.edge_lengths[edges] * flux
+
+
+def _dof_values(space: FunctionSpace, f, dofs):
+    """The degrees of freedom ``dofs`` of ``f`` (a constant or a callable
+    field, called once): point values at the dof coordinates, of the dof's
+    component for vector elements, or RT0 edge fluxes."""
+    dofs = np.asarray(dofs, dtype=np.int64)
+    if not space.is_point_evaluation:
+        return rt0_edge_flux(space, f, dofs)
+    vals = _field_values(f, space.dof_coords[dofs], space.value_shape)
+    if space.ncomp == 1:
+        return np.array(vals)
+    return vals[np.arange(len(dofs)), space.dof_component[dofs]]
 
 
 def interpolate(space: FunctionSpace, f) -> Function:
-    """Nodal interpolation.  Lagrange: point values at dof coordinates.
-    RT0: edge fluxes of f against the globally oriented normals (2-point
-    Gauss on each edge)."""
-    field = _as_field(f, space.value_shape)
-    if space.is_point_evaluation:
-        coeffs = np.empty(space.dim)
-        if space.ncomp == 1:
-            for i, x in enumerate(space.dof_coords):
-                coeffs[i] = field(x)
-        else:
-            for i, x in enumerate(space.dof_coords):
-                coeffs[i] = np.asarray(field(x))[space.dof_component[i]]
-        return Function(space, coeffs)
-    return Function(space, rt0_edge_flux(space, field, range(space.dim)))
+    """Nodal interpolation of ``f``, a constant or a field that maps points
+    (N, gdim) to values (N,) + value shape and is called once.  Lagrange:
+    point values at the dof coordinates.  RT0: edge fluxes of f against
+    the globally oriented normals (2-point Gauss on each edge)."""
+    return Function(space, _dof_values(space, f, np.arange(space.dim)))
 
 
 def basis_rows(space: FunctionSpace, points, cells=None):

@@ -67,7 +67,7 @@ class TestHandComputedMatrices:
 class TestAssemblyProperties:
     def test_reduced_form_rejected(self):
         mesh = unit_square_mesh(2, 2)
-        gamma = facet_submesh(mesh, lambda p: near(p[0], 0))
+        gamma = facet_submesh(mesh, lambda p: near(p[:, 0], 0))
         V = build_space(mesh, lagrange(1))
         Q = build_space(gamma, lagrange(1))
         u, q = TrialFunction(V), TestFunction(Q)
@@ -158,7 +158,8 @@ class TestMeshGeometryReuse:
     @pytest.mark.parametrize("chunk", [7, 1199])    # 1199: a last chunk of one cell
     def test_chunk_size_does_not_change_bits(self, chunk, monkeypatch):
         mesh = self.mesh()
-        fh = Coefficient(interpolate(build_space(mesh, lagrange(2)), lambda p: p[0] * p[1] ** 2))
+        fh = Coefficient(interpolate(build_space(mesh, lagrange(2)),
+                                     lambda p: p[:, 0] * p[:, 1] ** 2))
         v = TestFunction(build_space(mesh, lagrange(1)))
         forms = _geometry_forms(mesh) + [
             inner(fh, v) * Measure(mesh) + inner(grad(fh), grad(v)) * Measure(mesh)]
@@ -233,7 +234,7 @@ class TestAnalyticContract:
         f = lambda p: p[:, 0] + 2.0 * p[:, 1]
         b = assemble(inner(Analytic(f, degree=1), v) * self.dx)
         M = assemble(inner(u, v) * self.dx)
-        fh = interpolate(self.V, lambda x: x[0] + 2.0 * x[1]).coefficients
+        fh = interpolate(self.V, lambda x: x[:, 0] + 2.0 * x[:, 1]).coefficients
         assert np.abs(b - M @ fh).max() < 1e-15
 
     def test_wrong_shape_raises(self):
@@ -282,7 +283,8 @@ class TestDirichletBC:
         dx = Measure(self.mesh)
         self.A = assemble(inner(grad(u), grad(v)) * dx)
         self.b = assemble(inner(Constant(1.0), v) * dx)
-        self.bc = DirichletBC(self.V, lambda p: p[0], lambda p: near(p[0] * (1 - p[0]), 0))
+        self.bc = DirichletBC(self.V, lambda p: p[:, 0],
+                              lambda p: near(p[:, 0] * (1 - p[:, 0]), 0))
 
     def test_symmetric_application_preserves_symmetry(self):
         A, _ = apply_bc(self.A, self.b, [self.bc], symmetric=True)
@@ -295,7 +297,7 @@ class TestDirichletBC:
         assert np.abs(x[self.bc.dofs] - self.bc.values).max() < 1e-14
 
     def test_zero_bc_symmetric_equals_nonsymmetric(self):
-        bc0 = DirichletBC(self.V, 0.0, lambda p: near(p[0] * (1 - p[0]), 0))
+        bc0 = DirichletBC(self.V, 0.0, lambda p: near(p[:, 0] * (1 - p[:, 0]), 0))
         As, bs = apply_bc(self.A, self.b, [bc0], symmetric=True)
         An, bn = apply_bc(self.A, self.b, [bc0], symmetric=False)
         xs = spla.spsolve(As.tocsc(), bs)
@@ -311,14 +313,14 @@ class TestDirichletBC:
 
     def test_rt0_bc_resolves_edge_dofs(self):
         V = build_space(self.mesh, rt0())
-        bc = DirichletBC(V, (0.0, 0.0), lambda p: near(p[1] * (1 - p[1]), 0))
+        bc = DirichletBC(V, (0.0, 0.0), lambda p: near(p[:, 1] * (1 - p[:, 1]), 0))
         mids = V.edge_midpoints[bc.dofs]
         assert len(bc.dofs) == 8
         assert np.all((np.abs(mids[:, 1]) < 1e-12) | (np.abs(mids[:, 1] - 1) < 1e-12))
 
     def test_mismatched_space_rejected(self):
         other = build_space(self.mesh, lagrange(2))
-        bc = DirichletBC(other, 0.0, lambda p: near(p[0], 0))
+        bc = DirichletBC(other, 0.0, lambda p: near(p[:, 0], 0))
         with pytest.raises(ValueError):
             apply_bc(self.A, self.b, [bc])
 

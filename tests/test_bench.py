@@ -131,7 +131,7 @@ class TestPerfusionCase:
         ph, q = TrialFunction(Q), TestFunction(Q)
         dl = Measure(Q.mesh)
         A1 = assemble(inner(grad(ph), grad(q)) * dl)
-        bc = DirichletBC(Q, _p_closure, lambda z: near(z[2], 0.1) or near(z[2], 0.9))
+        bc = DirichletBC(Q, _p_closure, lambda z: near(z[:, 2], 0.1) | near(z[:, 2], 0.9))
         A1, b1 = apply_bc(A1, np.zeros(Q.dim), [bc], symmetric=False)
         ref = spla.spsolve(A1.tocsc(), b1)
         assert np.abs(p - ref).max() < 1e-10

@@ -14,7 +14,7 @@ from multifem.space import Function, build_space, interpolate, lagrange, vector_
 @pytest.fixture(scope="module")
 def setup():
     mesh = unit_square_mesh(2, 2)
-    gamma = facet_submesh(mesh, lambda p: near(p[0], 0))
+    gamma = facet_submesh(mesh, lambda p: near(p[:, 0], 0))
     V = build_space(mesh, lagrange(1))
     Q = build_space(gamma, lagrange(1))
     return mesh, gamma, V, Q
@@ -209,7 +209,7 @@ class TestBlockForm:
 
 def test_coefficient_expressions(setup):
     mesh, gamma, V, Q = setup
-    f = interpolate(V, lambda p: p[0])
+    f = interpolate(V, lambda p: p[:, 0])
     v = TestFunction(V)
     form = inner(Coefficient(f), v) * Measure(mesh)
     assert form.arity == 1

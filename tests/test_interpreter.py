@@ -20,7 +20,7 @@ TRACE = ReductionKind("trace")
 
 
 def boundary(p):
-    return near(p[0], 0) or near(p[0], 1) or near(p[1], 0) or near(p[1], 1)
+    return near(p[:, 0], 0) | near(p[:, 0], 1) | near(p[:, 1], 0) | near(p[:, 1], 1)
 
 
 def rel_gap(a, b):
@@ -122,7 +122,7 @@ class TestTangentialAndSumLowering:
         n = 3
         m1 = unit_square_mesh(n, n, offset=(0, 0), extent=(0.5, 1))
         m2 = unit_square_mesh(n, 2 * n, offset=(0.5, 0), extent=(0.5, 1))
-        gamma = facet_submesh(m2, lambda p: near(p[0], 0.5))
+        gamma = facet_submesh(m2, lambda p: near(p[:, 0], 0.5))
         V = build_space(m1, vector_lagrange(2))
         u, v = TrialFunction(V), TestFunction(V)
         tau = Constant((0.0, 1.0))
@@ -204,7 +204,7 @@ class TestAverageLowering:
 
     def test_reduced_coefficient_path(self, three_d):
         cube, line, V, Q = three_d
-        f = interpolate(V, lambda p: p[2])
+        f = interpolate(V, lambda p: p[:, 2])
         q = TestFunction(Q)
         dl = Measure(line)
         cache = ReductionCache()
@@ -221,7 +221,7 @@ class TestAverageLowering:
 class TestRestrictLowering:
     def test_single_sided_and_crossed(self):
         mesh = unit_square_mesh(4, 4)
-        sub = cell_submesh(mesh, lambda c: c[0] <= 0.5)
+        sub = cell_submesh(mesh, lambda c: c[:, 0] <= 0.5)
         V = build_space(mesh, lagrange(1))
         Vw = build_space(sub, lagrange(1))
         phi = TrialFunction(V)
@@ -238,7 +238,7 @@ class TestRestrictLowering:
         # with the submesh covering everything the lowered operator is the
         # bulk mass conjugated by the dof permutation: M_w R = (P M P^T) P = P M
         mesh = unit_square_mesh(3, 3)
-        sub = cell_submesh(mesh, lambda c: True)
+        sub = cell_submesh(mesh, lambda c: np.ones(len(c), bool))
         V = build_space(mesh, lagrange(1))
         Vw = build_space(sub, lagrange(1))
         phi, psi = TrialFunction(V), TestFunction(V)
@@ -256,7 +256,7 @@ class TestRestrictLowering:
 
     def test_two_sided_restriction_spd(self):
         mesh = unit_square_mesh(3, 3)
-        sub = cell_submesh(mesh, lambda c: c[1] <= 0.5)
+        sub = cell_submesh(mesh, lambda c: c[:, 1] <= 0.5)
         V = build_space(mesh, lagrange(1))
         phi = TrialFunction(V)
         psi = TestFunction(V)

@@ -129,8 +129,8 @@ class TestCg:
 @pytest.fixture(scope="module")
 def pencil():
     mesh = unit_square_mesh(8, 8)
-    gamma = facet_submesh(mesh, lambda p: near(p[0] * (1 - p[0]), 0)
-                          or near(p[1] * (1 - p[1]), 0))
+    gamma = facet_submesh(mesh, lambda p: near(p[:, 0] * (1 - p[:, 0]), 0)
+                          | near(p[:, 1] * (1 - p[:, 1]), 0))
     Q = build_space(gamma, lagrange(1))
     return h1_pencil(Q)
 
@@ -197,7 +197,7 @@ class TestHsNorm:
 
     def test_fd_dual_pencil_on_p0(self):
         mesh = unit_square_mesh(2, 4, offset=(0.5, 0), extent=(0.5, 1))
-        gamma = facet_submesh(mesh, lambda p: near(p[0], 0.5))
+        gamma = facet_submesh(mesh, lambda p: near(p[:, 0], 0.5))
         Q = build_space(gamma, dg0())
         M, S = fd_dual_pencil(Q)
         assert M.shape == (Q.dim, Q.dim)

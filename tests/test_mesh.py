@@ -13,7 +13,7 @@ from multifem.mesh import (
 
 
 def boundary_of_unit_square(p):
-    return near(p[0], 0) or near(p[0], 1) or near(p[1], 0) or near(p[1], 1)
+    return near(p[..., 0], 0) | near(p[..., 0], 1) | near(p[..., 1], 0) | near(p[..., 1], 1)
 
 
 class TestGenerators:
@@ -105,7 +105,7 @@ def _affine_meshes():
         "triangles": _perturbed(unit_square_mesh(5, 4, offset=(0.5, -1.0), extent=(2.0, 0.5))),
         "tets": cube,
         "curve-3d": polyline_mesh([(0.1, 0.2, 0.3), (0.7, 0.4, 0.9), (0.2, 0.9, 0.1)], 5),
-        "facets-3d": facet_submesh(cube, lambda p: True),
+        "facets-3d": facet_submesh(cube, lambda p: np.ones(len(p), bool)),
     }
 
 
@@ -267,14 +267,14 @@ class TestLocate:
 class TestSubmeshes:
     def test_single_boundary_edge(self):
         mesh = unit_square_mesh(1, 1)
-        sub = facet_submesh(mesh, lambda p: near(p[0], 0))
+        sub = facet_submesh(mesh, lambda p: near(p[:, 0], 0))
         assert sub.num_cells == 1
         assert sub.parent.mesh is mesh
 
     def test_interface_count_matches_facet_count(self):
         n = 4
         m2 = unit_square_mesh(n, 2 * n, offset=(0.5, 0), extent=(0.5, 1))
-        gamma = facet_submesh(m2, lambda p: near(p[0], 0.5))
+        gamma = facet_submesh(m2, lambda p: near(p[:, 0], 0.5))
         assert gamma.num_cells == 2 * n
 
     def test_submesh_vertices_satisfy_predicate(self):
@@ -285,13 +285,13 @@ class TestSubmeshes:
 
     def test_parent_vertices_coincide(self):
         mesh = unit_square_mesh(3, 5)
-        sub = facet_submesh(mesh, lambda p: near(p[1], 1))
+        sub = facet_submesh(mesh, lambda p: near(p[:, 1], 1))
         link = sub.parent
         assert np.abs(sub.vertices - mesh.vertices[link.vertex_map]).max() < 1e-14
 
     def test_boundary_facet_has_unique_parent_cell(self):
         mesh = unit_square_mesh(2, 2)
-        sub = facet_submesh(mesh, lambda p: near(p[0], 0))
+        sub = facet_submesh(mesh, lambda p: near(p[:, 0], 0))
         for sc in range(sub.num_cells):
             pc = sub.parent.cell_to_parent_cell[sc]
             pf = sub.parent.cell_to_parent_entity[sc]
@@ -301,11 +301,11 @@ class TestSubmeshes:
     def test_empty_selection_raises(self):
         mesh = unit_square_mesh(2, 2)
         with pytest.raises(EmptySelectionError):
-            facet_submesh(mesh, lambda p: near(p[0], 7.0))
+            facet_submesh(mesh, lambda p: near(p[:, 0], 7.0))
 
     def test_cell_submesh_half_square(self):
         mesh = unit_square_mesh(4, 4)
-        sub = cell_submesh(mesh, lambda c: c[0] <= 0.5)
+        sub = cell_submesh(mesh, lambda c: c[:, 0] <= 0.5)
         assert sub.num_cells == mesh.num_cells // 2
         assert abs(sub.cell_volumes.sum() - 0.5) < 1e-12
 

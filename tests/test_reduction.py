@@ -18,7 +18,7 @@ RESTRICT = ReductionKind("restrict")
 
 
 def boundary(p):
-    return near(p[0], 0) or near(p[0], 1) or near(p[1], 0) or near(p[1], 1)
+    return near(p[:, 0], 0) | near(p[:, 0], 1) | near(p[:, 1], 0) | near(p[:, 1], 1)
 
 
 class TestDeducedSpaces:
@@ -32,7 +32,7 @@ class TestDeducedSpaces:
 
     def test_rt0_reduces_to_vector_p0(self):
         mesh = unit_square_mesh(2, 4, offset=(0.5, 0), extent=(0.5, 1))
-        gamma = facet_submesh(mesh, lambda p: near(p[0], 0.5))
+        gamma = facet_submesh(mesh, lambda p: near(p[:, 0], 0.5))
         V = build_space(mesh, rt0())
         Vbar = deduce_reduced_space(V, gamma, TRACE)
         assert Vbar.element.family == "DiscontinuousLagrange"
@@ -60,7 +60,7 @@ class TestTraceMatrix:
         V = build_space(mesh, lagrange(1))
         Vbar = deduce_reduced_space(V, gamma, TRACE)
         T = trace_matrix(V, Vbar)
-        f = lambda p: p[0]
+        f = lambda p: p[:, 0]
         lifted = T @ interpolate(V, f).coefficients
         assert np.abs(lifted - interpolate(Vbar, f).coefficients).max() < 1e-12
 
@@ -69,11 +69,11 @@ class TestTraceMatrix:
         n = 4
         m1 = unit_square_mesh(n, n, offset=(0, 0), extent=(0.5, 1))
         m2 = unit_square_mesh(n, 2 * n, offset=(0.5, 0), extent=(0.5, 1))
-        gamma = facet_submesh(m2, lambda p: near(p[0], 0.5))
+        gamma = facet_submesh(m2, lambda p: near(p[:, 0], 0.5))
         V1 = build_space(m1, vector_lagrange(2))
         Vbar = deduce_reduced_space(V1, gamma, TRACE)
         T = trace_matrix(V1, Vbar)
-        f = lambda p: np.array([p[1] ** 2, p[0] - 2 * p[1]])
+        f = lambda p: np.stack([p[:, 1] ** 2, p[:, 0] - 2 * p[:, 1]], axis=1)
         lifted = T @ interpolate(V1, f).coefficients
         assert np.abs(lifted - interpolate(Vbar, f).coefficients).max() < 1e-10
 
@@ -89,11 +89,11 @@ class TestTraceMatrix:
     def test_rt0_normal_trace_is_facet_constant(self):
         n = 3
         m2 = unit_square_mesh(n, 2 * n, offset=(0.5, 0), extent=(0.5, 1))
-        gamma = facet_submesh(m2, lambda p: near(p[0], 0.5))
+        gamma = facet_submesh(m2, lambda p: near(p[:, 0], 0.5))
         V = build_space(m2, rt0())
         Vbar = deduce_reduced_space(V, gamma, TRACE)
         T = trace_matrix(V, Vbar)
-        f = lambda p: np.array([1.5, -0.5])
+        f = lambda p: np.tile([1.5, -0.5], (len(p), 1))
         traced = T @ interpolate(V, f).coefficients
         normal_flux = traced[0::2] * 1.0 + traced[1::2] * 0.0
         assert np.abs(normal_flux - 1.5).max() < 1e-10
@@ -101,7 +101,7 @@ class TestTraceMatrix:
     def test_out_of_domain_target_reports_dof(self):
         m1 = unit_square_mesh(2, 2)                      # unit square
         far = unit_square_mesh(2, 2, offset=(5.0, 0.0))  # disjoint
-        gamma = facet_submesh(far, lambda p: near(p[0], 5.0))
+        gamma = facet_submesh(far, lambda p: near(p[:, 0], 5.0))
         V = build_space(m1, lagrange(1))
         Vbar = deduce_reduced_space(V, gamma, TRACE)
         with pytest.raises(OutOfDomainError, match="dof"):
@@ -128,7 +128,7 @@ class TestAverageMatrix:
     def test_axis_odd_linear_annihilated(self, setting):
         cube, gamma, V, Q = setting
         Pi = average_matrix(V, Q, radius=0.3, n_quad=16)
-        lifted = Pi @ interpolate(V, lambda p: p[0] - 0.5).coefficients
+        lifted = Pi @ interpolate(V, lambda p: p[:, 0] - 0.5).coefficients
         assert np.abs(lifted).max() < 1e-12
 
     def test_quadratic_radial_average_analytic(self):
@@ -172,7 +172,7 @@ class TestRestrictionMatrix:
     def test_full_domain_is_permutation_like(self):
         mesh = unit_square_mesh(2, 2)
         from multifem.mesh import cell_submesh
-        sub = cell_submesh(mesh, lambda c: True)
+        sub = cell_submesh(mesh, lambda c: np.ones(len(c), bool))
         V = build_space(mesh, lagrange(1))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
         R = trace_matrix(V, Vbar)
@@ -184,7 +184,7 @@ class TestRestrictionMatrix:
     def test_derived_submesh_rows_are_single_ones(self):
         from multifem.mesh import cell_submesh
         mesh = unit_square_mesh(4, 4)
-        sub = cell_submesh(mesh, lambda c: c[0] <= 0.5)
+        sub = cell_submesh(mesh, lambda c: c[:, 0] <= 0.5)
         V = build_space(mesh, lagrange(1))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
         R = trace_matrix(V, Vbar)
@@ -196,11 +196,11 @@ class TestRestrictionMatrix:
     def test_linears_reproduced(self):
         from multifem.mesh import cell_submesh
         mesh = unit_square_mesh(4, 4)
-        sub = cell_submesh(mesh, lambda c: c[0] <= 0.5)
+        sub = cell_submesh(mesh, lambda c: c[:, 0] <= 0.5)
         V = build_space(mesh, lagrange(2))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
         R = trace_matrix(V, Vbar)
-        f = lambda p: p[0] * p[1] - 2 * p[1] ** 2
+        f = lambda p: p[:, 0] * p[:, 1] - 2 * p[:, 1] ** 2
         lifted = R @ interpolate(V, f).coefficients
         assert np.abs(lifted - interpolate(Vbar, f).coefficients).max() < 1e-10
 
@@ -212,12 +212,12 @@ class TestPolynomialReproductionAllKinds:
         n = 3
         m1 = unit_square_mesh(n, n, offset=(0, 0), extent=(0.5, 1))
         m2 = unit_square_mesh(n, 2 * n, offset=(0.5, 0), extent=(0.5, 1))
-        gamma = facet_submesh(m2, lambda p: near(p[0], 0.5))
+        gamma = facet_submesh(m2, lambda p: near(p[:, 0], 0.5))
         for deg in (1, 2):
             V = build_space(m1, lagrange(deg))
             Vbar = deduce_reduced_space(V, gamma, TRACE)
             T = trace_matrix(V, Vbar)
-            f = (lambda p: 1 + p[1]) if deg == 1 else (lambda p: 1 + p[1] - p[1] ** 2)
+            f = (lambda p: 1 + p[:, 1]) if deg == 1 else (lambda p: 1 + p[:, 1] - p[:, 1] ** 2)
             gap = T @ interpolate(V, f).coefficients - interpolate(Vbar, f).coefficients
             assert np.abs(gap).max() <= tol
         # average of linear fields (P1)
@@ -226,17 +226,17 @@ class TestPolynomialReproductionAllKinds:
         V = build_space(cube, lagrange(1))
         Q = deduce_reduced_space(V, line, ReductionKind("average", 0.2, 16))
         Pi = average_matrix(V, Q, radius=0.2, n_quad=16)
-        f = lambda p: p[2] + 1.0
+        f = lambda p: p[:, 2] + 1.0
         gap = Pi @ interpolate(V, f).coefficients - interpolate(Q, f).coefficients
         assert np.abs(gap).max() <= tol
         # restriction
         from multifem.mesh import cell_submesh
         mesh = unit_square_mesh(4, 4)
-        sub = cell_submesh(mesh, lambda c: c[1] <= 0.5)
+        sub = cell_submesh(mesh, lambda c: c[:, 1] <= 0.5)
         V = build_space(mesh, lagrange(1))
         Vbar = deduce_reduced_space(V, sub, RESTRICT)
         R = trace_matrix(V, Vbar)
-        f = lambda p: 3 * p[0] - p[1]
+        f = lambda p: 3 * p[:, 0] - p[:, 1]
         gap = R @ interpolate(V, f).coefficients - interpolate(Vbar, f).coefficients
         assert np.abs(gap).max() <= tol
 

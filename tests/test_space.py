@@ -60,19 +60,19 @@ class TestInterpolationEvaluation:
 
     def test_p1_reproduces_linears(self, square):
         V = build_space(square, lagrange(1))
-        f = interpolate(V, lambda p: p[0])
+        f = interpolate(V, lambda p: p[:, 0])
         rng = np.random.default_rng(0)
         for p in rng.uniform(0, 1, (20, 2)):
             assert abs(evaluate(f, p) - p[0]) < 1e-12
 
     def test_p2_reproduces_quadratic_at_point(self, square):
         V = build_space(square, lagrange(2))
-        f = interpolate(V, lambda p: p[0] ** 2)
+        f = interpolate(V, lambda p: p[:, 0] ** 2)
         assert abs(evaluate(f, np.array([0.3, 0.7])) - 0.09) < 1e-12
 
     @pytest.mark.parametrize("element,exact", [
-        (lagrange(1), lambda p: 2 * p[0] - p[1] + 1),
-        (lagrange(2), lambda p: p[0] ** 2 - 3 * p[0] * p[1] + p[1] + 0.5),
+        (lagrange(1), lambda p: 2 * p[..., 0] - p[..., 1] + 1),
+        (lagrange(2), lambda p: p[..., 0] ** 2 - 3 * p[..., 0] * p[..., 1] + p[..., 1] + 0.5),
     ])
     def test_polynomial_reproduction_100_points(self, square, element, exact):
         V = build_space(square, element)
@@ -83,7 +83,7 @@ class TestInterpolationEvaluation:
 
     def test_vector_interpolation_components(self, square):
         V = build_space(square, vector_lagrange(1))
-        f = interpolate(V, lambda p: np.array([p[0], -p[1]]))
+        f = interpolate(V, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
         val = evaluate(f, np.array([0.4, 0.6]))
         assert np.allclose(val, [0.4, -0.6], atol=1e-13)
 
@@ -108,18 +108,18 @@ class TestInterpolationEvaluation:
     def test_p1_on_3d_and_curve(self):
         cube = unit_cube_mesh(2)
         V = build_space(cube, lagrange(1))
-        f = interpolate(V, lambda p: p[0] + 2 * p[1] - p[2])
+        f = interpolate(V, lambda p: p[:, 0] + 2 * p[:, 1] - p[:, 2])
         assert abs(evaluate(f, np.array([0.3, 0.3, 0.4])) - 0.5) < 1e-12
         line = polyline_mesh([(0, 0, 0), (1, 1, 1)], 4)
         Q = build_space(line, lagrange(2))
-        g = interpolate(Q, lambda p: p[2] ** 2)
+        g = interpolate(Q, lambda p: p[:, 2] ** 2)
         assert abs(evaluate(g, np.array([0.25, 0.25, 0.25])) - 0.0625) < 1e-12
 
 
 class TestRT0:
     def test_constant_field_reproduced(self, square):
         V = build_space(square, rt0())
-        f = interpolate(V, lambda p: np.array([1.0, 0.0]))
+        f = interpolate(V, lambda p: np.tile([1.0, 0.0], (len(p), 1)))
         rng = np.random.default_rng(3)
         for p in rng.uniform(0.05, 0.95, (20, 2)):
             assert np.allclose(evaluate(f, p), [1.0, 0.0], atol=1e-10)
@@ -142,7 +142,7 @@ class TestRT0:
 
     def test_divergence_of_constant_interpolant_vanishes(self, square):
         V = build_space(square, rt0())
-        f = interpolate(V, lambda p: np.array([0.7, -0.3]))
+        f = interpolate(V, lambda p: np.tile([0.7, -0.3], (len(p), 1)))
         v = square.vertices[square.cells]
         offsets = (square.cell_centroids - v[:, 0]).T[None]    # (1, 2, C)
         _, divs = V.rt0_cell_basis(np.arange(square.num_cells), offsets)
