@@ -17,15 +17,14 @@ from .forms import (
     Argument, Coefficient, Constant, Analytic, Trace, Average, Restrict,
     Measure, Form, Integral, BlockForm, TrialFunction, TestFunction,
     TrialFunctions, TestFunctions, grad, div, sym, inner, dot,
-    arguments, reduced_terminals, replace, reconstruct, FormError,
+    arguments, reduced_terminals, replace, FormError,
 )
 from .assemble import (
     assemble, DirichletBC, apply_bc, apply_bc_block, NotSinglescaleError,
     save_matrix_market, load_matrix_market,
 )
 from .reduction import (
-    ReductionCache, default_cache, deduce_reduced_space, reduction_matrix,
-    UnsupportedReductionError,
+    ReductionCache, deduce_reduced_space, UnsupportedReductionError,
 )
 from .interpreter import multi_assemble
 from .opalg import (
@@ -33,7 +32,7 @@ from .opalg import (
     BlockMat, BlockVec, block_diag_mat, collapse, transpose, as_op,
 )
 from .krylov import (
-    minres, gmres, cg, hs_norm, HsNormOperator, inverse_handle,
+    minres, gmres, hs_norm, HsNormOperator, inverse_handle,
     build_preconditioner, KrylovReport, KrylovError,
 )
 

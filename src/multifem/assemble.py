@@ -20,6 +20,7 @@ from .forms import (
     Grad, Inner, Neg, Scale, Sym, reduced_terminals,
 )
 from .mesh import _call_on_points, _facets_where
+from .opalg import BlockMat, Matrix, Product, Sum, Zero, as_op
 from .space import FunctionSpace, tabulate_lagrange, _dof_values
 
 __all__ = [
@@ -454,25 +455,21 @@ def apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric=True):
     list of DirichletBC.  Off-diagonal blocks are masked lazily (row/column
     projectors composed around the original operators), so products built by
     the interpreter never need to be materialized."""
-    from .opalg import BlockMat, Matrix, Sum, Product, Zero, as_op
-
     rows = block_op.blocks
     nb = len(rows)
-    row_dims, col_dims = block_op.row_dims, block_op.col_dims
-    g = {i: _bc_vectors(col_dims[i], bcs)[0] for i, bcs in bcs_by_block.items()}
-    masks = {i: _bc_vectors(col_dims[i], bcs)[1] for i, bcs in bcs_by_block.items()}
+    vectors = {i: _bc_vectors(block_op.col_dims[i], bcs) for i, bcs in bcs_by_block.items()}
 
     rhs = [np.array(b, dtype=float, copy=True) for b in rhs_blocks]
     if symmetric:
         for j in range(nb):
-            for i, gi in g.items():
+            for i, (gi, _) in vectors.items():
                 blk = rows[j][i]
                 if isinstance(blk, Zero):
                     continue
                 rhs[j] = rhs[j] - blk.matvec(gi)
 
     new_rows = [[rows[i][j] for j in range(nb)] for i in range(nb)]
-    for i, mask in masks.items():
+    for i, (gi, mask) in vectors.items():
         keep = Matrix(sp.diags(1.0 - mask).tocsr())
         pin = sp.diags(mask).tocsr()
         for j in range(nb):
@@ -483,7 +480,7 @@ def apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric=True):
         diag = new_rows[i][i]
         unit = Matrix(pin)
         new_rows[i][i] = Sum([as_op(diag), unit]) if not isinstance(diag, Zero) else unit
-        rhs[i] = (1.0 - mask) * rhs[i] + g[i]
+        rhs[i] = (1.0 - mask) * rhs[i] + gi
     return BlockMat(new_rows), rhs
 
 

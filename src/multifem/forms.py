@@ -21,7 +21,7 @@ __all__ = [
     "grad", "div", "sym", "inner", "dot",
     "Integral", "Form", "Measure", "BlockForm",
     "TrialFunction", "TestFunction", "TrialFunctions", "TestFunctions",
-    "arguments", "reduced_terminals", "replace", "reconstruct",
+    "arguments", "reduced_terminals", "replace",
 ]
 
 
@@ -141,6 +141,9 @@ class Reduced(Expr):
                 raise FormError("average reduces a 3d field onto a curve")
             if not kind.radius or kind.radius <= 0:
                 raise FormError(f"average radius must be positive, got {kind.radius}")
+            n = kind.n_quad
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise FormError(f"average n_quad must be an integer >= 1, got {n!r}")
         self.kind = kind
         self.operand = operand
         self.target_mesh = target_mesh
@@ -440,11 +443,6 @@ class Measure:
 
     def __rmul__(self, integrand):
         return Form([Integral(integrand, self.mesh)])
-
-
-def reconstruct(integral: Integral, new_integrand) -> Integral:
-    """Same measure mesh, new integrand."""
-    return Integral(new_integrand, integral.mesh)
 
 
 def TrialFunction(space, block=0):

@@ -20,11 +20,11 @@ import numpy as np
 
 from .assemble import assemble
 from .forms import (
-    Argument, BlockForm, Coefficient, Form, FormError,
-    reconstruct, reduced_terminals, replace,
+    Argument, BlockForm, Coefficient, Form, FormError, Integral,
+    reduced_terminals, replace,
 )
 from .opalg import BlockMat, BlockVec, Matrix, Product, Sum, Transpose, Zero, as_op
-from .reduction import ReductionCache, default_cache
+from .reduction import ReductionCache
 from .space import Function
 
 __all__ = ["multi_assemble", "UnhandledReductionError", "KINDS"]
@@ -39,8 +39,10 @@ class UnhandledReductionError(FormError):
 def multi_assemble(obj, cache: ReductionCache | None = None):
     """Assemble numbers as-is, forms through the reduced-assembler registry,
     and block forms entrywise (absent blocks become dimension-carrying
-    zeros), wrapping the result as a block operator or block vector."""
-    cache = cache if cache is not None else default_cache
+    zeros), wrapping the result as a block operator or block vector.
+    Reduction matrices are built once per ``cache``; without one, a fresh
+    cache serves this call and its recursion and is dropped with it."""
+    cache = cache if cache is not None else ReductionCache()
     if isinstance(obj, numbers.Number):
         return obj
     if isinstance(obj, Form):
@@ -79,7 +81,7 @@ def _reduced_assemble(form, kind, cache):
             red = cache.get_or_build(source, node.target_mesh, node.kind)
             fresh = Argument(red.target_space, operand.role, operand.block)
             lowered = replace(integral.integrand, node, fresh)
-            inner = multi_assemble(Form([reconstruct(integral, lowered)]), cache)
+            inner = multi_assemble(Form([Integral(lowered, integral.mesh)]), cache)
             if operand.role == "trial":
                 contributions.append(Product([as_op(inner), Matrix(red.matrix)]))
             elif isinstance(inner, np.ndarray):
@@ -92,7 +94,7 @@ def _reduced_assemble(form, kind, cache):
             mapped = Function(red.target_space, red.matrix @ operand.function.coefficients)
             lowered = replace(integral.integrand, node, Coefficient(mapped))
             contributions.append(
-                multi_assemble(Form([reconstruct(integral, lowered)]), cache))
+                multi_assemble(Form([Integral(lowered, integral.mesh)]), cache))
     return _sum_contributions(contributions)
 
 

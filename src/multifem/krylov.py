@@ -1,13 +1,14 @@
-"""Preconditioned Krylov solvers (MinRes, GMRES, CG), solver-backed inverse
+"""Preconditioned Krylov solvers (MinRes, GMRES), solver-backed inverse
 handles for preconditioner blocks, eigenvalue realization of fractional
 Sobolev norm operators, and the block-diagonal preconditioners of the
 benchmark problems.
 
 Stopping is on the preconditioned residual norm relative to the initial
-one.  Initial guesses are seeded uniform random vectors (seed recorded in
-the report) unless an explicit ``x0`` is passed; with no ``x0`` and
-``seed=None`` the solve starts from zero, so ``tol`` is relative to the
-preconditioned norm of ``b``.
+one.  By default (``seed=None``, no ``x0``) the solve starts from zero, so
+``tol`` is relative to the preconditioned norm of ``b``.  An explicit
+``x0`` is used as given; an integer ``seed`` starts from a uniform random
+vector and is recorded in the report.  A right-hand side or a residual
+that is not finite raises ``KrylovError``.
 
 A seeded start is uniform per dof, whatever the dof measures.  For RT0
 edge-flux dofs that is a field of size ~1/h, so the initial residual, and
@@ -35,7 +36,7 @@ from .opalg import (
 )
 
 __all__ = [
-    "KrylovReport", "KrylovError", "minres", "gmres", "cg",
+    "KrylovReport", "KrylovError", "minres", "gmres",
     "HsNormOperator", "hs_norm", "inverse_handle", "build_preconditioner",
     "hs_inverse_block", "save_history_csv", "h1_pencil", "fd_dual_pencil",
 ]
@@ -52,8 +53,21 @@ class KrylovReport:
     converged: bool
     iterations: int
     history: list = field(default_factory=list)
-    relative_residual: float = 0.0
     seed: int | None = None
+
+
+def _finite_rhs(b):
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise KrylovError("right-hand side is not finite")
+    return b
+
+
+def _check_residual(norm, itn):
+    """One scalar per iteration: the (squared) preconditioned residual norm
+    the solver tracks."""
+    if not np.isfinite(norm):
+        raise KrylovError(f"preconditioned residual is not finite at iteration {itn}")
 
 
 def _initial_guess(n, seed, x0):
@@ -77,33 +91,33 @@ def _check_symmetric(A, n, tol=1e-10, npairs=5, seed=1234):
             raise KrylovError(f"operator is not symmetric in action (gap {gap:.3e})")
 
 
-def minres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=0, x0=None,
-           check_symmetry=True):
+def minres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=None, x0=None):
     """Preconditioned MinRes for symmetric A with SPD preconditioner B.
 
     Tracks the B-norm of the residual; stops when it drops below ``tol``
-    relative to the initial one.  With ``seed=None`` and no ``x0`` the
-    start is zero and the initial residual is ``b``; a seeded start is
+    relative to the initial one.  By default (``seed=None``, no ``x0``)
+    the start is zero and the initial residual is ``b``; a seeded start is
     uniform per dof (see the module docstring for its effect on RT0
-    fluxes).  Non-convergence is reported, not raised.
+    fluxes).  Non-convergence is reported, not raised; a non-finite
+    right-hand side or residual raises ``KrylovError``.
     """
     A = as_op(A)
     B = as_op(B) if B is not None else Identity(A.rows)
     n = A.rows
-    b = np.asarray(b, dtype=float)
-    if check_symmetry:
-        _check_symmetric(A, n)
+    b = _finite_rhs(b)
+    _check_symmetric(A, n)
     x = _initial_guess(n, seed, x0)
 
     r1 = b - A.matvec(x)
     y = B.matvec(r1)
     beta1 = r1 @ y
+    _check_residual(beta1, 0)
     if beta1 < 0:
         raise KrylovError("preconditioner is not positive definite")
     beta1 = np.sqrt(beta1)
     history = [beta1]
     if beta1 == 0.0:
-        return x, KrylovReport(True, 0, history, 0.0, seed if x0 is None else None)
+        return x, KrylovReport(True, 0, history, seed if x0 is None else None)
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
@@ -128,6 +142,7 @@ def minres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=0, x0=None,
         y = B.matvec(r2)
         oldb = beta
         beta = r2 @ y
+        _check_residual(beta, itn)
         if beta < 0:
             raise KrylovError("preconditioner is not positive definite")
         beta = np.sqrt(beta)
@@ -151,30 +166,31 @@ def minres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=0, x0=None,
         if phibar <= tol * beta1:
             converged = True
             break
-    rel = history[-1] / beta1
-    return x, KrylovReport(converged, itn, history, rel, seed if x0 is None else None)
+    return x, KrylovReport(converged, itn, history, seed if x0 is None else None)
 
 
-def gmres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=0, x0=None):
+def gmres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=None, x0=None):
     """Full (unrestarted) left-preconditioned GMRES with modified
     Gram-Schmidt; tracks and minimizes the 2-norm of the preconditioned
     residual.  Stops when it drops below ``tol`` relative to the initial
-    one: the 2-norm of ``B b`` with ``seed=None`` and no ``x0`` (zero
-    start), else that of the seeded uniform-per-dof or the given start.
-    Breakdown triggers a final convergence check."""
+    one: the 2-norm of ``B b`` from the default zero start (``seed=None``,
+    no ``x0``), else that of the seeded uniform-per-dof or the given start.
+    Breakdown triggers a final convergence check; a non-finite right-hand
+    side or residual raises ``KrylovError``."""
     A = as_op(A)
     B = as_op(B) if B is not None else Identity(A.rows)
     n = A.rows
-    b = np.asarray(b, dtype=float)
+    b = _finite_rhs(b)
     x = _initial_guess(n, seed, x0)
 
     r = b - A.matvec(x)
     z = B.matvec(r)
     beta = np.linalg.norm(z)
+    _check_residual(beta, 0)
     history = [beta]
     report_seed = seed if x0 is None else None
     if beta == 0.0:
-        return x, KrylovReport(True, 0, history, 0.0, report_seed)
+        return x, KrylovReport(True, 0, history, report_seed)
 
     V = [z / beta]
     H = []                      # column j holds h[0..j+1]
@@ -203,6 +219,7 @@ def gmres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=0, x0=None):
         g.append(-s * g[j])
         g[j] = c * g[j]
         res = abs(g[j + 1])
+        _check_residual(res, itn)
         history.append(res)
         if res <= tol * beta or breakdown:
             converged = res <= tol * beta
@@ -217,44 +234,7 @@ def gmres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=0, x0=None):
             y[i] = (g[i] - sum(H[k][i] * y[k] for k in range(i + 1, m))) / H[i][i]
         for k in range(m):
             x = x + y[k] * V[k]
-    rel = history[-1] / beta
-    return x, KrylovReport(converged, itn, history, rel, report_seed)
-
-
-def cg(A, b, B=None, tol=1e-12, maxiter=2000, seed=None, x0=None):
-    """Preconditioned conjugate gradients; history in the B-inner-product
-    residual norm, stopping at ``tol`` relative to the initial one.  The
-    default ``seed=None`` starts from zero, so ``tol`` is relative to the
-    B-norm of ``b``; an integer seed starts from a uniform-per-dof vector."""
-    A = as_op(A)
-    B = as_op(B) if B is not None else Identity(A.rows)
-    n = A.rows
-    b = np.asarray(b, dtype=float)
-    x = _initial_guess(n, seed, x0)
-    r = b - A.matvec(x)
-    z = B.matvec(r)
-    rho = r @ z
-    history = [np.sqrt(max(rho, 0.0))]
-    if history[0] == 0.0:
-        return x, KrylovReport(True, 0, history, 0.0, seed)
-    p = z.copy()
-    converged = False
-    itn = 0
-    for itn in range(1, maxiter + 1):
-        q = A.matvec(p)
-        alpha = rho / (p @ q)
-        x = x + alpha * p
-        r = r - alpha * q
-        z = B.matvec(r)
-        rho_new = r @ z
-        history.append(np.sqrt(max(rho_new, 0.0)))
-        if history[-1] <= tol * history[0]:
-            converged = True
-            break
-        p = z + (rho_new / rho) * p
-        rho = rho_new
-    rel = history[-1] / history[0]
-    return x, KrylovReport(converged, itn, history, rel, seed)
+    return x, KrylovReport(converged, itn, history, report_seed)
 
 
 # -- fractional Sobolev norms ----------------------------------------------------

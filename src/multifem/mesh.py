@@ -155,7 +155,6 @@ class Mesh:
         self._cell_edges = None
         self._facets = None
         self._facet_cells = None
-        self._cell_facets = None
         self._locator = None
         self._gradient_transform = None
         self.jacobian_measure = _read_only(_jacobian_measure(self._edge_components()))
@@ -238,7 +237,6 @@ class Mesh:
         ptr = np.zeros(len(facets) + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=len(facets)), out=ptr[1:])
         self._facets = facets
-        self._cell_facets = cell_facets
         self._facet_cell_ptr = ptr
         self._facet_cell_idx = order // cell_facets.shape[1]
 
@@ -272,10 +270,6 @@ class Mesh:
         if self._locator is None:
             self._locator = CellLocator(self)
         return self._locator
-
-    def locate(self, x):
-        """Shorthand for ``mesh.locator.locate(x)``."""
-        return self.locator.locate(x)
 
     def barycentric_many(self, cells, x):
         """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim)

@@ -4,7 +4,9 @@ a curve, and same-dimension restrictions.
 
 Rows correspond to target dofs, columns to source dofs.  A synchronized
 cache builds each matrix once per (source space, target mesh, kind,
-parameters) key and exposes a build counter for testing.
+parameters) key and exposes a build counter for testing; it lives as long
+as its owner (``multi_assemble`` makes one per top-level call that is
+given none).
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from .mesh import Mesh, OutOfDomainError
 from .space import Element, FunctionSpace, basis_rows, build_space
 
 __all__ = [
-    "ReductionMatrix", "ReductionCache", "default_cache", "UnsupportedReductionError",
+    "ReductionMatrix", "ReductionCache", "UnsupportedReductionError",
     "deduce_reduced_space", "trace_matrix", "average_matrix",
-    "circle_frame", "circle_points", "curve_dof_tangents", "reduction_matrix",
+    "circle_frame", "circle_points", "curve_dof_tangents",
 ]
 
 
@@ -52,20 +54,16 @@ def deduce_reduced_space(source: FunctionSpace, target_mesh: Mesh, kind: Reducti
         f"no reduced space for {el.family} degree {el.degree} under {kind.name}")
 
 
-def _parent_cell_hints(target_mesh: Mesh, source: FunctionSpace):
-    """Per-target-cell source cell to evaluate in, when the target mesh was
-    derived from the source mesh; otherwise None (locator tie-break)."""
-    link = target_mesh.parent
-    if link is not None and link.mesh is source.mesh:
-        return link.cell_to_parent_cell
-    return None
-
-
-def _point_evaluation_matrix(source: FunctionSpace, target: FunctionSpace):
-    """Rows = target dofs; row i holds source basis values at the functional
-    location of dof i.  Each dof is evaluated from the first target cell
-    listing it (deterministic side)."""
-    hints = _parent_cell_hints(target.mesh, source)
+def trace_matrix(source: FunctionSpace, target: FunctionSpace):
+    """Point-evaluation trace onto a lower-dimensional target mesh, or
+    restriction onto a same-dimension submesh.  Row i holds the source
+    basis values at the functional location of target dof i: the dof
+    coordinate for Lagrange targets, the cell midpoint for vector-P0
+    targets (RT0 source).  Each dof is evaluated from the first target cell
+    listing it, in the parent cell of that cell when the target mesh was
+    derived from the source mesh (otherwise the locator's tie-break)."""
+    link = target.mesh.parent
+    hints = link.cell_to_parent_cell if link is not None and link.mesh is source.mesh else None
     # target dofs in order of first appearance in the target cells
     flat = target.dofmap.ravel()
     _, first = np.unique(flat, return_index=True)
@@ -92,14 +90,6 @@ def _csr(rows, cols, vals, shape):
     m.sum_duplicates()
     m.sort_indices()
     return m
-
-
-def trace_matrix(source: FunctionSpace, target: FunctionSpace):
-    """Point-evaluation trace onto a lower-dimensional target mesh, or
-    restriction onto a same-dimension submesh.  Lagrange targets evaluate
-    at dof coordinates; vector-P0 targets (RT0 source) at cell midpoints,
-    from the designated parent side where available."""
-    return _point_evaluation_matrix(source, target)
 
 
 # -- circle averages -----------------------------------------------------------
@@ -195,11 +185,6 @@ class ReductionCache:
         self._lock = threading.Lock()
         self.build_count = 0
 
-    def clear(self):
-        with self._lock:
-            self._store.clear()
-            self.build_count = 0
-
     def get_or_build(self, source: FunctionSpace, target_mesh: Mesh,
                      kind: ReductionKind) -> ReductionMatrix:
         key = (source.uid, target_mesh.uid, kind.name, kind.params())
@@ -218,11 +203,3 @@ class ReductionCache:
             self._store[key] = built
             self.build_count += 1
             return built
-
-
-default_cache = ReductionCache()
-
-
-def reduction_matrix(source, target_mesh, kind, cache: ReductionCache | None = None):
-    """Cached construction of a reduction matrix and its deduced target space."""
-    return (cache or default_cache).get_or_build(source, target_mesh, kind)

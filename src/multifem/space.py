@@ -165,7 +165,6 @@ class FunctionSpace:
             self.dof_coords = np.repeat(scalar_coords, nc, axis=0)
             self.dof_component = np.tile(np.arange(nc), len(scalar_coords))
         self.dim = self.dof_coords.shape[0]
-        self.scalar_dim = len(scalar_coords)
 
     def _init_lagrange(self, deg):
         mesh = self.mesh

@@ -14,7 +14,7 @@ from multifem.bench import (
     export_case, run_babuska, run_case, run_restrict_demo,
 )
 from multifem.assemble import assemble
-from multifem.forms import Analytic, Coefficient, Measure, div, grad, inner
+from multifem.forms import Analytic, Coefficient, FormError, Measure, div, grad, inner
 from multifem.krylov import build_preconditioner, minres
 from multifem.manufactured import babuska_data, darcy_stokes_data
 from multifem.mesh import CellLocator, Mesh, unit_square_mesh
@@ -139,6 +139,12 @@ class TestPerfusionCase:
     def test_radius_guard(self):
         with pytest.raises(ValueError, match="radius"):
             run_case(CaseConfig(case="perfusion", n=2, levels=2, radius=0.5))
+
+    def test_n_quad_guard(self):
+        # zero circle points once gave a zero average and a decoupled
+        # system that reported ok
+        with pytest.raises(FormError, match="n_quad"):
+            run_case(CaseConfig(case="perfusion", n=2, levels=2, n_quad=0))
 
     def test_ordered_solve_matches_unordered(self):
         sys = assemble_perfusion(8)

@@ -3,11 +3,11 @@ import pytest
 
 from multifem.forms import (
     Analytic, Average, BlockForm, Coefficient, Constant, FormError,
-    Integral, Measure, Trace, arguments, div, dot, grad, inner, reconstruct,
+    Integral, Measure, Trace, arguments, div, dot, grad, inner,
     reduced_terminals, replace, sym, TestFunction, TestFunctions,
     TrialFunction, TrialFunctions,
 )
-from multifem.mesh import facet_submesh, near, unit_square_mesh
+from multifem.mesh import facet_submesh, near, polyline_mesh, unit_cube_mesh, unit_square_mesh
 from multifem.space import Function, build_space, interpolate, lagrange, vector_lagrange
 
 
@@ -123,6 +123,15 @@ class TestWellFormedness:
         with pytest.raises(FormError):
             Average(u, gamma, radius=-0.1)
 
+    @pytest.mark.parametrize("n_quad", [0, 2.5, -3])
+    def test_average_n_quad_validation(self, n_quad):
+        cube = unit_cube_mesh(2)
+        line = polyline_mesh([(0.5, 0.5, 0.2), (0.5, 0.5, 0.8)], 2)
+        u = TrialFunction(build_space(cube, lagrange(1)))
+        with pytest.raises(FormError, match="n_quad must be an integer >= 1"):
+            Average(u, line, 0.2, n_quad=n_quad)
+        Average(u, line, 0.2, n_quad=np.int64(1))
+
     def test_shape_rules(self, setup):
         mesh, gamma, V, Q = setup
         Vv = build_space(mesh, vector_lagrange(1))
@@ -162,7 +171,7 @@ class TestReconstruct:
         node = Trace(u, gamma)
         itg = Integral(inner(node, q), gamma)
         ubar = TrialFunction(build_space(gamma, lagrange(1)))
-        out = reconstruct(itg, replace(itg.integrand, node, ubar))
+        out = Integral(replace(itg.integrand, node, ubar), itg.mesh)
         assert out.mesh is gamma
         assert out.arity == 2
 

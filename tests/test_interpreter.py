@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+
+from multifem import reduction
 
 from multifem.assemble import assemble
 from multifem.forms import (
@@ -276,6 +281,39 @@ def test_unknown_reduction_kind_reported(babuska_setup):
     node = Reduced(ReductionKind("mystery"), u, gamma)
     with pytest.raises(UnhandledReductionError, match="mystery"):
         multi_assemble(inner(node, q) * Measure(gamma), ReductionCache())
+
+
+class TestPerCallCache:
+    """Without a cache, ``multi_assemble`` builds one for the call and drops
+    it with the call: nothing outlives the result."""
+
+    def test_uncached_call_keeps_no_space_alive(self):
+        mesh = unit_square_mesh(4, 4)
+        gamma = facet_submesh(mesh, boundary)
+        V = build_space(mesh, lagrange(1))
+        Q = build_space(gamma, lagrange(1))
+        alive = weakref.ref(V)
+        multi_assemble(inner(Trace(TrialFunction(V), gamma), TestFunction(Q)) * Measure(gamma))
+        del V
+        gc.collect()
+        assert alive() is None
+
+    def test_uncached_block_form_builds_each_reduction_once(self, babuska_setup, monkeypatch):
+        mesh, gamma, V, Q = babuska_setup
+        W = [V, Q]
+        u, p = TrialFunctions(W)
+        v, q = TestFunctions(W)
+        dl = Measure(gamma)
+        a = BlockForm(W, 2)
+        a.add(inner(p, Trace(v, gamma)) * dl)
+        a.add(inner(Trace(u, gamma), q) * dl)
+        builds = []
+        original = reduction.trace_matrix
+        monkeypatch.setattr(reduction, "trace_matrix",
+                            lambda *args: builds.append(1) or original(*args))
+        multi_assemble(a)
+        multi_assemble(a)
+        assert len(builds) == 2            # once per call: B and B' share it
 
 
 class TestBlockShapes:

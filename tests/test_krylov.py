@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from multifem import krylov
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.krylov import (
-    KrylovError, build_preconditioner, cg, fd_dual_pencil, gmres, h1_pencil,
+    KrylovError, build_preconditioner, fd_dual_pencil, gmres, h1_pencil,
     hs_inverse_block, hs_norm, inverse_handle, minres, save_history_csv,
 )
 from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
@@ -115,15 +115,29 @@ class TestGmres:
         assert not rep.converged and rep.iterations == 5
 
 
-class TestCg:
-    def test_spd_solve(self):
-        rng = np.random.default_rng(12)
-        A = rng.standard_normal((20, 20))
-        S = A @ A.T + 20 * np.eye(20)
-        b = rng.standard_normal(20)
-        x, rep = cg(Matrix(S), b, tol=1e-12)
-        assert rep.converged
-        assert np.linalg.norm(S @ x - b) < 1e-9 * np.linalg.norm(b)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    """A non-finite right-hand side or operator raises at once, naming
+    which, instead of iterating to ``maxiter`` on NaNs."""
+
+    @pytest.mark.parametrize("solver", [minres, gmres])
+    def test_nan_rhs(self, solver):
+        b = np.ones(50)
+        b[7] = np.nan
+        with pytest.raises(KrylovError, match="right-hand side is not finite"):
+            solver(Identity(50), None, b)
+
+    @pytest.mark.parametrize("solver", [minres, gmres])
+    def test_inf_operator_entry(self, solver):
+        A = sp.diags(np.linspace(1.0, 2.0, 50)).tolil()
+        A[3, 3] = np.inf
+        with pytest.raises(KrylovError, match="residual is not finite at iteration 0"):
+            solver(Matrix(A.tocsr()), None, np.ones(50))
+
+    def test_overflow_reported_at_its_iteration(self):
+        A = Matrix(np.diag([1e300, 1.0]))
+        with pytest.raises(KrylovError, match="residual is not finite at iteration 1"):
+            minres(A, None, np.ones(2))
 
 
 @pytest.fixture(scope="module")

@@ -201,7 +201,7 @@ class TestLocate:
         for mesh in (unit_square_mesh(4, 3), unit_cube_mesh(2),
                      polyline_mesh([(0, 0, 0), (1, 1, 1)], 5)):
             for c in range(mesh.num_cells):
-                found, lam = mesh.locate(mesh.cell_centroids[c])
+                found, lam = mesh.locator.locate(mesh.cell_centroids[c])
                 assert found == c
                 assert abs(lam.sum() - 1.0) < 1e-12
                 assert lam.min() >= -1e-10
@@ -211,19 +211,19 @@ class TestLocate:
         # the center vertex is shared by several cells; lowest index wins
         containing = [c for c in range(mesh.num_cells) if 4 in mesh.cells[c]]
         assert len(containing) > 2
-        found, _ = mesh.locate(mesh.vertices[4])
+        found, _ = mesh.locator.locate(mesh.vertices[4])
         assert found == min(containing)
 
     def test_outside_point_raises(self):
         mesh = unit_square_mesh(2, 2)
         with pytest.raises(OutOfDomainError):
-            mesh.locate(np.array([2.0, 2.0]))
+            mesh.locator.locate(np.array([2.0, 2.0]))
 
     def test_barycentric_range(self):
         mesh = unit_square_mesh(3, 3)
         rng = np.random.default_rng(7)
         for p in rng.uniform(0, 1, size=(50, 2)):
-            _, lam = mesh.locate(p)
+            _, lam = mesh.locator.locate(p)
             assert lam.min() >= -1e-10 and lam.max() <= 1 + 1e-10
 
     def test_each_cell_indexed_once_by_lower_corner(self):
@@ -248,7 +248,7 @@ class TestLocate:
         w = 1.0 + 1e-11
         mesh = Mesh(np.array([[0, 0], [0.5, 0], [0.5, 1], [w, 0], [w, 1]]),
                     np.array([[0, 1, 2], [1, 3, 2], [3, 4, 2]]))
-        found, lam = mesh.locate(np.array([0.5 + 8e-12, 0.5]))
+        found, lam = mesh.locator.locate(np.array([0.5 + 8e-12, 0.5]))
         assert found == 0 and -1e-10 < lam.min() < 0
 
     def test_first_failing_point_is_reported(self):

@@ -267,14 +267,3 @@ class TestCache:
         cache.get_or_build(V, line, ReductionKind("average", 0.2, 16))
         cache.get_or_build(V, line, ReductionKind("average", 0.25, 16))
         assert cache.build_count == 2
-
-    def test_clear_resets_counter(self):
-        cache = ReductionCache()
-        mesh = unit_square_mesh(2, 2)
-        gamma = facet_submesh(mesh, boundary)
-        V = build_space(mesh, lagrange(1))
-        cache.get_or_build(V, gamma, TRACE)
-        cache.clear()
-        assert cache.build_count == 0
-        cache.get_or_build(V, gamma, TRACE)
-        assert cache.build_count == 1
