@@ -20,8 +20,8 @@ from .forms import (
     Grad, Inner, Neg, Scale, Sym, reduced_terminals,
 )
 from .mesh import _call_on_points, _facets_where
-from .opalg import BlockMat, Matrix, Product, Sum, Zero, as_op
-from .space import FunctionSpace, tabulate_lagrange, _dof_values
+from .opalg import BlockMat, Matrix, Product, Sum, Zero, collapse
+from .space import FunctionSpace, tabulate_lagrange, vector_basis, _dof_values
 
 __all__ = [
     "assemble", "NotSinglescaleError", "DirichletBC", "apply_bc",
@@ -202,13 +202,9 @@ class _Evaluator:
         if space.element.family == "RaviartThomas":
             return _basis_slot(self._rt0_basis(space)[0], arg)
         vals, _ = self.tab(space)                       # (Q, nloc_s)
-        nc = space.ncomp
-        if nc == 1:
+        if space.ncomp == 1:
             return _basis_slot(vals[:, :, None], arg)
-        vv = np.zeros((len(self.ref_pts), space.nloc, nc, 1))
-        for c in range(nc):
-            vv[:, c::nc, c, 0] = vals
-        return _basis_slot(vv, arg)
+        return _basis_slot(vector_basis(vals[:, :, None], space.ncomp), arg)
 
     def _phys_scalar_grads(self, space):
         """(Q, nloc_s, g, C), or (1, nloc_s, g, C) where the gradients are
@@ -234,14 +230,9 @@ class _Evaluator:
         if isinstance(term, Argument):
             space = term.space
             sg = self._phys_scalar_grads(space)         # (Q, nloc_s, g, C)
-            nc = space.ncomp
-            if nc == 1:
+            if space.ncomp == 1:
                 return _basis_slot(sg, term)
-            Q, nloc_s, g, C = sg.shape
-            vg = np.zeros((Q, nloc_s * nc, nc, g, C))
-            for c in range(nc):
-                vg[:, c::nc, c] = sg
-            return _basis_slot(vg, term)
+            return _basis_slot(vector_basis(sg, space.ncomp), term)
         space, cf = self._coefficients(term)
         sg = self._phys_scalar_grads(space)
         if space.ncomp == 1:
@@ -252,26 +243,16 @@ class _Evaluator:
         return out[:, None, None]
 
     def _div(self, term):
+        space = term.space if isinstance(term, Argument) else term.function.space
+        if space.element.family != "RaviartThomas":
+            # the trace of the vector gradient: for a basis function, one
+            # nonzero addend per dof
+            return np.trace(self._grad(term), axis1=-3, axis2=-2)
+        divs = self._rt0_basis(space)[1]
         if isinstance(term, Argument):
-            space = term.space
-            if space.element.family == "RaviartThomas":
-                return _basis_slot(self._rt0_basis(space)[1][None], term)
-            sg = self._phys_scalar_grads(space)
-            nc = space.ncomp
-            Q, nloc_s, _, C = sg.shape
-            dv = np.zeros((Q, nloc_s * nc, C))
-            for c in range(nc):
-                dv[:, c::nc] = sg[:, :, c]
-            return _basis_slot(dv, term)
-        space, cf = self._coefficients(term)
-        if space.element.family == "RaviartThomas":
-            divs = self._rt0_basis(space)[1]
-            return _sum_products((divs[k], cf[k]) for k in range(len(cf)))[None, None, None]
-        sg = self._phys_scalar_grads(space)
-        cfv = cf.reshape(space.nloc_scalar, space.ncomp, -1)
-        out = _sum_products((sg[:, i, d], cfv[i, d])
-                            for i in range(len(cfv)) for d in range(space.ncomp))
-        return out[:, None, None]
+            return _basis_slot(divs[None], term)
+        _, cf = self._coefficients(term)
+        return _sum_products((divs[k], cf[k]) for k in range(len(cf)))[None, None, None]
 
     def _coefficient_values(self, e):
         space, cf = self._coefficients(e)
@@ -418,68 +399,58 @@ class DirichletBC:
             raise ValueError("boundary values must be finite")
 
 
-def _bc_vectors(space_dim, bcs):
-    g = np.zeros(space_dim)
-    mask = np.zeros(space_dim)
+def _bc_vectors(block_op, i, bcs):
+    """Boundary values and pinned-dof mask of the conditions ``bcs`` on
+    block ``i``, each checked against the block's dimensions."""
+    n = block_op.col_dims[i]
+    g, mask = np.zeros(n), np.zeros(n)
     for bc in bcs:
+        if {block_op.row_dims[i], n} != {bc.space.dim}:
+            raise ValueError(f"boundary condition space has {bc.space.dim} dofs, "
+                             f"block {i} is {block_op.row_dims[i]} x {n}")
         g[bc.dofs] = bc.values
         mask[bc.dofs] = 1.0
     return g, mask
 
 
 def apply_bc(matrix, rhs, bcs, symmetric=False):
-    """Constrain a square single-space system.  Rows are zeroed with a unit
-    diagonal and rhs entries set to the boundary values; with ``symmetric``
-    the columns are eliminated too, lifting the rhs first."""
-    bcs = [bcs] if isinstance(bcs, DirichletBC) else list(bcs)
-    for bc in bcs:
-        if bc.space.dim != matrix.shape[0]:
-            raise ValueError("boundary condition space does not match the matrix")
-    n = matrix.shape[0]
-    g, mask = _bc_vectors(n, bcs)
-    keep = sp.diags(1.0 - mask)
-    pin = sp.diags(mask)
-    if symmetric:
-        rhs = keep @ (rhs - matrix @ g) + g
-        out = (keep @ matrix @ keep + pin).tocsr()
-    else:
-        rhs = keep @ rhs + g
-        out = (keep @ matrix + pin).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out, rhs
+    """Constrain a square single-space system: ``apply_bc_block`` on the
+    1x1 block system, collapsed (forced: the result stores at most the
+    entries of ``matrix`` and its diagonal)."""
+    bcs = [bcs] if isinstance(bcs, DirichletBC) else bcs
+    op, (rhs,) = apply_bc_block(BlockMat([[matrix]]), [rhs], {0: bcs}, symmetric)
+    return collapse(op, force=True), rhs
 
 
 def apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric=True):
     """Constrain a lazy block system.  ``bcs_by_block`` maps block index ->
-    list of DirichletBC.  Off-diagonal blocks are masked lazily (row/column
-    projectors composed around the original operators), so products built by
-    the interpreter never need to be materialized."""
+    list of DirichletBC, each on a space of that block's dimension.  Rows
+    of constrained dofs are zeroed with a unit diagonal and their rhs
+    entries set to the boundary values; with ``symmetric`` the columns are
+    eliminated too, lifting the rhs first.  Off-diagonal blocks are masked lazily (row/column projectors composed
+    around the original operators), so products built by the interpreter
+    never need to be materialized."""
     rows = block_op.blocks
     nb = len(rows)
-    vectors = {i: _bc_vectors(block_op.col_dims[i], bcs) for i, bcs in bcs_by_block.items()}
+    vectors = {i: _bc_vectors(block_op, i, bcs) for i, bcs in bcs_by_block.items()}
 
     rhs = [np.array(b, dtype=float, copy=True) for b in rhs_blocks]
     if symmetric:
         for j in range(nb):
             for i, (gi, _) in vectors.items():
-                blk = rows[j][i]
-                if isinstance(blk, Zero):
-                    continue
-                rhs[j] = rhs[j] - blk.matvec(gi)
+                if not isinstance(rows[j][i], Zero):
+                    rhs[j] -= rows[j][i].matvec(gi)
 
-    new_rows = [[rows[i][j] for j in range(nb)] for i in range(nb)]
+    new_rows = [list(row) for row in rows]
     for i, (gi, mask) in vectors.items():
         keep = Matrix(sp.diags(1.0 - mask).tocsr())
-        pin = sp.diags(mask).tocsr()
         for j in range(nb):
             if not isinstance(new_rows[i][j], Zero):
-                new_rows[i][j] = Product([keep, as_op(new_rows[i][j])])
+                new_rows[i][j] = Product([keep, new_rows[i][j]])
             if symmetric and not isinstance(new_rows[j][i], Zero):
-                new_rows[j][i] = Product([as_op(new_rows[j][i]), keep])
-        diag = new_rows[i][i]
-        unit = Matrix(pin)
-        new_rows[i][i] = Sum([as_op(diag), unit]) if not isinstance(diag, Zero) else unit
+                new_rows[j][i] = Product([new_rows[j][i], keep])
+        diag, unit = new_rows[i][i], Matrix(sp.diags(mask).tocsr())
+        new_rows[i][i] = unit if isinstance(diag, Zero) else Sum([diag, unit])
         rhs[i] = (1.0 - mask) * rhs[i] + gi
     return BlockMat(new_rows), rhs
 

@@ -6,6 +6,7 @@ CSV (17 significant digits).
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -34,7 +35,7 @@ from .space import (
 )
 
 __all__ = [
-    "CaseConfig", "StudyRecord", "run_babuska", "run_darcy_stokes",
+    "CASES", "CaseConfig", "StudyRecord", "run_babuska", "run_darcy_stokes",
     "run_perfusion", "run_restrict_demo", "run_case", "export_case",
     "assemble_babuska", "assemble_darcy_stokes", "assemble_perfusion",
 ]
@@ -544,18 +545,23 @@ def run_restrict_demo(cfg: CaseConfig) -> StudyRecord:
     return rec
 
 
+# case -> (refinement study of a CaseConfig, assembler of its system from
+# (n, cache=...) or None where the case has no system to export)
+CASES = {
+    "babuska": (run_babuska, assemble_babuska),
+    "ds-primal": (functools.partial(run_darcy_stokes, formulation="primal"),
+                  functools.partial(assemble_darcy_stokes, formulation="primal")),
+    "ds-mixed": (functools.partial(run_darcy_stokes, formulation="mixed"),
+                 functools.partial(assemble_darcy_stokes, formulation="mixed")),
+    "perfusion": (run_perfusion, assemble_perfusion),
+    "restrict-demo": (run_restrict_demo, None),
+}
+
+
 def run_case(cfg: CaseConfig) -> StudyRecord:
-    if cfg.case == "babuska":
-        return run_babuska(cfg)
-    if cfg.case == "ds-primal":
-        return run_darcy_stokes(cfg, "primal")
-    if cfg.case == "ds-mixed":
-        return run_darcy_stokes(cfg, "mixed")
-    if cfg.case == "perfusion":
-        return run_perfusion(cfg)
-    if cfg.case == "restrict-demo":
-        return run_restrict_demo(cfg)
-    raise ValueError(f"unknown case {cfg.case!r}")
+    if cfg.case not in CASES:
+        raise ValueError(f"unknown case {cfg.case!r}")
+    return CASES[cfg.case][0](cfg)
 
 
 # -- matrix export --------------------------------------------------------------------
@@ -564,18 +570,12 @@ def export_case(case, n, out_dir):
     """Write every system block, rhs block and reduction matrix of a case
     in Matrix Market format."""
     import os
+    assembler = CASES.get(case, (None, None))[1]
+    if assembler is None:
+        raise ValueError(f"case {case!r} has no exportable system")
     os.makedirs(out_dir, exist_ok=True)
     cache = ReductionCache()
-    if case == "babuska":
-        sys = assemble_babuska(n, cache)
-    elif case == "ds-primal":
-        sys = assemble_darcy_stokes(n, "primal", cache)
-    elif case == "ds-mixed":
-        sys = assemble_darcy_stokes(n, "mixed", cache)
-    elif case == "perfusion":
-        sys = assemble_perfusion(n, cache=cache)
-    else:
-        raise ValueError(f"case {case!r} has no exportable system")
+    sys = assembler(n, cache=cache)
     A, b = sys["A"], sys["b"]
     nb = len(A.row_dims)
     for i in range(nb):

@@ -9,9 +9,7 @@ import argparse
 import os
 import sys
 
-from .bench import CaseConfig, export_case, run_case
-
-CASES = ("babuska", "ds-primal", "ds-mixed", "perfusion", "restrict-demo")
+from .bench import CASES, CaseConfig, export_case, run_case
 
 
 def _build_parser():
@@ -19,7 +17,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a refinement study")
-    run.add_argument("--case", choices=CASES, required=True)
+    run.add_argument("--case", choices=list(CASES), required=True)
     run.add_argument("--n", type=int, default=8, help="coarsest resolution")
     run.add_argument("--levels", type=int, default=3)
     run.add_argument("--tol", type=float, default=1e-10)
@@ -32,7 +30,8 @@ def _build_parser():
     run.add_argument("--out", default=".")
 
     exp = sub.add_parser("export", help="export system and reduction matrices")
-    exp.add_argument("--case", choices=CASES, required=True)
+    exp.add_argument("--case", required=True,
+                     choices=[c for c, (_, system) in CASES.items() if system is not None])
     exp.add_argument("--n", type=int, default=4)
     exp.add_argument("--what", choices=("matrices",), default="matrices")
     exp.add_argument("--out", required=True)

@@ -128,6 +128,15 @@ class ReductionKind:
         return () if self.name != "average" else (self.radius, self.n_quad)
 
 
+def _check_average(radius, n_quad):
+    """The circle-average parameters, checked where a form names them and
+    where ``reduction.average_matrix`` builds from them."""
+    if radius is None or not radius > 0:
+        raise FormError(f"average radius must be positive, got {radius}")
+    if isinstance(n_quad, bool) or not isinstance(n_quad, numbers.Integral) or n_quad < 1:
+        raise FormError(f"average n_quad must be an integer >= 1, got {n_quad!r}")
+
+
 class Reduced(Expr):
     """Reduction of a terminal (Argument or Coefficient) onto a target mesh."""
 
@@ -139,11 +148,7 @@ class Reduced(Expr):
         if kind.name == "average":
             if space.mesh.gdim != 3 or target_mesh.tdim != 1:
                 raise FormError("average reduces a 3d field onto a curve")
-            if not kind.radius or kind.radius <= 0:
-                raise FormError(f"average radius must be positive, got {kind.radius}")
-            n = kind.n_quad
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-                raise FormError(f"average n_quad must be an integer >= 1, got {n!r}")
+            _check_average(kind.radius, kind.n_quad)
         self.kind = kind
         self.operand = operand
         self.target_mesh = target_mesh

@@ -43,6 +43,12 @@ __all__ = [
 
 HS_DIM_LIMIT = 5000
 
+# A dense eigensolve finds the pencil's eigenvalues to a modest multiple of
+# eps * lam_max: on babuska's multiplier pencils |lam_min - 1| / (eps
+# lam_max) is 0.02 at 512 rows and up to 0.31 at 2,048.  64 leaves room
+# and still rejects a pencil shifted down by 1e-6 M while lam_max < 7e7.
+_EIG_ULPS = 64
+
 
 class KrylovError(RuntimeError):
     pass
@@ -257,8 +263,10 @@ class HsNormOperator:
         Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
         Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
         lam, U = scipy.linalg.eigh(Sd, Md)
-        if lam.min() < 1.0 - 1e-10:
-            raise ValueError(f"shifted pencil has eigenvalue {lam.min():.12g} < 1")
+        slack = _EIG_ULPS * np.finfo(float).eps * lam.max()
+        if lam.min() < 1.0 - slack:
+            raise ValueError(f"shifted pencil has eigenvalue {lam.min():.12g} < 1 "
+                             f"(rounding allows {slack:.3g})")
         self.M, self.s = Md, s
         self.eigenvalues, self.eigenvectors = lam, U
         self._inverse = (U * (lam ** -s)[None, :]) @ U.T
@@ -281,13 +289,17 @@ def hs_norm(M, S, s):
     return HsNormOperator(M, S, s)
 
 
+def _mass(space):
+    p, q = TrialFunction(space), TestFunction(space)
+    return assemble(inner(p, q) * Measure(space.mesh))
+
+
 def h1_pencil(space):
     """(mass, stiffness + mass) pair discretizing (I, -Laplace + I)."""
     p, q = TrialFunction(space), TestFunction(space)
     dx = Measure(space.mesh)
-    M = assemble(inner(p, q) * dx)
     S = assemble(inner(grad(p), grad(q)) * dx + inner(p, q) * dx)
-    return M, S
+    return _mass(space), S
 
 
 def fd_dual_pencil(space):
@@ -297,8 +309,7 @@ def fd_dual_pencil(space):
     mesh = space.mesh
     if mesh.tdim != 1 or space.element.degree != 0 or space.ncomp != 1:
         raise ValueError("dual-grid pencil expects a scalar P0 space on a curve")
-    p, q = TrialFunction(space), TestFunction(space)
-    M = assemble(inner(p, q) * Measure(mesh))
+    M = _mass(space)
     # the two cells of each vertex that joins exactly two, lower index first
     flat = mesh.cells.ravel()
     order = np.argsort(flat, kind="stable")
@@ -358,11 +369,6 @@ def inverse_handle(block, label="block"):
 
 
 # -- benchmark preconditioners ------------------------------------------------------
-
-def _mass(space):
-    p, q = TrialFunction(space), TestFunction(space)
-    return assemble(inner(p, q) * Measure(space.mesh))
-
 
 def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffness"):
     """Block-diagonal Riesz-map preconditioners for the demo problems.

@@ -275,15 +275,8 @@ class Mesh:
         """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim)
         in ``cells`` (N,), plus their distances (N,) off the cells' planes
         (zero when tdim == gdim).  Needs no locator."""
-        return _barycentric(self.vertices, self.cells, self._transposed_gradient_transform(),
+        return _barycentric(self.vertices, self.cells, self.gradient_transform,
                             np.asarray(cells, dtype=np.int64), np.asarray(x, dtype=float))
-
-    def _transposed_gradient_transform(self):
-        """(nc, tdim, gdim) G^T for barycentric solves on manifolds; None
-        on full-dimensional meshes, which do not use it."""
-        if self.tdim == self.gdim:
-            return None
-        return np.swapaxes(self.gradient_transform, 1, 2)
 
 
 # -- closed-form affine geometry -----------------------------------------------
@@ -412,7 +405,7 @@ class CellLocator:
         self._offsets = np.array(list(np.ndindex(*self.reach + 1)), dtype=np.int64)
         # geometry for barycentric solves: the mesh's own read-only arrays
         self._vertices, self._cells = mesh.vertices, mesh.cells
-        self._Gt = mesh._transposed_gradient_transform()
+        self._G = mesh.gradient_transform
 
     def _candidates(self, x):
         """(point, cell) pairs of the points ``x`` (N, gdim) and the cells
@@ -451,7 +444,7 @@ class CellLocator:
         for lo in range(0, len(x), step):
             chunk = x[lo:lo + step]
             point, cand = self._candidates(chunk)
-            mu, resid = _barycentric(self._vertices, self._cells, self._Gt, cand,
+            mu, resid = _barycentric(self._vertices, self._cells, self._G, cand,
                                      chunk[point])
             hit = np.flatnonzero((mu.min(axis=1) >= -self.tol)
                                  & (resid <= self.tol * (1.0 + self._diam[cand])))
@@ -476,36 +469,24 @@ class CellLocator:
         return int(cells[0]), lam[0]
 
 
-def _barycentric(vertices, cells, Gt, which, x):
+def _barycentric(vertices, cells, G, which, x):
     """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim) in
     the cells ``which`` (N,) of the mesh (``vertices``, ``cells``), plus
     their distances (N,) off the cells' planes (zero when tdim == gdim).
 
-    Full-dimensional cells solve E^T mu = d with the LAPACK inverses of the
-    edge matrices E of just the cells in use.  On axis-aligned structured
-    cells inv(E) is exact, so a point on a grid plane keeps exactly zero
-    coordinates there; the mesh's closed-form E^-1 differs from it in the
-    last bit on most Kuhn-cube cells (60% at n=12, 74% at n=24), and would
-    move every trace and average matrix built from these coordinates.  Manifold cells take the least-squares
-    mu = G^T d from ``Gt`` (nc, tdim, gdim), the transposed gradient
-    transform, which full-dimensional meshes need not pass."""
+    The reference coordinates are mu = G^T d, with d = x - v0 and ``G``
+    (nc, gdim, tdim) the mesh's gradient transform: the closed-form E^-1
+    on full-dimensional cells, the least-squares inverse E^T (E E^T)^-1 on
+    manifolds.  One kernel serves every mesh."""
     tdim, gdim = cells.shape[1] - 1, vertices.shape[1]
     v0 = vertices[cells[which, 0]]
     d = x - v0
     # Stacked np.matmul runs the same BLAS kernel per point as the
     # single-point product; einsum sums in another order.
+    mu = np.matmul(np.swapaxes(G, 1, 2)[which], d[:, :, None])[:, :, 0]
     if tdim == gdim:
-        used = np.zeros(len(cells), dtype=bool)
-        used[which] = True
-        ids = np.flatnonzero(used)
-        slot = np.empty(len(cells), dtype=np.int64)
-        slot[ids] = np.arange(len(ids))
-        v = vertices[cells[ids]]
-        Einv = np.linalg.inv(v[:, 1:] - v[:, :1])[slot[which]]
-        mu = np.matmul(Einv.transpose(0, 2, 1), d[:, :, None])[:, :, 0]
         resid = np.zeros(len(which))
     else:
-        mu = np.matmul(Gt[which], d[:, :, None])[:, :, 0]
         E = vertices[cells[which, 1:]] - v0[:, None, :]
         r = d - np.matmul(mu[:, None, :], E)[:, 0, :]
         resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .forms import ReductionKind
+from .forms import ReductionKind, _check_average
 from .mesh import Mesh, OutOfDomainError
 from .space import Element, FunctionSpace, basis_rows, build_space
 
@@ -85,9 +85,11 @@ def trace_matrix(source: FunctionSpace, target: FunctionSpace):
 
 
 def _csr(rows, cols, vals, shape):
-    """CSR from COO triplets in the given order, duplicates summed."""
+    """CSR from COO triplets in the given order, duplicates summed and
+    exact zeros (basis functions that vanish at a point) not stored."""
     m = sp.coo_matrix((vals.ravel(), (rows, cols.ravel())), shape=shape).tocsr()
     m.sum_duplicates()
+    m.eliminate_zeros()
     m.sort_indices()
     return m
 
@@ -161,7 +163,9 @@ def average_matrix(source: FunctionSpace, target: FunctionSpace,
     """Circle-average rows: row i is the mean of source basis rows over
     ``n_quad`` uniform points on the circle of ``radius`` around dof i in
     the plane normal to the curve tangent.  Out-of-domain circle points are
-    a hard error naming the dof."""
+    a hard error naming the dof; a radius <= 0 or an ``n_quad`` that is
+    not an integer >= 1 raises ``FormError``."""
+    _check_average(radius, n_quad)
     if source.ncomp != 1:
         raise UnsupportedReductionError("averages support scalar sources only")
     tangents = curve_dof_tangents(target)

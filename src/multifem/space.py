@@ -20,7 +20,7 @@ __all__ = [
     "Element", "FunctionSpace", "Function", "UnsupportedElementError",
     "lagrange", "vector_lagrange", "dg0", "vector_dg0", "rt0",
     "build_space", "interpolate", "evaluate", "basis_row", "basis_rows",
-    "tabulate_lagrange", "rt0_edge_flux",
+    "tabulate_lagrange", "vector_basis", "rt0_edge_flux",
 ]
 
 _uid_counter = itertools.count()
@@ -110,6 +110,17 @@ def tabulate_lagrange(tdim, degree, points):
     raise UnsupportedElementError(f"Lagrange degree {degree} on tdim={tdim}")
 
 
+def vector_basis(scalar, nc):
+    """Values (P, nloc_s * nc, nc, ...) of the vector basis with ``nc``
+    interleaved components built from the scalar basis values ``scalar``
+    (P, nloc_s, ...): local dof i * nc + c is scalar function i in
+    component c, and zero in the others."""
+    out = np.zeros(scalar.shape[:2] + (nc, nc) + scalar.shape[2:])
+    for c in range(nc):
+        out[:, :, c, c] = scalar
+    return out.reshape((len(out), -1, nc) + scalar.shape[2:])
+
+
 # -- function spaces ----------------------------------------------------------
 
 class FunctionSpace:
@@ -149,28 +160,19 @@ class FunctionSpace:
         raise UnsupportedElementError(f"unknown element family {fam}")
 
     def _vectorize(self, scalar_dofmap, scalar_coords):
-        """Interleave components: scalar dof s, component c -> s*ncomp + c."""
+        """Interleave components: scalar dof s, component c -> s*ncomp + c,
+        the layout of ``vector_basis``."""
         nc = self.ncomp
-        if nc == 1:
-            self.dofmap = scalar_dofmap
-            self.dof_coords = scalar_coords
-            self.dof_component = np.zeros(len(scalar_coords), dtype=np.int64)
-        else:
-            nloc = scalar_dofmap.shape[1]
-            dm = np.empty((scalar_dofmap.shape[0], nloc * nc), dtype=np.int64)
-            for i in range(nloc):
-                for c in range(nc):
-                    dm[:, i * nc + c] = scalar_dofmap[:, i] * nc + c
-            self.dofmap = dm
-            self.dof_coords = np.repeat(scalar_coords, nc, axis=0)
-            self.dof_component = np.tile(np.arange(nc), len(scalar_coords))
+        dm = scalar_dofmap[:, :, None] * nc + np.arange(nc)
+        self.dofmap = dm.reshape(len(dm), -1)
+        self.dof_coords = np.repeat(scalar_coords, nc, axis=0)
+        self.dof_component = np.tile(np.arange(nc), len(scalar_coords))
         self.dim = self.dof_coords.shape[0]
 
     def _init_lagrange(self, deg):
         mesh = self.mesh
         if deg == 1:
-            scalar_dofmap = mesh.cells.copy()
-            coords = mesh.vertices.copy()
+            scalar_dofmap, coords = mesh.cells, mesh.vertices
         else:
             nv = mesh.num_vertices
             scalar_dofmap = np.hstack([mesh.cells, nv + mesh.cell_edges])
@@ -181,9 +183,8 @@ class FunctionSpace:
 
     def _init_dg0(self):
         scalar_dofmap = np.arange(self.mesh.num_cells, dtype=np.int64)[:, None]
-        coords = self.mesh.cell_centroids.copy()
         self.nloc_scalar = 1
-        self._vectorize(scalar_dofmap, coords)
+        self._vectorize(scalar_dofmap, self.mesh.cell_centroids)
 
     def _init_rt0(self):
         mesh = self.mesh
@@ -316,13 +317,7 @@ def basis_rows(space: FunctionSpace, points, cells=None):
         vals, _ = space.rt0_cell_basis(cells, (points - v0).T[None])
         return cols, vals[0].transpose(2, 1, 0)        # (N, gdim, 3)
     vals, _ = tabulate_lagrange(space.mesh.tdim, space.element.degree, lam[:, 1:])
-    if space.ncomp == 1:
-        return cols, vals[:, None, :]
-    nc = space.ncomp
-    out = np.zeros((len(cells), nc, space.nloc_scalar * nc))
-    for c in range(nc):
-        out[:, c, c::nc] = vals
-    return cols, out
+    return cols, vector_basis(vals, space.ncomp).transpose(0, 2, 1)
 
 
 def basis_row(space: FunctionSpace, x, cell=None):

@@ -6,16 +6,17 @@ import scipy.sparse.linalg as spla
 
 from conftest import dropped_residue
 from multifem.assemble import (
-    DirichletBC, NotSinglescaleError, apply_bc, assemble, load_matrix_market,
-    save_matrix_market,
+    DirichletBC, NotSinglescaleError, apply_bc, apply_bc_block, assemble,
+    load_matrix_market, save_matrix_market,
 )
 from multifem.forms import (
     Analytic, Coefficient, Constant, FormError, Measure, Trace, div, grad, inner, sym,
     TestFunction, TrialFunction,
 )
 from multifem import mesh as mesh_module
-from multifem.bench import _ds_meshes
+from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.mesh import Mesh, facet_submesh, near, unit_cube_mesh, unit_square_mesh
+from multifem.opalg import collapse
 from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
 
 assemble_module = importlib.import_module("multifem.assemble")   # not the function
@@ -88,6 +89,20 @@ class TestAssemblyProperties:
             form = inner(grad(u), grad(v)) * Measure(m) + inner(u, v) * Measure(m)
             mats.append(assemble(form).toarray())
         assert np.abs(mats[0] - mats[1]).max() < 1e-13
+
+    def test_vector_divergence_is_trace_of_gradient(self):
+        # div of a vector P2 argument and of a coefficient: the quadratic
+        # field (x^2, xy) is interpolated exactly, and its divergence is 3x
+        mesh = unit_square_mesh(4, 4)
+        V = build_space(mesh, vector_lagrange(2))
+        q = TestFunction(build_space(mesh, lagrange(1)))
+        dx = Measure(mesh)
+        fh = interpolate(V, lambda p: np.column_stack([p[:, 0] ** 2, p[:, 0] * p[:, 1]]))
+        B = assemble(inner(div(TrialFunction(V)), q) * dx)
+        b = assemble(inner(div(Coefficient(fh)), q) * dx)
+        assert np.abs(B @ fh.coefficients - b).max() < 1e-15
+        total = assemble(inner(div(Coefficient(fh)), Constant(1.0)) * dx)
+        assert abs(total - 1.5) < 1e-14
 
     def test_mass_matrix_spd(self):
         mesh = unit_square_mesh(3, 3)
@@ -323,6 +338,17 @@ class TestDirichletBC:
         bc = DirichletBC(other, 0.0, lambda p: near(p[:, 0], 0))
         with pytest.raises(ValueError):
             apply_bc(self.A, self.b, [bc])
+
+    def test_both_paths_reject_a_condition_on_another_block_space(self):
+        # a condition on babuska's 32-dof multiplier space once pinned dofs
+        # of the 81-dof bulk block through the lazy path
+        sys = assemble_babuska(8)
+        V, Q = sys["W"]
+        bc = DirichletBC(Q, 0.0, lambda p: np.ones(len(p), dtype=bool))
+        with pytest.raises(ValueError, match="32 dofs, block 0 is 81 x 81"):
+            apply_bc_block(sys["A"], sys["b"], {0: [bc]})
+        with pytest.raises(ValueError, match="block 0"):
+            apply_bc(collapse(sys["A"][0, 0]), np.zeros(V.dim), [bc])
 
 
 def test_matrix_market_roundtrip(tmp_path):

@@ -157,11 +157,11 @@ class TestPerfusionCase:
         # minimum degree on A + A^T has about half of COLAMD's fill on the
         # true pattern
         A = collapse(assemble_perfusion(12)["A"]).tocsc()
-        assert A.nnz == 14_371
+        assert A.nnz == 14_374
         mmd = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
         colamd = spla.splu(A, permc_spec="COLAMD")
         assert mmd.L.nnz + mmd.U.nnz == 131_629
-        assert colamd.L.nnz + colamd.U.nnz == 246_959
+        assert colamd.L.nnz + colamd.U.nnz == 246_961
 
     # Every bulk coupling that vanishes in exact arithmetic cancels exactly
     # (to a zero that collapsing drops), so the assembler prunes nothing
@@ -247,6 +247,16 @@ class TestCli:
                      "--out", str(tmp_path / "mats")])
         assert code == 0
         assert (tmp_path / "mats" / "A_0_0.mtx").exists()
+
+    def test_export_offers_only_cases_with_a_system(self, tmp_path, capsys):
+        from multifem.cli import main
+        # restrict-demo has no system: argparse rejects it, not export_case
+        with pytest.raises(SystemExit) as err:
+            main(["export", "--case", "restrict-demo", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "invalid choice: 'restrict-demo'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="no exportable system"):
+            export_case("restrict-demo", 4, tmp_path)
 
     def test_run_solver_case(self, tmp_path):
         from multifem.cli import main

@@ -203,6 +203,24 @@ class TestHsNorm:
         built[0].forward_op()
         assert "_forward" in vars(built[0])
 
+    @pytest.mark.parametrize("shift", [-1.0, -1e-6], ids=["stiffness", "below-mass"])
+    def test_eigenvalue_guard_rejects_pencil_below_the_shift(self, pencil, shift):
+        # S = stiffness (lam_min = 0) and S = stiffness + (1 - 1e-6) M
+        M, S = pencil
+        with pytest.raises(ValueError, match="eigenvalue"):
+            hs_norm(M, S + shift * M, 0.5)
+
+    def test_eigenvalue_guard_scales_with_rounding(self):
+        # babuska's n=512 multiplier pencil (2,048 rows): the dense eigh
+        # puts lam_min 1.3e-10 to 2.2e-10 below the exact 1, more than the
+        # absolute 1e-10 the guard once allowed
+        omega = unit_square_mesh(512)
+        gamma = facet_submesh(omega, lambda p: near(p[:, 0] * (1 - p[:, 0]), 0)
+                              | near(p[:, 1] * (1 - p[:, 1]), 0))
+        Q = build_space(gamma, lagrange(1))
+        assert Q.dim == 2048
+        assert hs_inverse_block(Q, -0.5).shape == (2048, 2048)
+
     def test_dimension_guard(self):
         n = 5001
         M = sp.identity(n, format="csr")

@@ -1,11 +1,13 @@
 """Property-based check of batched point location against a brute-force
-oracle that tests every cell of the mesh."""
+oracle that tests every cell of the mesh, and of the closed-form
+barycentric coordinates against per-point LAPACK solves."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from multifem.mesh import (
-    Mesh, OutOfDomainError, polyline_mesh, unit_cube_mesh, unit_square_mesh,
+    Mesh, OutOfDomainError, facet_submesh, polyline_mesh, unit_cube_mesh,
+    unit_square_mesh,
 )
 
 TOL = 1e-10
@@ -178,3 +180,59 @@ def test_locate_many_on_long_curves(data):
     mesh = data.draw(long_curves())
     assert mesh.num_cells >= 2000
     check_against_oracle(data, mesh)
+
+
+def lapack_coordinates(mesh, cells, x):
+    """Per-point oracle: barycentric coordinates from one LAPACK solve of
+    E^T mu = x - v0 per point (least squares on manifolds)."""
+    out = []
+    for c, p in zip(cells, x):
+        v = mesh.vertices[mesh.cells[c]]
+        E = v[1:] - v[0]
+        mu = np.linalg.lstsq(E.T, p - v[0], rcond=None)[0]
+        out.append(np.r_[1.0 - mu.sum(), mu])
+    return np.array(out)
+
+
+def jittered(mesh, h, seed):
+    """``mesh`` (cells of width ``h``) with its interior vertices moved by
+    up to a quarter cell."""
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    v[inner] += rng.uniform(-0.25 * h, 0.25 * h, (inner.sum(), mesh.gdim))
+    return Mesh(v, mesh.cells)
+
+
+def _box_boundary(p):
+    return np.any((np.abs(p) < 1e-10) | (np.abs(p - 1) < 1e-10), axis=1)
+
+
+def tilted_square(n):
+    """``unit_square_mesh(n)`` mapped onto a tilted plane in 3d."""
+    sq = unit_square_mesh(n)
+    return Mesh(sq.vertices @ np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.5]]), sq.cells)
+
+
+@pytest.mark.parametrize("mesh", [
+    unit_square_mesh(12), jittered(unit_square_mesh(12), 1 / 12, 1),
+    unit_cube_mesh(5), jittered(unit_cube_mesh(5), 1 / 5, 2),
+    facet_submesh(unit_cube_mesh(4), _box_boundary), tilted_square(6),
+    facet_submesh(unit_square_mesh(9), _box_boundary),
+    polyline_mesh([(0.1, 0.2, 0.3), (0.9, 0.4, 0.5), (0.3, 0.8, 0.7)], 7),
+], ids=["square", "square-jittered", "cube", "cube-jittered", "cube-surface",
+        "tilted-square", "square-boundary", "polyline-3d"])
+def test_closed_form_coordinates_match_lapack(mesh):
+    rng = np.random.default_rng(5)
+    cells = rng.integers(0, mesh.num_cells, 400)
+    w = rng.dirichlet(np.ones(mesh.tdim + 1), len(cells))
+    x = np.einsum("nk,nkg->ng", w, mesh.vertices[mesh.cells[cells]])
+    expected = lapack_coordinates(mesh, cells, x)
+    lam, resid = mesh.barycentric_many(cells, x)
+    assert np.abs(lam - expected).max() <= 1e-13
+    assert resid.max() <= 1e-13
+    found, lam_found = mesh.locator.locate_many(x)
+    assert np.abs(lam_found - lapack_coordinates(mesh, found, x)).max() <= 1e-13
+    for c, l in ((cells, lam), (found, lam_found)):
+        back = np.einsum("nk,nkg->ng", l, mesh.vertices[mesh.cells[c]])
+        assert np.abs(back - x).max() <= 1e-13

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from multifem.forms import ReductionKind
+from multifem.bench import assemble_babuska, assemble_darcy_stokes, assemble_perfusion
+from multifem.forms import FormError, ReductionKind
 from multifem.mesh import (
     OutOfDomainError, facet_submesh, near, polyline_mesh, unit_cube_mesh,
     unit_square_mesh,
@@ -118,6 +119,18 @@ def setting():
 
 
 class TestAverageMatrix:
+
+    @pytest.mark.parametrize("n_quad", [0, 2.5, -3, True])
+    def test_n_quad_validated(self, setting, n_quad):
+        cube, gamma, V, Q = setting
+        with pytest.raises(FormError, match="n_quad must be an integer >= 1"):
+            average_matrix(V, Q, radius=0.2, n_quad=n_quad)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.2, float("nan")])
+    def test_radius_validated(self, setting, radius):
+        cube, gamma, V, Q = setting
+        with pytest.raises(FormError, match="radius must be positive"):
+            average_matrix(V, Q, radius=radius, n_quad=16)
 
     def test_constants_preserved(self, setting):
         cube, gamma, V, Q = setting
@@ -267,3 +280,14 @@ class TestCache:
         cache.get_or_build(V, line, ReductionKind("average", 0.2, 16))
         cache.get_or_build(V, line, ReductionKind("average", 0.25, 16))
         assert cache.build_count == 2
+
+
+@pytest.mark.parametrize("system", [
+    lambda: assemble_babuska(16), lambda: assemble_darcy_stokes(8, "mixed"),
+    lambda: assemble_perfusion(12)], ids=["babuska", "ds-mixed", "perfusion"])
+def test_reduction_matrices_store_no_zeros(system):
+    # basis functions that vanish at an evaluation point are not stored
+    store = system()["cache"]._store
+    assert store
+    for red in store.values():
+        assert red.matrix.nnz and np.all(red.matrix.data != 0)
