@@ -29,7 +29,7 @@ from .reduction import (
 from .interpreter import multi_assemble
 from .opalg import (
     Matrix, Identity, Zero, Sum, Product, Transpose, Scaled, InverseHandle,
-    BlockMat, BlockVec, block_diag_mat, collapse, transpose, as_op,
+    BlockMat, block_diag_mat, collapse, as_op,
 )
 from .krylov import (
     minres, gmres, hs_norm, HsNormOperator, inverse_handle,

@@ -19,7 +19,7 @@ from .forms import (
     Add, Analytic, Argument, Coefficient, Constant, Div, Dot, Form, FormError,
     Grad, Inner, Neg, Scale, Sym, reduced_terminals,
 )
-from .mesh import _call_on_points, _facets_where
+from .mesh import EmptySelectionError, _call_on_points, _facets_where
 from .opalg import BlockMat, Matrix, Product, Sum, Zero, collapse
 from .space import FunctionSpace, tabulate_lagrange, vector_basis, _dof_values
 
@@ -384,7 +384,8 @@ class DirichletBC:
     dofs whose coordinate satisfies the predicate (one call, on all dof
     coordinates), valued at those coordinates.  RT0: the edge dofs whose
     endpoints and midpoint satisfy it (a call on all vertices, then one on
-    the candidate midpoints), valued by the edge fluxes of the field.
+    the candidate midpoints), valued by the edge fluxes of the field.  A
+    predicate that selects no dof raises ``EmptySelectionError``.
     """
 
     def __init__(self, space: FunctionSpace, value, predicate):
@@ -393,6 +394,8 @@ class DirichletBC:
             dofs = np.flatnonzero(_call_on_points(predicate, space.dof_coords))
         else:
             dofs = _facets_where(space.mesh, predicate)
+        if not len(dofs):
+            raise EmptySelectionError("boundary condition selects no dofs")
         self.dofs = dofs
         self.values = _dof_values(space, value, dofs)
         if not np.all(np.isfinite(self.values)):

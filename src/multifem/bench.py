@@ -28,7 +28,7 @@ from .mesh import (
     cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
     unit_square_mesh,
 )
-from .opalg import BlockVec, Matrix, Zero, collapse
+from .opalg import Matrix, Zero, collapse
 from .reduction import ReductionCache
 from .space import (
     Function, basis_rows, build_space, dg0, interpolate, lagrange, rt0, vector_lagrange,
@@ -151,7 +151,7 @@ def err_hdiv(fn, exact, div_exact):
 
 
 def _split(x, spaces):
-    return BlockVec.from_flat([V.dim for V in spaces], x)
+    return np.split(x, np.cumsum([V.dim for V in spaces])[:-1])
 
 
 # -- Babuska ---------------------------------------------------------------------
@@ -200,7 +200,7 @@ def run_babuska(cfg: CaseConfig) -> StudyRecord:
         sys = assemble_babuska(n)
         V, Q = sys["W"]
         B = build_preconditioner("babuska", sys["A"], sys["W"])
-        x, rep = minres(sys["A"], B, sys["b"].concatenate(), tol=cfg.tol, seed=cfg.seed)
+        x, rep = minres(sys["A"], B, np.concatenate(sys["b"]), tol=cfg.tol, seed=cfg.seed)
         rec.ok = rec.ok and rep.converged
         parts = _split(x, sys["W"])
         uh = Function(V, parts[0])
@@ -358,7 +358,7 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
         t0 = time.perf_counter()
         sys = assemble_darcy_stokes(n, formulation)
         W = sys["W"]
-        flat_b = BlockVec(sys["b"]).concatenate()
+        flat_b = np.concatenate(sys["b"])
         if formulation == "mixed":
             B = build_preconditioner("ds-mixed", sys["A"], W)
             x, rep = minres(sys["A"], B, flat_b, tol=cfg.tol, seed=cfg.seed)
@@ -435,7 +435,7 @@ def assemble_perfusion(n, radius=0.2, n_quad=16, beta=1.0, cache=None,
 
     cache = cache if cache is not None else ReductionCache()
     A = multi_assemble(a, cache)
-    b = BlockVec([np.zeros(V.dim), np.zeros(Q.dim)])
+    b = [np.zeros(V.dim), np.zeros(Q.dim)]
     if apply_bcs:
         bcs = {
             0: [DirichletBC(V, 0.0, _cube_boundary)],
@@ -455,7 +455,7 @@ def _solve_perfusion(n, radius, n_quad, beta=1.0):
     is released before the factorization."""
     sys = assemble_perfusion(n, radius, n_quad, beta)
     V, Q = sys["W"]
-    b = BlockVec(sys["b"]).concatenate()
+    b = np.concatenate(sys["b"])
     A = collapse(sys.pop("A")).tocsc()
     del sys
     x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A")
@@ -584,9 +584,8 @@ def export_case(case, n, out_dir):
                 continue
             save_matrix_market(os.path.join(out_dir, f"A_{i}_{j}.mtx"),
                                collapse(A[i, j]))
-    rhs = b if isinstance(b, (list, BlockVec)) else [b]
-    for i, vec in enumerate(rhs):
-        save_matrix_market(os.path.join(out_dir, f"b_{i}.mtx"), np.asarray(vec))
+    for i, vec in enumerate(b):
+        save_matrix_market(os.path.join(out_dir, f"b_{i}.mtx"), vec)
     for k, (key, red) in enumerate(sorted(cache._store.items())):
         save_matrix_market(os.path.join(out_dir, f"reduction_{red.kind.name}_{k}.mtx"),
                            red.matrix)

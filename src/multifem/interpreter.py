@@ -23,7 +23,7 @@ from .forms import (
     Argument, BlockForm, Coefficient, Form, FormError, Integral,
     reduced_terminals, replace,
 )
-from .opalg import BlockMat, BlockVec, Matrix, Product, Sum, Transpose, Zero, as_op
+from .opalg import BlockMat, Matrix, Product, Sum, Transpose, Zero, as_op
 from .reduction import ReductionCache
 from .space import Function
 
@@ -39,9 +39,10 @@ class UnhandledReductionError(FormError):
 def multi_assemble(obj, cache: ReductionCache | None = None):
     """Assemble numbers as-is, forms through the reduced-assembler registry,
     and block forms entrywise (absent blocks become dimension-carrying
-    zeros), wrapping the result as a block operator or block vector.
-    Reduction matrices are built once per ``cache``; without one, a fresh
-    cache serves this call and its recursion and is dropped with it."""
+    zeros): a bilinear one into a block operator, a linear one into a list
+    of per-block vectors.  Reduction matrices are built once per
+    ``cache``; without one, a fresh cache serves this call and its
+    recursion and is dropped with it."""
     cache = cache if cache is not None else ReductionCache()
     if isinstance(obj, numbers.Number):
         return obj
@@ -130,4 +131,4 @@ def _assemble_block_form(bf, cache):
             if not isinstance(vec, np.ndarray):
                 raise FormError(f"linear block {i} did not assemble to a vector")
             blocks.append(vec)
-    return BlockVec(blocks)
+    return blocks

@@ -4,11 +4,11 @@ Sobolev norm operators, and the block-diagonal preconditioners of the
 benchmark problems.
 
 Stopping is on the preconditioned residual norm relative to the initial
-one.  By default (``seed=None``, no ``x0``) the solve starts from zero, so
-``tol`` is relative to the preconditioned norm of ``b``.  An explicit
-``x0`` is used as given; an integer ``seed`` starts from a uniform random
-vector and is recorded in the report.  A right-hand side or a residual
-that is not finite raises ``KrylovError``.
+one.  By default (``seed=None``) the solve starts from zero, so ``tol`` is
+relative to the preconditioned norm of ``b``; an integer ``seed`` starts
+from a uniform random vector and is recorded in the report.  A right-hand
+side that is not a finite vector of the operator's size, or a residual
+that is not finite, raises ``KrylovError``.
 
 A seeded start is uniform per dof, whatever the dof measures.  For RT0
 edge-flux dofs that is a field of size ~1/h, so the initial residual, and
@@ -62,8 +62,11 @@ class KrylovReport:
     seed: int | None = None
 
 
-def _finite_rhs(b):
+def _check_rhs(b, shape):
     b = np.asarray(b, dtype=float)
+    if b.shape != shape[:1]:
+        raise KrylovError(f"right-hand side of shape {b.shape} for an operator "
+                          f"of shape {shape}")
     if not np.isfinite(b).all():
         raise KrylovError("right-hand side is not finite")
     return b
@@ -76,9 +79,7 @@ def _check_residual(norm, itn):
         raise KrylovError(f"preconditioned residual is not finite at iteration {itn}")
 
 
-def _initial_guess(n, seed, x0):
-    if x0 is not None:
-        return np.array(x0, dtype=float, copy=True)
+def _initial_guess(n, seed):
     if seed is None:
         return np.zeros(n)
     return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
@@ -97,22 +98,23 @@ def _check_symmetric(A, n, tol=1e-10, npairs=5, seed=1234):
             raise KrylovError(f"operator is not symmetric in action (gap {gap:.3e})")
 
 
-def minres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=None, x0=None):
+def minres(A, B, b, tol=1e-10, maxiter=500, seed=None):
     """Preconditioned MinRes for symmetric A with SPD preconditioner B.
 
-    Tracks the B-norm of the residual; stops when it drops below ``tol``
-    relative to the initial one.  By default (``seed=None``, no ``x0``)
-    the start is zero and the initial residual is ``b``; a seeded start is
-    uniform per dof (see the module docstring for its effect on RT0
-    fluxes).  Non-convergence is reported, not raised; a non-finite
-    right-hand side or residual raises ``KrylovError``.
+    ``B=None`` is the identity.  Tracks the B-norm of the residual; stops
+    when it drops below ``tol`` relative to the initial one.  By default
+    (``seed=None``) the start is zero and the initial residual is ``b``; a
+    seeded start is uniform per dof (see the module docstring for its
+    effect on RT0 fluxes).  Non-convergence is reported, not raised; a
+    right-hand side that is not a finite vector of length ``A.rows``, or a
+    non-finite residual, raises ``KrylovError``.
     """
     A = as_op(A)
     B = as_op(B) if B is not None else Identity(A.rows)
     n = A.rows
-    b = _finite_rhs(b)
+    b = _check_rhs(b, A.shape)
     _check_symmetric(A, n)
-    x = _initial_guess(n, seed, x0)
+    x = _initial_guess(n, seed)
 
     r1 = b - A.matvec(x)
     y = B.matvec(r1)
@@ -123,7 +125,7 @@ def minres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=None, x0=None):
     beta1 = np.sqrt(beta1)
     history = [beta1]
     if beta1 == 0.0:
-        return x, KrylovReport(True, 0, history, seed if x0 is None else None)
+        return x, KrylovReport(True, 0, history, seed)
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
@@ -172,31 +174,31 @@ def minres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=None, x0=None):
         if phibar <= tol * beta1:
             converged = True
             break
-    return x, KrylovReport(converged, itn, history, seed if x0 is None else None)
+    return x, KrylovReport(converged, itn, history, seed)
 
 
-def gmres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=None, x0=None):
+def gmres(A, B, b, tol=1e-10, maxiter=500, seed=None):
     """Full (unrestarted) left-preconditioned GMRES with modified
-    Gram-Schmidt; tracks and minimizes the 2-norm of the preconditioned
-    residual.  Stops when it drops below ``tol`` relative to the initial
-    one: the 2-norm of ``B b`` from the default zero start (``seed=None``,
-    no ``x0``), else that of the seeded uniform-per-dof or the given start.
-    Breakdown triggers a final convergence check; a non-finite right-hand
-    side or residual raises ``KrylovError``."""
+    Gram-Schmidt (``B=None`` is the identity); tracks and minimizes the
+    2-norm of the preconditioned residual.  Stops when it drops below
+    ``tol`` relative to the initial one: the 2-norm of ``B b`` from the
+    default zero start (``seed=None``), else that of the seeded
+    uniform-per-dof start.  Breakdown triggers a final convergence check;
+    a right-hand side that is not a finite vector of length ``A.rows``, or
+    a non-finite residual, raises ``KrylovError``."""
     A = as_op(A)
     B = as_op(B) if B is not None else Identity(A.rows)
     n = A.rows
-    b = _finite_rhs(b)
-    x = _initial_guess(n, seed, x0)
+    b = _check_rhs(b, A.shape)
+    x = _initial_guess(n, seed)
 
     r = b - A.matvec(x)
     z = B.matvec(r)
     beta = np.linalg.norm(z)
     _check_residual(beta, 0)
     history = [beta]
-    report_seed = seed if x0 is None else None
     if beta == 0.0:
-        return x, KrylovReport(True, 0, history, report_seed)
+        return x, KrylovReport(True, 0, history, seed)
 
     V = [z / beta]
     H = []                      # column j holds h[0..j+1]
@@ -240,7 +242,7 @@ def gmres(A, B=None, b=None, tol=1e-10, maxiter=500, seed=None, x0=None):
             y[i] = (g[i] - sum(H[k][i] * y[k] for k in range(i + 1, m))) / H[i][i]
         for k in range(m):
             x = x + y[k] * V[k]
-    return x, KrylovReport(converged, itn, history, report_seed)
+    return x, KrylovReport(converged, itn, history, seed)
 
 
 # -- fractional Sobolev norms ----------------------------------------------------
@@ -364,8 +366,7 @@ def inverse_handle(block, label="block"):
         raise KrylovError(
             f"LU of block '{label}' ({A.shape[0]} rows, {A.nnz} stored entries) "
             f"failed: {exc}") from exc
-    return InverseHandle(op.rows, lu.solve,
-                         apply_t=lambda v: lu.solve(v, trans="T"), label=label)
+    return InverseHandle(op.rows, lu.solve, label=label)
 
 
 # -- benchmark preconditioners ------------------------------------------------------

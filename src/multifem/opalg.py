@@ -1,20 +1,23 @@
 """Lazy linear operator expressions: matrix leaves, products, sums,
-transposes, scalings, block structure and inverse handles.
+transposes of matrix leaves, scalings, block structure and inverse handles.
 
-Expressions are immutable trees evaluated through their action (``matvec``)
-or materialized with ``collapse``.  No simplification is performed beyond
-double-transpose normalization.
+Expressions are immutable trees evaluated through their forward action
+(``matvec``) on flat vectors, or materialized with ``collapse``.  No
+simplification is performed.  The only transpose a lowering makes is that
+of a reduction matrix (``R^T`` in ``R^T o A o R``), so ``Transpose`` wraps
+matrix leaves only and no node has a transposed action.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "OpExpr", "Matrix", "Identity", "Zero", "Sum", "Product", "Transpose",
-    "Scaled", "InverseHandle", "BlockMat", "BlockVec", "as_op", "transpose",
-    "block_diag_mat", "collapse", "OpError", "NotCollapsibleError",
-    "CollapseSizeError",
+    "Scaled", "InverseHandle", "BlockMat", "as_op", "block_diag_mat",
+    "collapse", "OpError", "NotCollapsibleError", "CollapseSizeError",
 ]
 
 COLLAPSE_LIMIT = 5_000_000
@@ -45,13 +48,6 @@ class OpExpr:
 
     def matvec(self, x):
         raise NotImplementedError
-
-    def rmatvec(self, x):
-        raise NotImplementedError
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def __matmul__(self, other):
         if isinstance(other, OpExpr):
@@ -104,15 +100,9 @@ class Matrix(OpExpr):
             raise OpError(f"matrix leaf needs an array, got {type(a).__name__}")
         self.a = a
         self.shape = a.shape
-        self._at = None
 
     def matvec(self, x):
         return self.a @ _check_vec(self, x, self.cols)
-
-    def rmatvec(self, x):
-        if self._at is None:
-            self._at = self.a.T.tocsr() if sp.issparse(self.a) else self.a.T
-        return self._at @ _check_vec(self, x, self.rows)
 
 
 class Identity(OpExpr):
@@ -122,8 +112,6 @@ class Identity(OpExpr):
     def matvec(self, x):
         return _check_vec(self, x, self.cols).copy()
 
-    rmatvec = matvec
-
 
 class Zero(OpExpr):
     def __init__(self, rows, cols):
@@ -132,10 +120,6 @@ class Zero(OpExpr):
     def matvec(self, x):
         _check_vec(self, x, self.cols)
         return np.zeros(self.rows)
-
-    def rmatvec(self, x):
-        _check_vec(self, x, self.rows)
-        return np.zeros(self.cols)
 
 
 class Sum(OpExpr):
@@ -155,13 +139,6 @@ class Sum(OpExpr):
             out = out + t.matvec(x)
         return out
 
-    def rmatvec(self, x):
-        x = _check_vec(self, x, self.rows)
-        out = self.terms[0].rmatvec(x)
-        for t in self.terms[1:]:
-            out = out + t.rmatvec(x)
-        return out
-
 
 class Product(OpExpr):
     def __init__(self, factors):
@@ -179,31 +156,25 @@ class Product(OpExpr):
             x = f.matvec(x)
         return x
 
-    def rmatvec(self, x):
-        x = _check_vec(self, x, self.rows)
-        for f in self.factors:
-            x = f.rmatvec(x)
-        return x
-
 
 class Transpose(OpExpr):
+    """Transpose of a matrix leaf, applied through the leaf's transposed
+    copy (CSR when sparse), built on first use."""
+
     def __init__(self, e):
         self.child = as_op(e)
+        if not isinstance(self.child, Matrix):
+            raise OpError(f"only matrix leaves can be transposed, got "
+                          f"{type(self.child).__name__}")
         self.shape = (self.child.cols, self.child.rows)
 
+    @functools.cached_property
+    def _at(self):
+        a = self.child.a
+        return a.T.tocsr() if sp.issparse(a) else a.T
+
     def matvec(self, x):
-        return self.child.rmatvec(x)
-
-    def rmatvec(self, x):
-        return self.child.matvec(x)
-
-
-def transpose(e):
-    """Transpose with Transpose(Transpose(e)) -> e normalization."""
-    e = as_op(e)
-    if isinstance(e, Transpose):
-        return e.child
-    return Transpose(e)
+        return self._at @ _check_vec(self, x, self.cols)
 
 
 class Scaled(OpExpr):
@@ -215,57 +186,21 @@ class Scaled(OpExpr):
     def matvec(self, x):
         return self.alpha * self.child.matvec(x)
 
-    def rmatvec(self, x):
-        return self.alpha * self.child.rmatvec(x)
-
 
 class InverseHandle(OpExpr):
     """Solver-backed application of an (approximate) inverse; not collapsible."""
 
-    def __init__(self, n, apply, apply_t=None, label="block"):
+    def __init__(self, n, apply, label="block"):
         self.shape = (n, n)
         self._apply = apply
-        self._apply_t = apply_t
         self.label = label
 
     def matvec(self, x):
         return self._apply(_check_vec(self, x, self.cols))
 
-    def rmatvec(self, x):
-        if self._apply_t is None:
-            raise OpError(f"inverse handle '{self.label}' has no transpose action")
-        return self._apply_t(_check_vec(self, x, self.rows))
-
-
-class BlockVec:
-    """List of per-block vectors with flat concatenation helpers."""
-
-    def __init__(self, blocks):
-        self.blocks = [np.asarray(b, dtype=float) for b in blocks]
-
-    @classmethod
-    def from_flat(cls, dims, x):
-        x = np.asarray(x)
-        if x.shape != (sum(dims),):
-            raise OpError(f"cannot split vector of shape {x.shape} into blocks {dims}")
-        offs = np.cumsum([0] + list(dims))
-        return cls([x[offs[i]:offs[i + 1]] for i in range(len(dims))])
-
-    def concatenate(self):
-        return np.concatenate(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i):
-        return self.blocks[i]
-
-    def __len__(self):
-        return len(self.blocks)
-
 
 class BlockMat(OpExpr):
-    """Dense table of operator blocks acting on flat (or block) vectors."""
+    """Dense table of operator blocks acting on flat vectors."""
 
     def __init__(self, blocks):
         self.blocks = [[as_op(b) for b in row] for row in blocks]
@@ -289,13 +224,8 @@ class BlockMat(OpExpr):
         return self.blocks[i][j]
 
     def matvec(self, x):
-        if isinstance(x, BlockVec):
-            return BlockVec(self._apply(x.blocks))
         x = _check_vec(self, x, self.cols)
-        parts = BlockVec.from_flat(self.col_dims, x).blocks
-        return np.concatenate(self._apply(parts))
-
-    def _apply(self, parts):
+        parts = np.split(x, np.cumsum(self.col_dims)[:-1])
         out = []
         for i, row in enumerate(self.blocks):
             acc = np.zeros(self.row_dims[i])
@@ -303,19 +233,6 @@ class BlockMat(OpExpr):
                 if isinstance(blk, Zero):
                     continue
                 acc = acc + blk.matvec(parts[j])
-            out.append(acc)
-        return out
-
-    def rmatvec(self, x):
-        x = _check_vec(self, x, self.rows)
-        parts = BlockVec.from_flat(self.row_dims, x).blocks
-        out = []
-        for j in range(len(self.col_dims)):
-            acc = np.zeros(self.col_dims[j])
-            for i, row in enumerate(self.blocks):
-                if isinstance(row[j], Zero):
-                    continue
-                acc = acc + row[j].rmatvec(parts[i])
             out.append(acc)
         return np.concatenate(out)
 

@@ -23,7 +23,7 @@ from .space import Element, FunctionSpace, basis_rows, build_space
 __all__ = [
     "ReductionMatrix", "ReductionCache", "UnsupportedReductionError",
     "deduce_reduced_space", "trace_matrix", "average_matrix",
-    "circle_frame", "circle_points", "curve_dof_tangents",
+    "circle_frames", "circle_points", "curve_dof_tangents",
 ]
 
 
@@ -99,7 +99,7 @@ def _csr(rows, cols, vals, shape):
 _AXES = np.eye(3)
 
 
-def _circle_frames(tangents):
+def circle_frames(tangents):
     """Right-handed orthonormal frames (e1, e2, t) of the tangents (N, 3):
     e1 = normalize(t x a) with a the coordinate axis minimizing |t.a|
     (lowest index on ties)."""
@@ -117,28 +117,14 @@ def _norms(v):
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
-def circle_frame(tangent):
-    """Right-handed orthonormal (e1, e2, tangent): e1 = normalize(t x a)
-    with a the coordinate axis minimizing |t.a| (lowest index on ties)."""
-    e1, e2 = _circle_frames(np.reshape(tangent, (1, 3)))
-    return e1[0], e2[0]
-
-
-def _circle_points(centers, tangents, radius, n_quad):
+def circle_points(centers, tangents, radius, n_quad):
     """(N, n_quad, 3) uniform points on the circles of given radius around
     the centers (N, 3), in the planes orthogonal to the tangents (N, 3)."""
-    e1, e2 = _circle_frames(tangents)
+    e1, e2 = circle_frames(tangents)
     theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
     return (np.asarray(centers)[:, None, :]
             + radius * (np.cos(theta)[None, :, None] * e1[:, None, :]
                         + np.sin(theta)[None, :, None] * e2[:, None, :]))
-
-
-def circle_points(center, tangent, radius, n_quad):
-    """Uniform points on the circle of given radius in the plane orthogonal
-    to the tangent at the center."""
-    return _circle_points(np.reshape(center, (1, 3)), np.reshape(tangent, (1, 3)),
-                          radius, n_quad)[0]
 
 
 def curve_dof_tangents(target: FunctionSpace):
@@ -169,7 +155,7 @@ def average_matrix(source: FunctionSpace, target: FunctionSpace,
     if source.ncomp != 1:
         raise UnsupportedReductionError("averages support scalar sources only")
     tangents = curve_dof_tangents(target)
-    pts = _circle_points(target.dof_coords, tangents, radius, n_quad).reshape(-1, 3)
+    pts = circle_points(target.dof_coords, tangents, radius, n_quad).reshape(-1, 3)
     try:
         cols, vals = basis_rows(source, pts)
     except OutOfDomainError as err:

@@ -247,8 +247,8 @@ def test_criterion_2_reduction_exactness():
 
 def test_criterion_3_circle_average():
     f = lambda p: (p[..., 0] - 0.5) ** 2 + (p[..., 1] - 0.5) ** 2
-    center = np.array([0.5, 0.5, 0.3])
-    tangent = np.array([0.0, 0.0, 1.0])
+    center = np.array([[0.5, 0.5, 0.3]])
+    tangent = np.array([[0.0, 0.0, 1.0]])
     R = 0.2
     oracle = f(circle_points(center, tangent, R, 10_000)).mean()
     sixteen = f(circle_points(center, tangent, R, 16)).mean()

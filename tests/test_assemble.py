@@ -15,7 +15,9 @@ from multifem.forms import (
 )
 from multifem import mesh as mesh_module
 from multifem.bench import _ds_meshes, assemble_babuska
-from multifem.mesh import Mesh, facet_submesh, near, unit_cube_mesh, unit_square_mesh
+from multifem.mesh import (
+    EmptySelectionError, Mesh, facet_submesh, near, unit_cube_mesh, unit_square_mesh,
+)
 from multifem.opalg import collapse
 from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
 
@@ -332,6 +334,19 @@ class TestDirichletBC:
         mids = V.edge_midpoints[bc.dofs]
         assert len(bc.dofs) == 8
         assert np.all((np.abs(mids[:, 1]) < 1e-12) | (np.abs(mids[:, 1] - 1) < 1e-12))
+
+    @pytest.mark.parametrize("element", [lagrange(1), rt0()], ids=["P1", "RT0"])
+    def test_empty_selection_raises(self, element):
+        V = build_space(self.mesh, element)
+        value = 1.0 if V.is_point_evaluation else (1.0, 0.0)
+        with pytest.raises(EmptySelectionError, match="selects no dofs"):
+            DirichletBC(V, value, lambda x: near(x[:, 0], 2.0))
+
+    def test_corner_vertex_selects_no_rt0_edge(self):
+        corner = lambda x: near(x[:, 0], 0.0) & near(x[:, 1], 0.0)
+        assert len(DirichletBC(self.V, 1.0, corner).dofs) == 1
+        with pytest.raises(EmptySelectionError):
+            DirichletBC(build_space(self.mesh, rt0()), (1.0, 0.0), corner)
 
     def test_mismatched_space_rejected(self):
         other = build_space(self.mesh, lagrange(2))

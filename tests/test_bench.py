@@ -18,7 +18,7 @@ from multifem.forms import Analytic, Coefficient, FormError, Measure, div, grad,
 from multifem.krylov import build_preconditioner, minres
 from multifem.manufactured import babuska_data, darcy_stokes_data
 from multifem.mesh import CellLocator, Mesh, unit_square_mesh
-from multifem.opalg import BlockVec, Matrix, collapse
+from multifem.opalg import Matrix, collapse
 from multifem.quadrature import MAX_DEGREE
 from multifem.reduction import ReductionCache
 from multifem.space import (
@@ -40,10 +40,10 @@ class TestBabuskaCase:
     def test_zero_data_zero_solution_zero_iterations(self):
         zero = Analytic(lambda p: np.zeros(np.shape(np.asarray(p)[..., 0])), degree=1)
         sys = assemble_babuska(4, data={"f": zero, "g": zero})
-        b = sys["b"].concatenate()
+        b = np.concatenate(sys["b"])
         assert np.abs(b).max() == 0.0
         B = build_preconditioner("babuska", sys["A"], sys["W"])
-        x, rep = minres(sys["A"], B, b, x0=np.zeros(len(b)))
+        x, rep = minres(sys["A"], B, b)
         assert rep.converged and rep.iterations == 0
         assert np.abs(x).max() == 0.0
 
@@ -119,7 +119,7 @@ class TestPerfusionCase:
         sys = assemble_perfusion(4, beta=0.0)
         V, Q = sys["W"]
         mono = collapse(sys["A"])
-        x = spla.spsolve(mono.tocsc(), BlockVec(sys["b"]).concatenate())
+        x = spla.spsolve(mono.tocsc(), np.concatenate(sys["b"]))
         u = x[:V.dim]
         p = x[V.dim:]
         assert np.abs(u).max() < 1e-10
@@ -148,7 +148,7 @@ class TestPerfusionCase:
 
     def test_ordered_solve_matches_unordered(self):
         sys = assemble_perfusion(8)
-        ref = spla.spsolve(collapse(sys["A"]).tocsc(), BlockVec(sys["b"]).concatenate())
+        ref = spla.spsolve(collapse(sys["A"]).tocsc(), np.concatenate(sys["b"]))
         u, p = _solve_perfusion(8, 0.2, 16)
         x = np.concatenate([u.coefficients, p.coefficients])
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -211,6 +211,16 @@ def test_run_leaves_no_cyclic_meshes_or_spaces(case, n, levels):
         gc.garbage.clear()
         gc.enable()
     assert cyclic == []
+
+
+@pytest.mark.parametrize("case", [c for c, (_, system) in bench.CASES.items()
+                                  if system is not None])
+def test_system_rhs_is_a_list_of_block_arrays(case):
+    sys = bench.CASES[case][1](4)
+    b = sys["b"]
+    assert type(b) is list and len(b) == len(sys["A"].row_dims)
+    for vec, n in zip(b, sys["A"].row_dims):
+        assert type(vec) is np.ndarray and vec.dtype == np.float64 and vec.shape == (n,)
 
 
 class TestRestrictDemo:

@@ -1,10 +1,11 @@
 """What the benchmark harness in ``perfbench/`` needs of the package.
 
 The harness traces the package from outside: it replaces the functions,
-methods and properties named in ``perfbench/layers.py`` by name, and an
-untimed unit is one whose solver call it did not see.  A rename that
-breaks a name here would turn the benchmark's layers into zeros or mark
-every unit failed.  These tests only read ``perfbench/``.
+methods and properties named in ``perfbench/layers.py`` by name, an
+untimed unit is one whose solver call it did not see, and its operator
+census walks the ``opalg`` node classes.  A rename that breaks a name
+here would turn the benchmark's layers into zeros, mark every unit
+failed or stop the census.  These tests only read ``perfbench/``.
 """
 import importlib
 import sys
@@ -16,6 +17,7 @@ import scipy.sparse.linalg as spla
 from multifem import bench
 from multifem.bench import CaseConfig, run_case
 from multifem.mesh import Mesh
+from multifem.opalg import collapse
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,3 +58,9 @@ def test_solver_called_through_patched_name(case, attr, owner, monkeypatch):
     run_case(CaseConfig(case=case, n=4, levels=1))
     assert len(calls) == 1
 
+
+def test_census_walks_the_lowered_operator(layers):
+    # the census reads the operator classes by name; a node it cannot walk
+    # would stop it or miscount what it collapses
+    A = bench.assemble_darcy_stokes(4, "mixed")["A"]
+    assert layers.census(A)["opalg.collapsed_nnz"] == collapse(A).nnz

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,7 @@ from multifem.krylov import (
     hs_inverse_block, hs_norm, inverse_handle, minres, save_history_csv,
 )
 from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
-from multifem.opalg import BlockVec, Identity, Matrix, Scaled, collapse
+from multifem.opalg import Identity, Matrix, Scaled, collapse
 from multifem.space import build_space, dg0, lagrange
 
 
@@ -35,7 +37,7 @@ class TestMinres:
     def test_small_babuska_matches_direct_solve(self):
         sys = assemble_babuska(4)
         A = collapse(sys["A"])
-        b = sys["b"].concatenate()
+        b = np.concatenate(sys["b"])
         ref = spla.spsolve(A.tocsc(), b)
         B = build_preconditioner("babuska", sys["A"], sys["W"])
         x, rep = minres(sys["A"], B, b, tol=1e-12, seed=0)
@@ -45,12 +47,12 @@ class TestMinres:
     def test_history_non_increasing(self):
         sys = assemble_babuska(4)
         B = build_preconditioner("babuska", sys["A"], sys["W"])
-        _, rep = minres(sys["A"], B, sys["b"].concatenate(), seed=3)
+        _, rep = minres(sys["A"], B, np.concatenate(sys["b"]), seed=3)
         hist = np.asarray(rep.history)
         assert np.all(hist[1:] <= hist[:-1] * (1 + 1e-12))
 
     def test_zero_rhs_zero_guess_converges_in_zero_iterations(self):
-        x, rep = minres(Identity(5), None, np.zeros(5), x0=np.zeros(5))
+        x, rep = minres(Identity(5), None, np.zeros(5))
         assert rep.converged and rep.iterations == 0
         assert np.abs(x).max() == 0.0
 
@@ -61,7 +63,7 @@ class TestMinres:
 
     def test_seed_stability_iteration_counts(self, babuska16):
         B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
-        b = babuska16["b"].concatenate()
+        b = np.concatenate(babuska16["b"])
         counts = []
         for seed in range(5):
             _, rep = minres(babuska16["A"], B, b, seed=seed)
@@ -71,7 +73,7 @@ class TestMinres:
 
     def test_zero_start_residual_is_b_in_the_preconditioner_norm(self, babuska16):
         B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
-        b = babuska16["b"].concatenate()
+        b = np.concatenate(babuska16["b"])
         _, rep = minres(babuska16["A"], B, b, seed=None)
         assert rep.converged and rep.seed is None
         assert rep.history[0] == pytest.approx(np.sqrt(b @ B.matvec(b)),
@@ -86,7 +88,7 @@ class TestGmres:
 
     def test_nonsymmetric_2x2_two_iterations(self):
         A = Matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        x, rep = gmres(A, None, np.array([2.0, 1.0]), x0=np.zeros(2))
+        x, rep = gmres(A, None, np.array([2.0, 1.0]))
         assert rep.converged and rep.iterations <= 2
         assert np.abs(x - [1.0, 1.0]).max() < 1e-10
 
@@ -138,6 +140,24 @@ class TestNonFinite:
         A = Matrix(np.diag([1e300, 1.0]))
         with pytest.raises(KrylovError, match="residual is not finite at iteration 1"):
             minres(A, None, np.ones(2))
+
+
+class TestRightHandSide:
+    """The right-hand side is required and must be a vector of the
+    operator's size; a wrong one raises before any iteration."""
+
+    @pytest.mark.parametrize("solver", [minres, gmres])
+    def test_missing_rhs(self, solver):
+        for args in [(Identity(4),), (Identity(4), None)]:
+            with pytest.raises(TypeError, match="'b'"):
+                solver(*args)
+
+    @pytest.mark.parametrize("solver", [minres, gmres])
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), ()])
+    def test_wrong_length_rhs(self, solver, shape):
+        msg = re.escape(f"right-hand side of shape {shape} for an operator of shape (4, 4)")
+        with pytest.raises(KrylovError, match=msg):
+            solver(Identity(4), None, np.ones(shape))
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +322,7 @@ class TestInverseHandle:
 
     def test_direct_on_structurally_nonsymmetric_block(self):
         # symmetric mode orders A + A^T; a block outside that assumption
-        # must still be solved, in both directions
+        # must still be solved
         rng = np.random.default_rng(21)
         S = (sp.random(80, 80, density=0.06, random_state=21, format="csr")
              + 4.0 * sp.eye(80)).tocsr()
@@ -313,8 +333,6 @@ class TestInverseHandle:
             b = rng.standard_normal(80)
             ref = np.linalg.solve(dense, b)
             assert np.linalg.norm(inv.matvec(b) - ref) <= 1e-10 * np.linalg.norm(ref)
-            ref_t = np.linalg.solve(dense.T, b)
-            assert np.linalg.norm(inv.rmatvec(b) - ref_t) <= 1e-10 * np.linalg.norm(ref_t)
 
     def test_direct_on_ds_primal_neg_mass_preconditioner(self):
         from multifem.bench import assemble_darcy_stokes
@@ -366,7 +384,7 @@ class TestPreconditioners:
 
 def test_history_csv(tmp_path, babuska16):
     B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
-    _, rep = minres(babuska16["A"], B, babuska16["b"].concatenate(), seed=0)
+    _, rep = minres(babuska16["A"], B, np.concatenate(babuska16["b"]), seed=0)
     path = tmp_path / "hist.csv"
     save_history_csv(rep, path)
     lines = path.read_text().strip().splitlines()

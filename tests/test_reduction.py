@@ -8,7 +8,7 @@ from multifem.mesh import (
     unit_square_mesh,
 )
 from multifem.reduction import (
-    ReductionCache, UnsupportedReductionError, average_matrix, circle_frame,
+    ReductionCache, UnsupportedReductionError, average_matrix, circle_frames,
     circle_points, curve_dof_tangents, deduce_reduced_space, trace_matrix,
 )
 from multifem.space import (build_space, dg0, interpolate, lagrange, rt0, vector_lagrange,
@@ -148,8 +148,8 @@ class TestAverageMatrix:
         # closed-form circle average of (x-.5)^2+(y-.5)^2 about the axis is R^2;
         # oracle below: dense uniform rule with 10^4 points
         f = lambda p: (p[..., 0] - 0.5) ** 2 + (p[..., 1] - 0.5) ** 2
-        center = np.array([0.5, 0.5, 0.4])
-        tangent = np.array([0.0, 0.0, 1.0])
+        center = np.array([[0.5, 0.5, 0.4]])
+        tangent = np.array([[0.0, 0.0, 1.0]])
         R = 0.2
         oracle = f(circle_points(center, tangent, R, 10_000)).mean()
         approx = f(circle_points(center, tangent, R, 16)).mean()
@@ -159,8 +159,7 @@ class TestAverageMatrix:
     def test_frame_right_handed_orthonormal(self, setting):
         cube, gamma, V, Q = setting
         tangents = curve_dof_tangents(Q)
-        for t in tangents:
-            e1, e2 = circle_frame(t)
+        for t, e1, e2 in zip(tangents, *circle_frames(tangents)):
             gram = np.array([[e1 @ e1, e1 @ e2, e1 @ t],
                              [e2 @ e1, e2 @ e2, e2 @ t],
                              [t @ e1, t @ e2, t @ t]])
