@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _is_count
 from .space import Function, FunctionSpace
 
 __all__ = [
@@ -133,7 +133,7 @@ def _check_average(radius, n_quad):
     where ``reduction.average_matrix`` builds from them."""
     if radius is None or not radius > 0:
         raise FormError(f"average radius must be positive, got {radius}")
-    if isinstance(n_quad, bool) or not isinstance(n_quad, numbers.Integral) or n_quad < 1:
+    if not _is_count(n_quad):
         raise FormError(f"average n_quad must be an integer >= 1, got {n_quad!r}")
 
 

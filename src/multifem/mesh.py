@@ -1,5 +1,10 @@
 """Simplicial meshes embedded in 1d/2d/3d: structured generators, derived
-facet/cell submeshes with parent maps, and grid-accelerated point location.
+facet/cell submeshes with parent maps, and point location.
+
+The square and cube generators record their structured grid
+(``Mesh.grid``), and their locators take each point's candidate cells from
+it in closed form; every other mesh (submeshes, polylines, ``Mesh(v, c)``,
+``read_mesh_ascii``) is located through background bins.
 
 Meshes are immutable after construction and safe to share across threads.
 """
@@ -7,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -20,7 +26,7 @@ __all__ = [
 ]
 
 _MIN_MEASURE = 1e-14
-_LOCATE_PAIRS = 1 << 17     # (point, corner offset) pairs per batched lookup
+_LOCATE_PAIRS = 1 << 17     # (point, corner offset or split cell) pairs per lookup
 
 _uid_counter = itertools.count()
 
@@ -48,6 +54,33 @@ class EmptySelectionError(MeshError):
 def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def _is_count(value):
+    """Whether ``value`` is an integer >= 1 (a bool is not): the rule for
+    every cell and quadrature count of the package."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
+def _check_finite(what, rows):
+    """Raise MeshError naming the first row of ``rows`` (N, d) that has a
+    non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise MeshError(f"{what} {bad[0]} is not finite: {rows[bad[0]].tolist()}")
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Structured grid of a generated mesh: ``counts`` sub-cells per axis
+    tile the box from ``offset`` to ``offset + extent`` ((gdim,) float64
+    arrays, finite), and each sub-cell is split into ``nsplit`` simplices
+    that share its main diagonal.  Cell ``split + nsplit * sub`` lies in
+    sub-cell ``sub``, numbered row-major with x fastest."""
+    offset: np.ndarray
+    extent: np.ndarray
+    counts: np.ndarray
+    nsplit: int
 
 
 def near(a, b=0.0, tol=1e-10):
@@ -149,8 +182,10 @@ class Mesh:
         self.tdim = self.cells.shape[1] - 1
         if not 1 <= self.tdim <= self.gdim <= 3:
             raise MeshError(f"unsupported dimensions tdim={self.tdim}, gdim={self.gdim}")
+        _check_finite("vertex", self.vertices)
         self.parent = parent
         self.uid = next(_uid_counter)
+        self._grid = None
         self._edges = None
         self._cell_edges = None
         self._facets = None
@@ -159,9 +194,9 @@ class Mesh:
         self._gradient_transform = None
         self.jacobian_measure = _read_only(_jacobian_measure(self._edge_components()))
         vols = self.cell_volumes
-        if np.any(vols < _MIN_MEASURE):
-            bad = int(np.argmin(vols))
-            raise MeshError(f"cell {bad} has measure {vols[bad]:.3e} < {_MIN_MEASURE}")
+        bad = np.flatnonzero(~(vols >= _MIN_MEASURE))     # NaN fails too
+        if len(bad):
+            raise MeshError(f"cell {bad[0]} has measure {vols[bad[0]]:.3e} < {_MIN_MEASURE}")
 
     # -- basic quantities ---------------------------------------------------
 
@@ -266,6 +301,12 @@ class Mesh:
         return self._facet_cell_idx[self._facet_cell_ptr[facets]]
 
     @property
+    def grid(self):
+        """The structured grid the square and cube generators record (see
+        ``CellLocator``), or None: no other mesh carries one."""
+        return self._grid
+
+    @property
     def locator(self):
         if self._locator is None:
             self._locator = CellLocator(self)
@@ -347,29 +388,66 @@ def _gradient_transform(E):
 
 
 class CellLocator:
-    """Uniform background grid over padded cell bounding boxes.
+    """Point location in the cells of a mesh.
 
     ``locate_many`` returns (cell indices, barycentric coordinates) for a
     batch of points.  Points shared by several cells resolve to the lowest
     cell index; containment uses an absolute tolerance on barycentric
     coordinates (default 1e-10) and, on manifolds, on the distance to the
-    cell's plane.
+    cell's plane.  Non-finite points lie in no cell.  Only the source of
+    each point's candidate cells depends on the mesh; the containment test
+    and the tie-break are the same for both sources.  The locator keeps
+    only the geometry it needs, not the mesh.
 
-    Each cell is indexed once, under the bin of its padded box's lower
-    corner.  The occupied corner bins are stored in CSR form: bin
-    ``bin_keys[b]`` (a row-major index into the ``nbins ** gdim`` grid,
-    ascending) holds the cells ``bin_cells[bin_ptr[b]:bin_ptr[b + 1]]`` in
-    ascending order, and ``bin_upper`` holds the (gdim,) bin index of each
-    of those cells' upper corner.  ``reach`` is the per-axis maximum of
-    upper minus lower bin index, so a point in bin ``i`` can lie only in
-    the cells whose corner bin is ``i - off`` for some ``0 <= off <=
-    reach`` and whose upper index is ``>= i``.  The locator keeps only the
-    geometry it needs, not the mesh.
+    *Grid candidates* (meshes with a ``grid``: the square and cube
+    generators).  In grid units s, a point has local coordinates
+    r = s - a in sub-cell a, and the split cells' barycentric coordinates
+    are 1 - max r, the consecutive differences of sorted r, and min r.  So
+    sub-cell a holds the point within the tolerance iff every r_i lies in
+    [-tol, 1 + tol]: the holding sub-cells are a product of per-axis
+    ranges, and since cell indices grow with each a_i the lowest holding
+    cell is a split of sub-cell ``a_i = clip(ceil(s_i - 1 - tol), 0,
+    n_i - 1)``.  Those ``nsplit`` cells are the candidates; no bins are
+    built.  Where s_i - 1 - tol lies within rounding of an integer, the
+    sub-cells on both sides along that axis are candidates, so that the
+    answer in floating point is the bins' answer there too.
+
+    *Bin candidates* (every other mesh).  A uniform background grid over
+    padded cell bounding boxes indexes each cell once, under the bin of
+    its padded box's lower corner.  The occupied corner bins are stored in
+    CSR form: bin ``bin_keys[b]`` (a row-major index into the
+    ``nbins ** gdim`` grid, ascending) holds the cells
+    ``bin_cells[bin_ptr[b]:bin_ptr[b + 1]]`` in ascending order, and
+    ``bin_upper`` holds the (gdim,) bin index of each of those cells'
+    upper corner.  ``reach`` is the per-axis maximum of upper minus lower
+    bin index, so a point in bin ``i`` can lie only in the cells whose
+    corner bin is ``i - off`` for some ``0 <= off <= reach`` and whose
+    upper index is ``>= i``.
     """
 
     def __init__(self, mesh: Mesh, tol: float = 1e-10):
         self.tol = tol
         self.tdim, self.gdim = mesh.tdim, mesh.gdim
+        self._num_cells = mesh.num_cells
+        # geometry for barycentric solves: the mesh's own read-only arrays
+        self._vertices, self._cells = mesh.vertices, mesh.cells
+        self._G = mesh.gradient_transform
+        self._grid = mesh.grid
+        if self._grid is not None:
+            g = self._grid
+            self._sub_strides = np.cumprod(np.r_[1, g.counts[:-1]])
+            self._corners = np.array(list(np.ndindex((2,) * self.gdim)), dtype=np.int64)
+            # bound, in grid units, on the rounding of s and of the
+            # barycentric coordinates, both computed from coordinates of
+            # size up to |offset| + extent in cells of width extent / n
+            self._slack = 64 * np.finfo(float).eps * (1.0 + (np.abs(g.offset) + g.extent)
+                                                      * g.counts / g.extent)
+            self._per_point = g.nsplit
+        else:
+            self._build_bins(mesh)
+            self._per_point = len(self._offsets)
+
+    def _build_bins(self, mesh):
         v = mesh.vertices[mesh.cells]                      # (nc, tdim+1, gdim)
         cell_lo = v.min(axis=1)
         cell_hi = v.max(axis=1)
@@ -388,7 +466,7 @@ class CellLocator:
         # tdim * tol * diam of its cell's box, and one that passes the
         # residual test within tol * (1 + diam) of the cell's plane.
         pad = (1e-12 + 1e-12 * np.linalg.norm(span)
-               + tol * (1.0 + (self.tdim + 1) * self._diam))[:, None]
+               + self.tol * (1.0 + (self.tdim + 1) * self._diam))[:, None]
         lo_idx = np.clip(np.floor((cell_lo - pad - self.lo) / self.width),
                          0, nbins - 1).astype(np.int64)
         hi_idx = np.clip(np.floor((cell_hi + pad - self.lo) / self.width),
@@ -403,14 +481,34 @@ class CellLocator:
         self.bin_upper = hi_idx[order]
         self.reach = (hi_idx - lo_idx).max(axis=0)
         self._offsets = np.array(list(np.ndindex(*self.reach + 1)), dtype=np.int64)
-        # geometry for barycentric solves: the mesh's own read-only arrays
-        self._vertices, self._cells = mesh.vertices, mesh.cells
-        self._G = mesh.gradient_transform
 
     def _candidates(self, x):
-        """(point, cell) pairs of the points ``x`` (N, gdim) and the cells
-        whose padded boxes cover their bins, in no particular order."""
-        # fmax/fmin send -inf and nan to bin 0 and +inf to the last bin
+        """(point, cell) pairs of the finite points ``x`` (N, gdim) and
+        their candidate cells, in no particular order."""
+        if self._grid is not None:
+            return self._grid_candidates(x)
+        return self._bin_candidates(x)
+
+    def _grid_candidates(self, x):
+        """The split cells of the lowest sub-cell that can hold each point:
+        one sub-cell, or the 2 to 2^gdim sub-cells that ``_slack`` spans
+        when s_i - 1 - tol lies within rounding of an integer."""
+        g = self._grid
+        t = (x - g.offset) / g.extent * g.counts - 1.0 - self.tol
+        lo = np.clip(np.ceil(t - self._slack), 0, g.counts - 1).astype(np.int64)
+        hi = np.clip(np.ceil(t + self._slack), 0, g.counts - 1).astype(np.int64)
+        # corners lo + c, c in {0, 1}^gdim, up to hi
+        within = np.ones((len(x), len(self._corners)), dtype=bool)
+        for a in range(self.gdim):
+            within &= self._corners[:, a] <= (hi - lo)[:, a, None]
+        point, corner = np.nonzero(within)
+        sub = (lo[point] + self._corners[corner]) @ self._sub_strides
+        cells = (sub * g.nsplit)[:, None] + np.arange(g.nsplit)
+        return np.repeat(point, g.nsplit), cells.ravel()
+
+    def _bin_candidates(self, x):
+        """The cells whose padded boxes cover each point's bin."""
+        # fmax/fmin clamp the bins into the grid
         idx = np.floor(np.fmin(np.fmax((x - self.lo) / self.width, 0),
                                self.nbins - 1)).astype(np.int64)
         # corner bins idx - off inside the grid, as row-major keys
@@ -440,16 +538,24 @@ class CellLocator:
             raise MeshError(f"expected points of shape (N, {self.gdim}), got {x.shape}")
         cells = np.empty(len(x), dtype=np.int64)
         lam = np.empty((len(x), self.tdim + 1))
-        step = max(1, _LOCATE_PAIRS // len(self._offsets))
+        step = max(1, _LOCATE_PAIRS // self._per_point)
         for lo in range(0, len(x), step):
             chunk = x[lo:lo + step]
-            point, cand = self._candidates(chunk)
+            # a non-finite point gets no candidate, so it is reported missing
+            finite = np.flatnonzero(np.isfinite(chunk).all(axis=1))
+            point, cand = self._candidates(chunk[finite])
+            point = finite[point]
             mu, resid = _barycentric(self._vertices, self._cells, self._G, cand,
                                      chunk[point])
-            hit = np.flatnonzero((mu.min(axis=1) >= -self.tol)
-                                 & (resid <= self.tol * (1.0 + self._diam[cand])))
+            # column by column: a row-wise min over tdim+1 entries is slower
+            inside = mu[:, 0] >= -self.tol
+            for k in range(1, self.tdim + 1):
+                inside &= mu[:, k] >= -self.tol
+            if self.tdim < self.gdim:       # resid is zero on full-dimensional cells
+                inside &= resid <= self.tol * (1.0 + self._diam[cand])
+            hit = np.flatnonzero(inside)
             # sort the hits by (point, cell): each point's lowest cell first
-            hit = hit[np.argsort(point[hit] * len(self.bin_cells) + cand[hit])]
+            hit = hit[np.argsort(point[hit] * self._num_cells + cand[hit])]
             found, first = np.unique(point[hit], return_index=True)
             hit = hit[first]
             if len(found) < len(chunk):
@@ -498,36 +604,51 @@ def _barycentric(vertices, cells, G, which, x):
 
 # -- generators --------------------------------------------------------------
 
+def _check_count(name, value):
+    if not _is_count(value):
+        raise MeshError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _grid_mesh(vertices, cells, offset, extent, counts, nsplit):
+    """The generated mesh with its grid recorded; only the generators call
+    this, with a finite offset and extent."""
+    mesh = Mesh(vertices, cells)
+    mesh._grid = _Grid(_read_only(np.array(offset, dtype=float)),
+                       _read_only(np.array(extent, dtype=float)),
+                       _read_only(np.array(counts, dtype=np.int64)), nsplit)
+    return mesh
+
+
 def unit_square_mesh(n, m=None, offset=(0.0, 0.0), extent=(1.0, 1.0)):
     """Triangulated rectangle: n x m rectangles, each split by the diagonal
     from its lower-left vertex.  Vertex (i, j) has index j*(n+1)+i.
     """
     if m is None:
         m = n
-    n, m = int(n), int(m)
-    if n < 1 or m < 1:
-        raise MeshError(f"cell counts must be >= 1, got ({n}, {m})")
-    ex, ey = float(extent[0]), float(extent[1])
-    if ex <= 0 or ey <= 0:
+    n, m = _check_count("cell count n", n), _check_count("cell count m", m)
+    offset = (float(offset[0]), float(offset[1]))
+    extent = (float(extent[0]), float(extent[1]))
+    if not np.isfinite(offset + extent).all():
+        raise MeshError(f"offset and extent must be finite, got {offset} and {extent}")
+    if min(extent) <= 0:
         raise MeshError(f"extents must be positive, got {extent}")
-    xs = offset[0] + ex * np.arange(n + 1) / n
-    ys = offset[1] + ey * np.arange(m + 1) / m
+    xs = offset[0] + extent[0] * np.arange(n + 1) / n
+    ys = offset[1] + extent[1] * np.arange(m + 1) / m
     X, Y = np.meshgrid(xs, ys)                     # row j = y level j
     vertices = np.column_stack([X.ravel(), Y.ravel()])
     vid = np.arange((m + 1) * (n + 1), dtype=np.int64).reshape(m + 1, n + 1)
     ll, lr, ul, ur = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
     cells = np.stack([np.stack([ll, lr, ur], axis=-1),
                       np.stack([ll, ur, ul], axis=-1)], axis=2)   # (m, n, 2, 3)
-    return Mesh(vertices, cells.reshape(-1, 3))
+    return _grid_mesh(vertices, cells.reshape(-1, 3), offset, extent, (n, m), 2)
 
 
 def unit_cube_mesh(n):
     """[0,1]^3 as n^3 sub-cubes, each split into 6 tetrahedra sharing the
     main diagonal (Kuhn split): one tet per axis permutation.  Vertex
     (i, j, k) has index (k*(n+1)+j)*(n+1)+i."""
-    n = int(n)
-    if n < 1:
-        raise MeshError(f"cell count must be >= 1, got {n}")
+    n = _check_count("cell count", n)
     axis = np.arange(n + 1) / n
     z, y, x = np.meshgrid(axis, axis, axis, indexing="ij")
     vertices = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
@@ -537,7 +658,8 @@ def unit_cube_mesh(n):
     step = np.array([1, n + 1, (n + 1) ** 2], dtype=np.int64)
     walk = np.zeros((6, 4), dtype=np.int64)
     walk[:, 1:] = np.cumsum(step[list(itertools.permutations(range(3)))], axis=1)
-    return Mesh(vertices, (base[:, None, None] + walk).reshape(-1, 4))
+    return _grid_mesh(vertices, (base[:, None, None] + walk).reshape(-1, 4),
+                      (0.0,) * 3, (1.0,) * 3, (n,) * 3, 6)
 
 
 def polyline_mesh(points, cells_per_segment):
@@ -546,9 +668,8 @@ def polyline_mesh(points, cells_per_segment):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) < 2:
         raise MeshError("polyline needs at least 2 points")
-    k = int(cells_per_segment)
-    if k < 1:
-        raise MeshError(f"cells_per_segment must be >= 1, got {k}")
+    k = _check_count("cells_per_segment", cells_per_segment)
+    _check_finite("polyline point", points)
     seg = points[1:] - points[:-1]
     short = np.linalg.norm(seg, axis=1) < _MIN_MEASURE
     if short.any():

@@ -1,6 +1,9 @@
 """Property-based check of batched point location against a brute-force
-oracle that tests every cell of the mesh, and of the closed-form
-barycentric coordinates against per-point LAPACK solves."""
+oracle that tests every cell of the mesh, of the closed-form barycentric
+coordinates against per-point LAPACK solves, and of the grid candidates of
+generator meshes against the bin candidates of the same mesh."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -236,3 +239,148 @@ def test_closed_form_coordinates_match_lapack(mesh):
     for c, l in ((cells, lam), (found, lam_found)):
         back = np.einsum("nk,nkg->ng", l, mesh.vertices[mesh.cells[c]])
         assert np.abs(back - x).max() <= 1e-13
+
+
+# -- grid candidates against bin candidates ------------------------------------
+# A generator mesh locates through its grid; the same mesh rebuilt from its
+# arrays carries no grid and locates through bins.  Both feed the same
+# containment test, so their answers must agree bitwise.
+
+def assert_grid_matches_bins(mesh, points):
+    """``locate_many`` on the generator ``mesh`` equals, bitwise, the bin
+    locator of the same mesh without its grid, including the index of the
+    first point outside; returns how many points were located."""
+    assert mesh.grid is not None
+    bins = Mesh(mesh.vertices, mesh.cells).locator
+    try:
+        expected = bins.locate_many(points)
+    except OutOfDomainError as err:
+        with pytest.raises(OutOfDomainError) as got:
+            mesh.locator.locate_many(points)
+        assert got.value.index == err.index
+        assert np.array_equal(got.value.point, err.point, equal_nan=True)
+        return 0
+    cells, lam = mesh.locator.locate_many(points)
+    assert np.array_equal(cells, expected[0])
+    assert lam.tobytes() == expected[1].tobytes()
+    return len(points)
+
+
+def square_nx2n(n):
+    """The right-hand ds-mixed bulk mesh: n x 2n on [0.5, 1] x [0, 1]."""
+    return unit_square_mesh(n, 2 * n, offset=(0.5, 0.0), extent=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+def test_grid_locates_nested_cube_vertices_as_bins_do(n):
+    fine = unit_cube_mesh(2 * n)
+    assert assert_grid_matches_bins(unit_cube_mesh(n), fine.vertices) == fine.num_vertices
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_grid_locates_offset_square_as_bins_do(n):
+    mesh = square_nx2n(n)
+    rng = np.random.default_rng(n)
+    points = np.vstack([square_nx2n(2 * n).vertices, rng.uniform((0.5, 0), (1, 1), (500, 2)),
+                        mesh.cell_centroids, mesh.vertices[mesh.edges].mean(axis=1)])
+    assert assert_grid_matches_bins(mesh, points) == len(points)
+
+
+def pushed_across_planes(mesh, factors, seed, interior):
+    """Points on the grid planes x_a = offset_a + k extent_a / n_a (interior
+    planes, or the two boundary planes), and on the sub-cells' diagonal
+    planes r_a = r_b, each moved off its plane along +-(factor x tol) in
+    grid units."""
+    g = mesh.grid
+    rng = np.random.default_rng(seed)
+    out = []
+    for a in range(mesh.gdim):
+        ks = np.arange(1, g.counts[a]) if interior else np.array([0, g.counts[a]])
+        for k in ks:
+            s = rng.uniform(0, g.counts, (4, mesh.gdim))
+            s[:, a] = k
+            for f in factors:
+                for sign in (1.0, -1.0):
+                    t = s.copy()
+                    t[:, a] += sign * f * TOL
+                    out.append(t)
+    if interior:
+        for a, b in itertools.combinations(range(mesh.gdim), 2):
+            s = rng.uniform(0, g.counts, (8, mesh.gdim))
+            base = np.floor(s)
+            s[:, b] = base[:, b] + (s[:, a] - base[:, a])   # r_a == r_b
+            s = np.minimum(s, g.counts)
+            for f in factors:
+                for sign in (1.0, -1.0):
+                    t = s.copy()
+                    t[:, a] += sign * f * TOL
+                    out.append(t)
+    s = np.vstack(out)
+    return g.offset + s * (g.extent / g.counts)
+
+
+@pytest.mark.parametrize("mesh", [unit_cube_mesh(3), square_nx2n(4),
+                                  unit_square_mesh(3, 5, offset=(-1.5, 0.25), extent=(2.5, 0.75))],
+                         ids=["cube", "square-nx2n", "square-offset"])
+def test_grid_matches_bins_for_points_pushed_across_planes(mesh):
+    # interior planes: half and twice the tolerance both stay in the domain
+    points = pushed_across_planes(mesh, (0.5, 2.0), 0, interior=True)
+    assert assert_grid_matches_bins(mesh, points) == len(points)
+    # boundary planes: outward by half the tolerance is inside, by twice is
+    # outside; one point at a time, so each either locates or raises
+    points = pushed_across_planes(mesh, (0.5, 2.0), 1, interior=False)
+    located = sum(assert_grid_matches_bins(mesh, p[None]) for p in points)
+    assert 0 < located < len(points)
+
+
+@pytest.mark.parametrize("mesh", [unit_cube_mesh(7), square_nx2n(5),
+                                  unit_square_mesh(5, 9, offset=(-0.3, 0.7), extent=(1.7, 0.3))],
+                         ids=["cube", "square-nx2n", "square-offset"])
+def test_grid_matches_bins_at_the_tolerance_edge(mesh):
+    # points within a few ulps of lying exactly tol beyond an interior grid
+    # plane: rounding decides whether the sub-cell on the far side holds
+    # them, and the grid must then offer the next sub-cell too
+    g = mesh.grid
+    rng = np.random.default_rng(11)
+    points = []
+    for _ in range(24):
+        s = rng.uniform(0, g.counts)
+        a = rng.integers(mesh.gdim)
+        k = rng.integers(1, g.counts[a])
+        for edge in (k + TOL, k - TOL):
+            for j in range(-40, 41, 2):
+                t = s.copy()
+                t[a] = edge + j * np.spacing(edge)
+                points.append(g.offset + t * (g.extent / g.counts))
+    points = np.array(points)
+    assert assert_grid_matches_bins(mesh, points) == len(points)
+
+
+@pytest.mark.parametrize("bad", [
+    [np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [0.5, -np.inf, 0.5], [0.5, 0.5, np.nan],
+    [np.inf, np.inf, np.inf], [-np.inf, np.nan, np.inf], [1.5, 0.5, 0.5],
+    [0.5, 0.5, -2e-10], [0.5, 1 + 2e-10, 0.5]])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_grid_reports_the_first_point_outside_as_bins_do(bad, where):
+    mesh = unit_cube_mesh(3)
+    points = np.random.default_rng(where).uniform(0, 1, (6, 3))
+    points[where] = bad
+    points[5] = [2.0, 0.5, 0.5]                 # a later point outside too
+    with pytest.raises(OutOfDomainError) as err:
+        mesh.locator.locate_many(points)
+    assert err.value.index == where
+    assert assert_grid_matches_bins(mesh, points) == 0
+
+
+def test_grid_rejects_non_finite_square_points():
+    mesh = square_nx2n(2)
+    for bad in ([np.nan, np.nan], [np.inf, 0.5], [-np.inf, 0.5], [0.75, np.inf]):
+        assert assert_grid_matches_bins(mesh, np.array([[0.75, 0.5], bad])) == 0
+
+
+@given(st.data())
+def test_grid_matches_bins_on_generated_meshes(data):
+    mesh = data.draw(meshes())
+    assume(mesh.grid is not None)
+    points = np.array(data.draw(st.lists(query_points(mesh), min_size=1, max_size=12)))
+    assert_grid_matches_bins(mesh, points)

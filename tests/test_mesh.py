@@ -73,6 +73,46 @@ class TestGenerators:
         with pytest.raises(MeshError):
             polyline_mesh([(0, 0), (0, 0)], 2)
 
+    @pytest.mark.parametrize("count", [2.7, 2.0, np.float64(3.0), True, 0, -3, "2"])
+    @pytest.mark.parametrize("make", [
+        unit_cube_mesh, unit_square_mesh, lambda c: unit_square_mesh(2, c),
+        lambda c: polyline_mesh([(0, 0), (1, 1)], c)],
+        ids=["cube", "square-n", "square-m", "polyline"])
+    def test_counts_must_be_integers(self, make, count):
+        with pytest.raises(MeshError, match="must be an integer >= 1"):
+            make(count)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert unit_cube_mesh(np.int64(2)).num_cells == 48
+        assert unit_square_mesh(np.int32(2), np.uint8(3)).num_cells == 12
+        assert polyline_mesh([(0, 0), (1, 1)], np.int16(4)).num_cells == 4
+
+    @pytest.mark.parametrize("make", [
+        lambda: unit_square_mesh(2, offset=(np.nan, 0)),
+        lambda: unit_square_mesh(2, offset=(0, -np.inf)),
+        lambda: unit_square_mesh(2, extent=(np.inf, 1)),
+        lambda: unit_square_mesh(2, extent=(1, np.nan)),
+        lambda: polyline_mesh([(0, 0, 0), (np.nan, 1, 1)], 2),
+        lambda: polyline_mesh([(np.inf, 0, 0), (np.inf, 1, 1)], 2),
+    ])
+    def test_non_finite_generator_input_rejected(self, make):
+        with pytest.raises(MeshError, match="finite"):
+            make()
+
+    def test_non_finite_vertex_is_named(self):
+        with pytest.raises(MeshError, match=r"vertex 2 is not finite: \[nan, 1.0\]"):
+            Mesh([[0, 0], [1, 0], [np.nan, 1]], [[0, 1, 2]])
+        # the first one, even when no cell uses it
+        with pytest.raises(MeshError, match=r"vertex 1 is not finite: \[inf, 0.0\]"):
+            Mesh([[0, 0], [np.inf, 0], [1, 0], [0, 1], [-np.inf, 0]], [[0, 2, 3]])
+
+    def test_nan_measure_rejected(self):
+        # finite vertices whose 2x2 determinant overflows to inf - inf
+        verts = [[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MeshError, match="cell 0 has measure nan"):
+                Mesh(verts, [[0, 1, 2]])
+
     def test_degenerate_cell_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(MeshError):
@@ -227,7 +267,9 @@ class TestLocate:
             assert lam.min() >= -1e-10 and lam.max() <= 1 + 1e-10
 
     def test_each_cell_indexed_once_by_lower_corner(self):
-        mesh = unit_cube_mesh(3)
+        # the cube without its grid, so its locator builds bins
+        m = unit_cube_mesh(3)
+        mesh = Mesh(m.vertices, m.cells)
         loc = mesh.locator
         assert np.all(np.diff(loc.bin_keys) > 0)
         assert loc.bin_ptr[0] == 0 and loc.bin_ptr[-1] == len(loc.bin_cells)
@@ -262,6 +304,44 @@ class TestLocate:
         with pytest.raises(OutOfDomainError) as err:
             mesh.locator.locate_many(pts[[0, 3, 2]])
         assert err.value.index == 2 and err.value.point.tolist() == [3.0, 0.0]
+
+
+class TestGrid:
+    def test_generators_record_their_grid(self):
+        sq = unit_square_mesh(3, 6, offset=(0.5, -1.0), extent=(0.5, 2.0))
+        assert sq.grid.offset.tolist() == [0.5, -1.0]
+        assert sq.grid.extent.tolist() == [0.5, 2.0]
+        assert sq.grid.counts.tolist() == [3, 6] and sq.grid.nsplit == 2
+        cube = unit_cube_mesh(4)
+        assert cube.grid.offset.tolist() == [0.0] * 3
+        assert cube.grid.extent.tolist() == [1.0] * 3
+        assert cube.grid.counts.tolist() == [4] * 3 and cube.grid.nsplit == 6
+
+    def test_cell_numbering_follows_the_grid(self):
+        # cell split + nsplit * sub lies in sub-cell sub (row-major, x fastest)
+        for mesh in (unit_square_mesh(3, 2, offset=(1, 2), extent=(3, 0.5)),
+                     unit_cube_mesh(3)):
+            g = mesh.grid
+            sub = np.arange(mesh.num_cells) // g.nsplit
+            corner = np.column_stack(np.unravel_index(sub, g.counts[::-1]))[:, ::-1]
+            lo = g.offset + g.extent * corner / g.counts
+            assert np.abs(mesh.vertices[mesh.cells].min(axis=1) - lo).max() < 1e-15
+
+    def test_only_the_generators_record_a_grid(self, tmp_path):
+        square, cube = unit_square_mesh(3), unit_cube_mesh(2)
+        write_mesh_ascii(square, tmp_path / "mesh.txt")
+        for mesh in (Mesh(square.vertices, square.cells), Mesh(cube.vertices, cube.cells),
+                     facet_submesh(cube, lambda p: near(p[:, 2], 0)),
+                     cell_submesh(square, lambda c: c[:, 0] <= 0.5),
+                     cell_submesh(cube, lambda c: c[:, 0] <= 2.0),
+                     polyline_mesh([(0, 0, 0), (1, 1, 1)], 3),
+                     read_mesh_ascii(tmp_path / "mesh.txt")):
+            assert mesh.grid is None
+            assert len(mesh.locator.bin_cells) == mesh.num_cells
+
+    def test_grid_locator_builds_no_bins(self):
+        loc = unit_cube_mesh(2).locator
+        assert not hasattr(loc, "bin_keys") and not hasattr(loc, "reach")
 
 
 class TestSubmeshes:
