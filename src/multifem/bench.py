@@ -40,9 +40,6 @@ __all__ = [
     "assemble_babuska", "assemble_darcy_stokes", "assemble_perfusion",
 ]
 
-DEFAULT_DARCY_BLOCK = "stiffness"
-
-
 @dataclass
 class CaseConfig:
     case: str = "babuska"
@@ -50,7 +47,6 @@ class CaseConfig:
     levels: int = 3
     tol: float = 1e-10
     seed: int | None = None   # None starts the Krylov solve from zero
-    darcy_pressure_block: str = DEFAULT_DARCY_BLOCK
     radius: float = 0.2
     n_quad: int = 16
 
@@ -118,35 +114,21 @@ class StudyRecord:
 
 # -- error norms -----------------------------------------------------------------
 
-def _diff(fn, exact, degree=3):
-    shape = fn.space.value_shape
-    return Coefficient(fn) - Analytic(exact, shape=shape, degree=degree)
-
-
-def _qmax(mesh):
-    return quadrature.MAX_DEGREE[mesh.tdim]
-
-
-def err_l2(fn, exact):
-    e = _diff(fn, exact)
-    mesh = fn.space.mesh
-    return math.sqrt(abs(assemble(inner(e, e) * Measure(mesh), quad_degree=_qmax(mesh))))
-
-
-def err_h1(fn, exact, grad_exact):
+def err_norm(fn, exact, grad_exact=None, div_exact=None):
+    """L2 norm of ``fn - exact``; with ``grad_exact`` or ``div_exact`` the
+    H1 or H(div) norm, adding the L2 norm of ``grad(fn) - grad_exact`` or
+    ``div(fn) - div_exact``."""
     mesh = fn.space.mesh
     shape = fn.space.value_shape
-    e = _diff(fn, exact)
-    ge = grad(Coefficient(fn)) - Analytic(grad_exact, shape=shape + (mesh.gdim,), degree=3)
-    val = assemble((inner(e, e) + inner(ge, ge)) * Measure(mesh), quad_degree=_qmax(mesh))
-    return math.sqrt(abs(val))
-
-
-def err_hdiv(fn, exact, div_exact):
-    mesh = fn.space.mesh
-    e = _diff(fn, exact)
-    de = div(Coefficient(fn)) - Analytic(div_exact, shape=(), degree=3)
-    val = assemble((inner(e, e) + inner(de, de)) * Measure(mesh), quad_degree=_qmax(mesh))
+    e = Coefficient(fn) - Analytic(exact, shape=shape, degree=3)
+    integrand = inner(e, e)
+    if grad_exact is not None:
+        d = grad(Coefficient(fn)) - Analytic(grad_exact, shape=shape + (mesh.gdim,), degree=3)
+        integrand = integrand + inner(d, d)
+    elif div_exact is not None:
+        d = div(Coefficient(fn)) - Analytic(div_exact, shape=(), degree=3)
+        integrand = integrand + inner(d, d)
+    val = assemble(integrand * Measure(mesh), quad_degree=quadrature.MAX_DEGREE[mesh.tdim])
     return math.sqrt(abs(val))
 
 
@@ -206,9 +188,9 @@ def run_babuska(cfg: CaseConfig) -> StudyRecord:
         uh = Function(V, parts[0])
         ph = Function(Q, parts[1])
         errors = {
-            "u_h1": err_h1(uh, bd["u"], bd["grad_u"]),
-            "u_l2": err_l2(uh, bd["u"]),
-            "p_l2": err_l2(ph, bd["multiplier"]),
+            "u_h1": err_norm(uh, bd["u"], grad_exact=bd["grad_u"]),
+            "u_l2": err_norm(uh, bd["u"]),
+            "p_l2": err_norm(ph, bd["multiplier"]),
         }
         rec.add_row(level, 1.0 / n, V.dim + Q.dim, rep.iterations, errors,
                     time.perf_counter() - t0)
@@ -339,7 +321,7 @@ def _multiplier_errors(ph, data):
     e = ph.coefficients - exact.coefficients
     M, S = _pencil(Q)
     op = hs_norm(M, S, 0.5).forward_op()
-    l2 = err_l2(ph, data.multiplier)
+    l2 = err_norm(ph, data.multiplier)
     hhalf = math.sqrt(abs(e @ op.matvec(e)))
     return l2, hhalf
 
@@ -351,8 +333,7 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
     else:
         cols = ["u1_h1", "p1_l2", "p2_l2"]
     rec = StudyRecord(f"ds-{formulation}", cols,
-                      meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol,
-                            "darcy_pressure_block": cfg.darcy_pressure_block})
+                      meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol})
     n = cfg.n
     for level in range(cfg.levels):
         t0 = time.perf_counter()
@@ -363,23 +344,22 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
             B = build_preconditioner("ds-mixed", sys["A"], W)
             x, rep = minres(sys["A"], B, flat_b, tol=cfg.tol, seed=cfg.seed)
         else:
-            B = build_preconditioner("ds-primal", sys["A"], W,
-                                     darcy_pressure_block=cfg.darcy_pressure_block)
+            B = build_preconditioner("ds-primal", sys["A"], W)
             x, rep = gmres(sys["A"], B, flat_b, tol=cfg.tol, seed=cfg.seed)
         rec.ok = rec.ok and rep.converged
         parts = _split(x, W)
         u1h = Function(W[0], parts[0])
         p1h = Function(W[1], parts[1])
         errors = {
-            "u1_h1": err_h1(u1h, data.u1, data.grad_u1),
-            "p1_l2": err_l2(p1h, data.p1),
+            "u1_h1": err_norm(u1h, data.u1, grad_exact=data.grad_u1),
+            "p1_l2": err_norm(p1h, data.p1),
         }
         if formulation == "mixed":
             u2h = Function(W[2], parts[2])
             p2h = Function(W[3], parts[3])
             ph = Function(W[4], parts[4])
-            errors["u2_hdiv"] = err_hdiv(u2h, data.u2, data.f2)
-            errors["p2_l2"] = err_l2(p2h, data.p2)
+            errors["u2_hdiv"] = err_norm(u2h, data.u2, div_exact=data.f2)
+            errors["p2_l2"] = err_norm(p2h, data.p2)
             p_l2, p_hhalf = _multiplier_errors(ph, data)
             errors["p_l2"] = p_l2
             errors["composite"] = math.sqrt(
@@ -387,7 +367,7 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
                 + errors["u2_hdiv"] ** 2 + errors["p2_l2"] ** 2 + p_hhalf ** 2)
         else:
             p2h = Function(W[2], parts[2])
-            errors["p2_l2"] = err_l2(p2h, data.p2)
+            errors["p2_l2"] = err_norm(p2h, data.p2)
         dofs = sum(V.dim for V in W)
         rec.add_row(level, 1.0 / n, dofs, rep.iterations, errors,
                     time.perf_counter() - t0)

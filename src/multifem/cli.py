@@ -1,7 +1,7 @@
 """Command line entry point: refinement/iteration studies and matrix export.
 
     multifem run --case babuska --n 8 --levels 3 --tol 1e-10 --out results/
-    multifem export --case ds-mixed --n 4 --what matrices --out matrices/
+    multifem export --case ds-mixed --n 4 --out matrices/
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ def _build_parser():
     run.add_argument("--tol", type=float, default=1e-10)
     run.add_argument("--seed", type=int, default=None,
                      help="seed of a uniform random Krylov start (default: zero start)")
-    run.add_argument("--darcy-pressure-block",
-                     choices=("mass", "neg-mass", "stiffness"), default="stiffness")
     run.add_argument("--radius", type=float, default=0.2)
     run.add_argument("--nquad", type=int, default=16)
     run.add_argument("--out", default=".")
@@ -33,7 +31,6 @@ def _build_parser():
     exp.add_argument("--case", required=True,
                      choices=[c for c, (_, system) in CASES.items() if system is not None])
     exp.add_argument("--n", type=int, default=4)
-    exp.add_argument("--what", choices=("matrices",), default="matrices")
     exp.add_argument("--out", required=True)
     return parser
 
@@ -47,9 +44,7 @@ def main(argv=None):
 
     cfg = CaseConfig(
         case=args.case, n=args.n, levels=args.levels, tol=args.tol,
-        seed=args.seed,
-        darcy_pressure_block=args.darcy_pressure_block,
-        radius=args.radius, n_quad=args.nquad,
+        seed=args.seed, radius=args.radius, n_quad=args.nquad,
     )
     record = run_case(cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -124,6 +124,10 @@ class ReductionKind:
     radius: float | None = None    # average only
     n_quad: int | None = None      # average only
 
+    def __post_init__(self):
+        if self.name not in ("trace", "average", "restrict"):
+            raise FormError(f"unknown reduction {self.name!r}")
+
     def params(self):
         return () if self.name != "average" else (self.radius, self.n_quad)
 
@@ -313,13 +317,9 @@ def arguments(obj):
     return out
 
 
-def reduced_terminals(e, kind_name=None):
-    """Reduced nodes in pre-order; optionally filtered by kind name."""
-    out = []
-    for node in _walk(e):
-        if isinstance(node, Reduced) and (kind_name is None or node.kind.name == kind_name):
-            out.append(node)
-    return out
+def reduced_terminals(e):
+    """Reduced nodes in pre-order."""
+    return [node for node in _walk(e) if isinstance(node, Reduced)]
 
 
 def _same_reduced(a, b):

@@ -1,16 +1,17 @@
 """Lowering of (block) symbolic forms to lazy block-operator expressions.
 
-``multi_assemble`` dispatches each form through an ordered registry of
-reduced assemblers (trace, average, restrict); each strips terminals of
-its own reduction kind, delegates the transformed form back to
-``multi_assemble`` and composes the result with the reduction matrix:
+A form without reduction terminals goes to the singlescale assembler
+whole, so its matrix is bitwise that of the base assembler.  Any other
+form is lowered one integral at a time, in one pass each: every reduced
+terminal is replaced by a bare one on the reduction's target space, the
+resulting singlescale integral is assembled once into ``A`` and composed
+with the reduction matrices ``R``:
 
-* trial argument reduced:  (recursed operator) o R
-* test argument reduced:   R^T o (recursed operator)
-* coefficient reduced:     coefficients mapped through R, no composition
+* arguments reduced:   R_test^T o A o R_trial (an unreduced side is left out)
+* linear form:         R_test^T b
+* coefficient reduced: coefficients mapped through R, no composition
 
-Reduction-free forms fall through to the singlescale assembler, so their
-matrices are bitwise those of the base assembler.
+The integrals' contributions are summed in form order.
 """
 from __future__ import annotations
 
@@ -27,25 +28,16 @@ from .opalg import BlockMat, Matrix, Product, Sum, Transpose, Zero, as_op
 from .reduction import ReductionCache
 from .space import Function
 
-__all__ = ["multi_assemble", "UnhandledReductionError", "KINDS"]
-
-KINDS = ("trace", "average", "restrict")
-
-
-class UnhandledReductionError(FormError):
-    """A reduction kind no registered assembler handles."""
+__all__ = ["multi_assemble"]
 
 
 def multi_assemble(obj, cache: ReductionCache | None = None):
-    """Assemble numbers as-is, forms through the reduced-assembler registry,
-    and block forms entrywise (absent blocks become dimension-carrying
-    zeros): a bilinear one into a block operator, a linear one into a list
-    of per-block vectors.  Reduction matrices are built once per
-    ``cache``; without one, a fresh cache serves this call and its
-    recursion and is dropped with it."""
+    """Assemble a form, or a block form entrywise (absent blocks become
+    dimension-carrying zeros): a bilinear one into a block operator, a
+    linear one into a list of per-block vectors.  Reduction matrices are
+    built once per ``cache``; without one, a fresh cache serves this call
+    and is dropped with it."""
     cache = cache if cache is not None else ReductionCache()
-    if isinstance(obj, numbers.Number):
-        return obj
     if isinstance(obj, Form):
         return _assemble_form(obj, cache)
     if isinstance(obj, BlockForm):
@@ -54,49 +46,42 @@ def multi_assemble(obj, cache: ReductionCache | None = None):
 
 
 def _assemble_form(form, cache):
-    for kind in KINDS:
-        out = _reduced_assemble(form, kind, cache)
-        if out is not None:
-            return out
-    leftovers = [r for i in form for r in reduced_terminals(i.integrand)]
-    if leftovers:
-        raise UnhandledReductionError(f"no assembler handles {leftovers[0]!r}")
-    return assemble(form)
+    if not any(reduced_terminals(i.integrand) for i in form):
+        return assemble(form)
+    return _sum_contributions([_lower_integral(i, cache) for i in form])
 
 
-def _reduced_assemble(form, kind, cache):
-    """One pass of the reduced assembler for ``kind``; None when the form
-    holds no terminal of that kind."""
-    marked = [bool(reduced_terminals(i.integrand, kind)) for i in form]
-    if not any(marked):
-        return None
-    contributions = []
-    for integral, has_kind in zip(form.integrals, marked):
-        if not has_kind:
-            contributions.append(multi_assemble(Form([integral]), cache))
-            continue
-        node = reduced_terminals(integral.integrand, kind)[0]
+def _lower_integral(integral, cache):
+    """``R_test^T o A o R_trial`` of one integral, with ``A`` the
+    singlescale assembly of the integral after its reduced terminals are
+    replaced by bare ones on the target spaces."""
+    integrand = integral.integrand
+    left = right = None
+    for node in reduced_terminals(integral.integrand):
         operand = node.operand
         if isinstance(operand, Argument):
-            source = operand.space
-            red = cache.get_or_build(source, node.target_mesh, node.kind)
-            fresh = Argument(red.target_space, operand.role, operand.block)
-            lowered = replace(integral.integrand, node, fresh)
-            inner = multi_assemble(Form([Integral(lowered, integral.mesh)]), cache)
-            if operand.role == "trial":
-                contributions.append(Product([as_op(inner), Matrix(red.matrix)]))
-            elif isinstance(inner, np.ndarray):
-                contributions.append(red.matrix.T @ inner)
+            red = cache.get_or_build(operand.space, node.target_mesh, node.kind)
+            bare = Argument(red.target_space, operand.role, operand.block)
+            if operand.role == "test":
+                left = red.matrix
             else:
-                contributions.append(Product([Transpose(Matrix(red.matrix)), as_op(inner)]))
+                right = red.matrix
         else:
-            source = operand.function.space
-            red = cache.get_or_build(source, node.target_mesh, node.kind)
-            mapped = Function(red.target_space, red.matrix @ operand.function.coefficients)
-            lowered = replace(integral.integrand, node, Coefficient(mapped))
-            contributions.append(
-                multi_assemble(Form([Integral(lowered, integral.mesh)]), cache))
-    return _sum_contributions(contributions)
+            fn = operand.function
+            red = cache.get_or_build(fn.space, node.target_mesh, node.kind)
+            bare = Coefficient(Function(red.target_space, red.matrix @ fn.coefficients))
+        integrand = replace(integrand, node, bare)
+    out = assemble(Form([Integral(integrand, integral.mesh)]))
+    if left is None and right is None:
+        return out
+    if isinstance(out, np.ndarray):
+        return left.T @ out
+    factors = [Matrix(out)]
+    if left is not None:
+        factors.insert(0, Transpose(Matrix(left)))
+    if right is not None:
+        factors.append(Matrix(right))
+    return Product(factors)
 
 
 def _sum_contributions(parts):
@@ -118,7 +103,7 @@ def _assemble_block_form(bf, cache):
                 if entry is None:
                     row.append(Zero(dims[i], dims[j]))
                 else:
-                    row.append(as_op(multi_assemble(entry, cache)))
+                    row.append(as_op(_assemble_form(entry, cache)))
             rows.append(row)
         return BlockMat(rows)
     blocks = []
@@ -127,8 +112,5 @@ def _assemble_block_form(bf, cache):
         if entry is None:
             blocks.append(np.zeros(dims[i]))
         else:
-            vec = multi_assemble(entry, cache)
-            if not isinstance(vec, np.ndarray):
-                raise FormError(f"linear block {i} did not assemble to a vector")
-            blocks.append(vec)
+            blocks.append(_assemble_form(entry, cache))
     return blocks

@@ -371,7 +371,7 @@ def inverse_handle(block, label="block"):
 
 # -- benchmark preconditioners ------------------------------------------------------
 
-def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffness"):
+def build_preconditioner(problem, system, spaces):
     """Block-diagonal Riesz-map preconditioners for the demo problems.
 
     babuska:  diag(H1 inner product, H^{-1/2} multiplier norm)^-1 -- the H1
@@ -379,8 +379,7 @@ def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffnes
     ds-mixed: diag(Stokes block incl. tangential coupling, P1 mass, Hdiv
     inner product with essential flux conditions, P0 mass, H^{1/2} P0
     multiplier norm)^-1.
-    ds-primal: as mixed on the Stokes side; the Darcy pressure block is
-    configurable (mass | neg-mass | stiffness), stiffness sharing the
+    ds-primal: as mixed on the Stokes side; the Darcy pressure block is the
     system's Laplacian block with its essential conditions applied.
     """
     if problem == "babuska":
@@ -407,18 +406,10 @@ def build_preconditioner(problem, system, spaces, darcy_pressure_block="stiffnes
 
     if problem == "ds-primal":
         V1, Q1, Q2p = spaces
-        if darcy_pressure_block == "mass":
-            darcy = inverse_handle(_mass(Q2p), "darcy-pressure")
-        elif darcy_pressure_block == "neg-mass":
-            darcy = -1.0 * inverse_handle(_mass(Q2p), "darcy-pressure")
-        elif darcy_pressure_block == "stiffness":
-            darcy = inverse_handle(system[2, 2], "darcy-pressure")
-        else:
-            raise ValueError(f"unknown darcy pressure block {darcy_pressure_block!r}")
         return block_diag_mat([
             inverse_handle(system[0, 0], "stokes"),
             inverse_handle(_mass(Q1), "stokes-pressure"),
-            darcy,
+            inverse_handle(system[2, 2], "darcy-pressure"),
         ])
 
     raise ValueError(f"unknown preconditioner problem {problem!r}")

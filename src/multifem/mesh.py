@@ -394,7 +394,8 @@ class CellLocator:
     batch of points.  Points shared by several cells resolve to the lowest
     cell index; containment uses an absolute tolerance on barycentric
     coordinates (default 1e-10) and, on manifolds, on the distance to the
-    cell's plane.  Non-finite points lie in no cell.  Only the source of
+    cell's plane.  Non-finite points, and points farther outside the vertex
+    bounding box than its diameter, lie in no cell.  Only the source of
     each point's candidate cells depends on the mesh; the containment test
     and the tie-break are the same for both sources.  The locator keeps
     only the geometry it needs, not the mesh.
@@ -432,6 +433,13 @@ class CellLocator:
         # geometry for barycentric solves: the mesh's own read-only arrays
         self._vertices, self._cells = mesh.vertices, mesh.cells
         self._G = mesh.gradient_transform
+        # Every point a cell holds within the tolerance lies within
+        # ``margin`` of the vertex box; one farther out gets no candidate,
+        # which also keeps huge finite points out of the barycentric solve.
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        span = np.linalg.norm(hi - lo)
+        margin = span + tol * (1.0 + (self.tdim + 1) * span)
+        self._box_lo, self._box_hi = lo - margin, hi + margin
         self._grid = mesh.grid
         if self._grid is not None:
             g = self._grid
@@ -541,10 +549,12 @@ class CellLocator:
         step = max(1, _LOCATE_PAIRS // self._per_point)
         for lo in range(0, len(x), step):
             chunk = x[lo:lo + step]
-            # a non-finite point gets no candidate, so it is reported missing
-            finite = np.flatnonzero(np.isfinite(chunk).all(axis=1))
-            point, cand = self._candidates(chunk[finite])
-            point = finite[point]
+            # a point outside the padded vertex box (NaN and inf included)
+            # gets no candidate, so it is reported missing
+            boxed = np.flatnonzero(((chunk >= self._box_lo)
+                                    & (chunk <= self._box_hi)).all(axis=1))
+            point, cand = self._candidates(chunk[boxed])
+            point = boxed[point]
             mu, resid = _barycentric(self._vertices, self._cells, self._G, cand,
                                      chunk[point])
             # column by column: a row-wise min over tdim+1 entries is slower

@@ -5,8 +5,7 @@ a curve, and same-dimension restrictions.
 Rows correspond to target dofs, columns to source dofs.  A synchronized
 cache builds each matrix once per (source space, target mesh, kind,
 parameters) key and exposes a build counter for testing; it lives as long
-as its owner (``multi_assemble`` makes one per top-level call that is
-given none).
+as its owner (``multi_assemble`` makes one per call that is given none).
 """
 from __future__ import annotations
 
@@ -34,7 +33,6 @@ class UnsupportedReductionError(ValueError):
 @dataclass
 class ReductionMatrix:
     kind: ReductionKind
-    source: FunctionSpace
     target_space: FunctionSpace
     matrix: sp.csr_matrix
 
@@ -182,14 +180,12 @@ class ReductionCache:
             hit = self._store.get(key)
             if hit is not None:
                 return hit
-            if kind.name not in ("trace", "restrict", "average"):
-                raise UnsupportedReductionError(f"unknown reduction {kind.name!r}")
             target = deduce_reduced_space(source, target_mesh, kind)
             if kind.name == "average":
                 matrix = average_matrix(source, target, kind.radius, kind.n_quad)
             else:
                 matrix = trace_matrix(source, target)
-            built = ReductionMatrix(kind, source, target, matrix)
+            built = ReductionMatrix(kind, target, matrix)
             self._store[key] = built
             self.build_count += 1
             return built

@@ -319,7 +319,7 @@ def test_criterion_7_primal_iterations(primal_study):
     spread = max(counts) - min(counts)
     ok = (primal_study.ok and all(30 <= c <= 75 for c in counts) and spread <= 10)
     check(7, "darcy-stokes primal iterations", ok,
-          f"counts {counts} (block={primal_study.meta['darcy_pressure_block']})")
+          f"counts {counts} (darcy pressure block: stiffness)")
 
 
 def test_criterion_8_convergence_rates(babuska_study, mixed_study, primal_study):

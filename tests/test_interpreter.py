@@ -8,7 +8,7 @@ from multifem import reduction
 
 from multifem.assemble import assemble
 from multifem.forms import (
-    Average, BlockForm, Coefficient, Constant, Measure, ReductionKind,
+    Average, BlockForm, Coefficient, Constant, FormError, Measure, ReductionKind,
     Restrict, TestFunction, TestFunctions, Trace, TrialFunction,
     TrialFunctions, dot, grad, inner,
 )
@@ -17,8 +17,10 @@ from multifem.mesh import (
     cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
     unit_square_mesh,
 )
-from multifem.opalg import BlockMat, Product, Sum, Zero, collapse
-from multifem.reduction import ReductionCache
+from multifem.opalg import BlockMat, Matrix, Product, Sum, Transpose, Zero, collapse
+from multifem.reduction import (
+    ReductionCache, average_matrix, deduce_reduced_space, trace_matrix,
+)
 from multifem.space import build_space, interpolate, lagrange, vector_lagrange
 
 TRACE = ReductionKind("trace")
@@ -51,9 +53,6 @@ class TestFallback:
         direct = assemble(form)
         routed = multi_assemble(form, ReductionCache())
         assert (direct != routed).nnz == 0
-
-    def test_scalar_passthrough(self):
-        assert multi_assemble(3.0) == 3.0
 
     def test_functional_assembles_to_number(self, babuska_setup):
         mesh, *_ = babuska_setup
@@ -223,6 +222,40 @@ class TestAverageLowering:
         assert np.abs(vec - oracle).max() < 1e-14
 
 
+class TestOnePassLowering:
+    """Each integral is lowered once into ``R_test^T o A o R_trial``; the
+    oracles take their factors from the reduction builders directly,
+    not from the lowering's cache."""
+
+    def test_average_trial_trace_test_is_one_flat_product(self, three_d):
+        cube, line, V, Q = three_d
+        u, v = TrialFunction(V), TestFunction(V)
+        dl = Measure(line)
+        avg = ReductionKind("average", 0.2, 16)
+        op = multi_assemble(inner(Average(u, line, 0.2, 16), Trace(v, line)) * dl,
+                            ReductionCache())
+        assert isinstance(op, Product)
+        assert [type(f) for f in op.factors] == [Transpose, Matrix, Matrix]
+        Vbar = deduce_reduced_space(V, line, avg)
+        P = trace_matrix(V, deduce_reduced_space(V, line, TRACE)).toarray()
+        R = average_matrix(V, Vbar, 0.2, 16).toarray()
+        M = assemble(inner(TrialFunction(Vbar), TestFunction(Vbar)) * dl).toarray()
+        assert rel_gap(collapse(op).toarray(), P.T @ M @ R) <= 1e-12
+
+    def test_reduced_coefficient_and_test_argument(self, three_d):
+        cube, line, V, Q = three_d
+        f = interpolate(V, lambda p: 1.0 + p[:, 2])
+        v = TestFunction(V)
+        dl = Measure(line)
+        vec = multi_assemble(inner(Trace(Coefficient(f), line), Trace(v, line)) * dl,
+                             ReductionCache())
+        assert isinstance(vec, np.ndarray) and vec.shape == (V.dim,)
+        Vbar = deduce_reduced_space(V, line, TRACE)
+        P = trace_matrix(V, Vbar).toarray()
+        M = assemble(inner(TrialFunction(Vbar), TestFunction(Vbar)) * dl).toarray()
+        assert rel_gap(vec, P.T @ M @ P @ f.coefficients) <= 1e-12
+
+
 class TestRestrictLowering:
     def test_single_sided_and_crossed(self):
         mesh = unit_square_mesh(4, 4)
@@ -273,14 +306,10 @@ class TestRestrictLowering:
         assert eig.min() >= -1e-12        # PSD: dofs off the subdomain are null
 
 
-def test_unknown_reduction_kind_reported(babuska_setup):
-    from multifem.forms import Reduced
-    from multifem.interpreter import UnhandledReductionError
-    mesh, gamma, V, Q = babuska_setup
-    u, q = TrialFunction(V), TestFunction(Q)
-    node = Reduced(ReductionKind("mystery"), u, gamma)
-    with pytest.raises(UnhandledReductionError, match="mystery"):
-        multi_assemble(inner(node, q) * Measure(gamma), ReductionCache())
+def test_unknown_reduction_kind_reported():
+    # an unknown kind is rejected where it is named, before any lowering
+    with pytest.raises(FormError, match="unknown reduction 'mystery'"):
+        ReductionKind("mystery")
 
 
 class TestPerCallCache:

@@ -334,15 +334,14 @@ class TestInverseHandle:
             ref = np.linalg.solve(dense, b)
             assert np.linalg.norm(inv.matvec(b) - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_direct_on_ds_primal_neg_mass_preconditioner(self):
+    def test_direct_on_ds_primal_preconditioner(self):
         from multifem.bench import assemble_darcy_stokes
         from multifem.krylov import _mass
         sys = assemble_darcy_stokes(4, "primal")
         V1, Q1, Q2p = sys["W"]
-        B = build_preconditioner("ds-primal", sys["A"], sys["W"],
-                                 darcy_pressure_block="neg-mass")
+        B = build_preconditioner("ds-primal", sys["A"], sys["W"])
         blocks = [collapse(sys["A"][0, 0]).toarray(), _mass(Q1).toarray(),
-                  -_mass(Q2p).toarray()]
+                  collapse(sys["A"][2, 2]).toarray()]
         offs = np.cumsum([0] + [b.shape[0] for b in blocks])
         rng = np.random.default_rng(22)
         x = rng.standard_normal(offs[-1])

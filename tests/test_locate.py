@@ -378,6 +378,25 @@ def test_grid_rejects_non_finite_square_points():
         assert assert_grid_matches_bins(mesh, np.array([[0.75, 0.5], bad])) == 0
 
 
+@pytest.mark.parametrize("huge", [1e308, -1e308])
+@pytest.mark.parametrize("make", [
+    lambda: unit_square_mesh(3), lambda: unit_cube_mesh(2),
+    lambda: polyline_mesh([(0.5, 0.5, 0.1), (0.5, 0.5, 0.9)], 3)],
+    ids=["square", "cube", "curve"])
+def test_huge_finite_points_lie_in_no_cell(make, huge):
+    # no overflow on either candidate source (RuntimeWarnings are errors),
+    # and the first such point is the one reported
+    mesh = make()
+    for m in (mesh, Mesh(mesh.vertices, mesh.cells)):
+        points = np.tile(m.vertices[m.cells[0]].mean(axis=0), (4, 1))
+        points[1, 0] = huge
+        points[3] = huge
+        with pytest.raises(OutOfDomainError) as err:
+            m.locator.locate_many(points)
+        assert err.value.index == 1
+        assert m.locator.locate_many(points[[0, 2]])[0].tolist() == [0, 0]
+
+
 @given(st.data())
 def test_grid_matches_bins_on_generated_meshes(data):
     mesh = data.draw(meshes())
