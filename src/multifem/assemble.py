@@ -20,7 +20,7 @@ from .forms import (
     Grad, Inner, Neg, Scale, Sym, reduced_terminals,
 )
 from .mesh import EmptySelectionError, _call_on_points, _facets_where
-from .opalg import BlockMat, Matrix, Product, Sum, Zero, collapse
+from .opalg import BlockMat, Matrix, OpError, Product, Sum, Transpose, Zero, collapse
 from .space import FunctionSpace, tabulate_lagrange, vector_basis, _dof_values
 
 __all__ = [
@@ -430,32 +430,53 @@ def apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric=True):
     list of DirichletBC, each on a space of that block's dimension.  Rows
     of constrained dofs are zeroed with a unit diagonal and their rhs
     entries set to the boundary values; with ``symmetric`` the columns are
-    eliminated too, lifting the rhs first.  Off-diagonal blocks are masked lazily (row/column projectors composed
-    around the original operators), so products built by the interpreter
-    never need to be materialized."""
+    eliminated too, lifting the rhs first.  The masks go into the blocks'
+    matrix leaves (``_constrain``): a constrained block keeps the shape of
+    its lowered tree, and no product the interpreter built is collapsed."""
     rows = block_op.blocks
-    nb = len(rows)
     vectors = {i: _bc_vectors(block_op, i, bcs) for i, bcs in bcs_by_block.items()}
-
     rhs = [np.array(b, dtype=float, copy=True) for b in rhs_blocks]
     if symmetric:
-        for j in range(nb):
+        for j, row in enumerate(rows):
             for i, (gi, _) in vectors.items():
-                if not isinstance(rows[j][i], Zero):
-                    rhs[j] -= rows[j][i].matvec(gi)
+                if not isinstance(row[i], Zero):
+                    rhs[j] -= row[i].matvec(gi)
 
-    new_rows = [list(row) for row in rows]
+    keep = {i: 1.0 - mask for i, (_, mask) in vectors.items()}
+    new_rows = [[_constrain(blk, keep.get(i), keep.get(j) if symmetric else None)
+                 for j, blk in enumerate(row)] for i, row in enumerate(rows)]
     for i, (gi, mask) in vectors.items():
-        keep = Matrix(sp.diags(1.0 - mask).tocsr())
-        for j in range(nb):
-            if not isinstance(new_rows[i][j], Zero):
-                new_rows[i][j] = Product([keep, new_rows[i][j]])
-            if symmetric and not isinstance(new_rows[j][i], Zero):
-                new_rows[j][i] = Product([new_rows[j][i], keep])
         diag, unit = new_rows[i][i], Matrix(sp.diags(mask).tocsr())
         new_rows[i][i] = unit if isinstance(diag, Zero) else Sum([diag, unit])
-        rhs[i] = (1.0 - mask) * rhs[i] + gi
+        rhs[i] = keep[i] * rhs[i] + gi
     return BlockMat(new_rows), rhs
+
+
+def _constrain(op, rows, cols):
+    """``op`` with its rows scaled by the 0/1 mask ``rows`` and its columns
+    by ``cols`` (None: unmasked).  Each masked sparse leaf is a copy whose
+    data is scaled in place, keeping the order in which products and
+    matvecs sum; the leaves of ``op`` are shared and stay unchanged."""
+    if isinstance(op, Zero) or (rows is None and cols is None):
+        return op
+    if isinstance(op, Sum):
+        return Sum([_constrain(t, rows, cols) for t in op.terms])
+    if isinstance(op, Product):
+        f = list(op.factors)
+        f[-1] = _constrain(f[-1], None, cols)
+        f[0] = _constrain(f[0], rows, None)
+        return Product(f)
+    if isinstance(op, Transpose):
+        return Transpose(_constrain(op.child, cols, rows))
+    if isinstance(op, Matrix) and sp.issparse(op.a):
+        a = op.a.tocsr(copy=True)
+        if rows is not None:
+            a.data *= np.repeat(rows, np.diff(a.indptr))
+        if cols is not None:
+            a.data *= cols[a.indices]
+        a.eliminate_zeros()
+        return Matrix(a)
+    raise OpError(f"Dirichlet conditions cannot constrain {type(op).__name__} nodes")
 
 
 # -- Matrix Market IO -------------------------------------------------------------

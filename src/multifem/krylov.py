@@ -19,7 +19,6 @@ refinement study from a zero start.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 
@@ -38,7 +37,7 @@ from .opalg import (
 __all__ = [
     "KrylovReport", "KrylovError", "minres", "gmres",
     "HsNormOperator", "hs_norm", "inverse_handle", "build_preconditioner",
-    "hs_inverse_block", "save_history_csv", "h1_pencil", "fd_dual_pencil",
+    "hs_inverse_block", "h1_pencil", "fd_dual_pencil",
 ]
 
 HS_DIM_LIMIT = 5000
@@ -414,10 +413,3 @@ def build_preconditioner(problem, system, spaces):
 
     raise ValueError(f"unknown preconditioner problem {problem!r}")
 
-
-def save_history_csv(report: KrylovReport, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual"])
-        for k, r in enumerate(report.history):
-            writer.writerow([k, f"{r:.17g}"])

@@ -22,50 +22,25 @@ import numpy as np
 __all__ = ["DarcyStokesData", "darcy_stokes_data", "babuska_data"]
 
 
-def _wrap_scalar(xy, expr):
+def _field(xy, expr, shape=()):
+    """A sympy expression, or for a nonempty ``shape`` its components in
+    row-major order, as a field of points (..., 2) -> values (...) + shape."""
     from sympy import lambdify
-    f = lambdify(xy, expr, modules="numpy")
-
-    def field(p):
-        p = np.asarray(p, dtype=float)
-        X, Y = p[..., 0], p[..., 1]
-        return np.broadcast_to(np.asarray(f(X, Y), dtype=float), np.shape(X)).copy()
-
-    return field
-
-
-def _wrap_vector(xy, exprs):
-    from sympy import lambdify
-    fns = [lambdify(xy, e, modules="numpy") for e in exprs]
+    fns = [lambdify(xy, e, modules="numpy") for e in (list(expr) if shape else [expr])]
 
     def field(p):
         p = np.asarray(p, dtype=float)
         X, Y = p[..., 0], p[..., 1]
         comps = [np.broadcast_to(np.asarray(f(X, Y), dtype=float), np.shape(X))
                  for f in fns]
-        return np.stack(comps, axis=-1)
-
-    return field
-
-
-def _wrap_matrix(xy, mat):
-    from sympy import lambdify
-    rows = [[lambdify(xy, mat[i, j], modules="numpy") for j in range(2)]
-            for i in range(2)]
-
-    def field(p):
-        p = np.asarray(p, dtype=float)
-        X, Y = p[..., 0], p[..., 1]
-        grid = [[np.broadcast_to(np.asarray(rows[i][j](X, Y), dtype=float), np.shape(X))
-                 for j in range(2)] for i in range(2)]
-        return np.stack([np.stack(r, axis=-1) for r in grid], axis=-2)
+        return np.stack(comps, axis=-1).reshape(np.shape(X) + shape)
 
     return field
 
 
 class DarcyStokesData:
-    """Callable fields (point or batched-point input) plus the underlying
-    sympy expressions in ``exprs`` for re-derivation in tests."""
+    """Callable fields of the manufactured Darcy-Stokes solution and its
+    data (point or batched-point input)."""
 
     def __init__(self):
         import sympy as sym
@@ -93,27 +68,20 @@ class DarcyStokesData:
         g_bjs = -tau.dot(sn) - u1.dot(tau)
         multiplier = -n.dot(sn)                 # normal stress the multiplier carries
 
-        self.exprs = {
-            "u1": u1, "p1": p1, "p2": p2, "u2": u2, "stress": stress,
-            "f1": f1, "f2": f2, "g_mass": g_mass, "g_stress": g_stress,
-            "g_bjs": g_bjs, "multiplier": multiplier,
-        }
-
-        self.u1 = _wrap_vector(xy, list(u1))
-        self.grad_u1 = _wrap_matrix(xy, gradu1)
-        self.p1 = _wrap_scalar(xy, p1)
-        self.p2 = _wrap_scalar(xy, p2)
-        self.grad_p2 = _wrap_vector(xy, [sym.diff(p2, x), sym.diff(p2, y)])
-        self.u2 = _wrap_vector(xy, list(u2))
-        self.f1 = _wrap_vector(xy, list(f1))
-        self.f2 = _wrap_scalar(xy, f2)
-        self.g_mass = _wrap_scalar(xy, g_mass)
-        self.g_stress = _wrap_scalar(xy, g_stress)
-        self.g_bjs = _wrap_scalar(xy, g_bjs)
-        self.multiplier = _wrap_scalar(xy, multiplier)
+        self.u1 = _field(xy, u1, (2,))
+        self.grad_u1 = _field(xy, gradu1, (2, 2))
+        self.p1 = _field(xy, p1)
+        self.p2 = _field(xy, p2)
+        self.u2 = _field(xy, u2, (2,))
+        self.f1 = _field(xy, f1, (2,))
+        self.f2 = _field(xy, f2)
+        self.g_mass = _field(xy, g_mass)
+        self.g_stress = _field(xy, g_stress)
+        self.g_bjs = _field(xy, g_bjs)
+        self.multiplier = _field(xy, multiplier)
         # column sigma . e_y; tractions on y = 0/1 are -/+ this column
-        self.stress_col_y = _wrap_vector(xy, [stress[0, 1], stress[1, 1]])
-        self.dp2_dy = _wrap_scalar(xy, sym.diff(p2, y))
+        self.stress_col_y = _field(xy, [stress[0, 1], stress[1, 1]], (2,))
+        self.dp2_dy = _field(xy, sym.diff(p2, y))
 
     def traction_horizontal(self, p):
         """sigma . n on the y=0 / y=1 boundary pieces (outward normals)."""
@@ -144,9 +112,9 @@ def babuska_data():
     u = sym.cos(pi * x) * sym.cos(pi * y)
     f = -sym.diff(u, x, 2) - sym.diff(u, y, 2) + u
     return {
-        "u": _wrap_scalar(xy, u),
-        "grad_u": _wrap_vector(xy, [sym.diff(u, x), sym.diff(u, y)]),
-        "f": _wrap_scalar(xy, f),
-        "g": _wrap_scalar(xy, u),
-        "multiplier": _wrap_scalar(xy, sym.S.Zero * x),
+        "u": _field(xy, u),
+        "grad_u": _field(xy, [sym.diff(u, x), sym.diff(u, y)], (2,)),
+        "f": _field(xy, f),
+        "g": _field(xy, u),
+        "multiplier": _field(xy, sym.S.Zero * x),
     }

@@ -27,6 +27,7 @@ __all__ = [
 
 _MIN_MEASURE = 1e-14
 _LOCATE_PAIRS = 1 << 17     # (point, corner offset or split cell) pairs per lookup
+_LOCATE_TOL = 1e-10         # containment tolerance of CellLocator
 
 _uid_counter = itertools.count()
 
@@ -38,7 +39,7 @@ class MeshError(ValueError):
 class OutOfDomainError(MeshError):
     """Raised when a query point lies outside every cell of a mesh."""
 
-    def __init__(self, point, mesh=None, detail=None, index=None):
+    def __init__(self, point, detail=None, index=None):
         self.point = np.asarray(point, dtype=float)
         self.index = index        # position of the point in a batched query
         msg = f"point {self.point.tolist()} is outside the mesh"
@@ -392,8 +393,8 @@ class CellLocator:
 
     ``locate_many`` returns (cell indices, barycentric coordinates) for a
     batch of points.  Points shared by several cells resolve to the lowest
-    cell index; containment uses an absolute tolerance on barycentric
-    coordinates (default 1e-10) and, on manifolds, on the distance to the
+    cell index; containment uses an absolute tolerance tol = 1e-10 on
+    barycentric coordinates and, on manifolds, on the distance to the
     cell's plane.  Non-finite points, and points farther outside the vertex
     bounding box than its diameter, lie in no cell.  Only the source of
     each point's candidate cells depends on the mesh; the containment test
@@ -426,8 +427,7 @@ class CellLocator:
     upper index is ``>= i``.
     """
 
-    def __init__(self, mesh: Mesh, tol: float = 1e-10):
-        self.tol = tol
+    def __init__(self, mesh: Mesh):
         self.tdim, self.gdim = mesh.tdim, mesh.gdim
         self._num_cells = mesh.num_cells
         # geometry for barycentric solves: the mesh's own read-only arrays
@@ -438,7 +438,7 @@ class CellLocator:
         # which also keeps huge finite points out of the barycentric solve.
         lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
         span = np.linalg.norm(hi - lo)
-        margin = span + tol * (1.0 + (self.tdim + 1) * span)
+        margin = span + _LOCATE_TOL * (1.0 + (self.tdim + 1) * span)
         self._box_lo, self._box_hi = lo - margin, hi + margin
         self._grid = mesh.grid
         if self._grid is not None:
@@ -474,7 +474,7 @@ class CellLocator:
         # tdim * tol * diam of its cell's box, and one that passes the
         # residual test within tol * (1 + diam) of the cell's plane.
         pad = (1e-12 + 1e-12 * np.linalg.norm(span)
-               + self.tol * (1.0 + (self.tdim + 1) * self._diam))[:, None]
+               + _LOCATE_TOL * (1.0 + (self.tdim + 1) * self._diam))[:, None]
         lo_idx = np.clip(np.floor((cell_lo - pad - self.lo) / self.width),
                          0, nbins - 1).astype(np.int64)
         hi_idx = np.clip(np.floor((cell_hi + pad - self.lo) / self.width),
@@ -502,7 +502,7 @@ class CellLocator:
         one sub-cell, or the 2 to 2^gdim sub-cells that ``_slack`` spans
         when s_i - 1 - tol lies within rounding of an integer."""
         g = self._grid
-        t = (x - g.offset) / g.extent * g.counts - 1.0 - self.tol
+        t = (x - g.offset) / g.extent * g.counts - 1.0 - _LOCATE_TOL
         lo = np.clip(np.ceil(t - self._slack), 0, g.counts - 1).astype(np.int64)
         hi = np.clip(np.ceil(t + self._slack), 0, g.counts - 1).astype(np.int64)
         # corners lo + c, c in {0, 1}^gdim, up to hi
@@ -558,11 +558,11 @@ class CellLocator:
             mu, resid = _barycentric(self._vertices, self._cells, self._G, cand,
                                      chunk[point])
             # column by column: a row-wise min over tdim+1 entries is slower
-            inside = mu[:, 0] >= -self.tol
+            inside = mu[:, 0] >= -_LOCATE_TOL
             for k in range(1, self.tdim + 1):
-                inside &= mu[:, k] >= -self.tol
+                inside &= mu[:, k] >= -_LOCATE_TOL
             if self.tdim < self.gdim:       # resid is zero on full-dimensional cells
-                inside &= resid <= self.tol * (1.0 + self._diam[cand])
+                inside &= resid <= _LOCATE_TOL * (1.0 + self._diam[cand])
             hit = np.flatnonzero(inside)
             # sort the hits by (point, cell): each point's lowest cell first
             hit = hit[np.argsort(point[hit] * self._num_cells + cand[hit])]

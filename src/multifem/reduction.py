@@ -72,7 +72,8 @@ def trace_matrix(source: FunctionSpace, target: FunctionSpace):
     try:
         cols, vals = basis_rows(source, x, cells)
     except OutOfDomainError as err:
-        raise OutOfDomainError(x[err.index], detail=f"target dof {dofs[err.index]}") from None
+        raise OutOfDomainError(x[err.index], detail=f"target dof {dofs[err.index]}",
+                               index=err.index) from None
     if len(dofs) != target.dim:
         raise UnsupportedReductionError("target space has dofs not reachable from cells")
     if target.ncomp > 1 and source.ncomp > 1:
@@ -158,7 +159,7 @@ def average_matrix(source: FunctionSpace, target: FunctionSpace,
         cols, vals = basis_rows(source, pts)
     except OutOfDomainError as err:
         raise OutOfDomainError(pts[err.index], detail=f"circle point of curve dof "
-                               f"{err.index // n_quad}") from None
+                               f"{err.index // n_quad}", index=err.index) from None
     rows = np.repeat(np.arange(target.dim), n_quad * cols.shape[1])
     return _csr(rows, cols, vals[:, 0] / n_quad, (target.dim, source.dim))
 

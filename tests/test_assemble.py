@@ -2,6 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import dropped_residue
@@ -13,12 +14,15 @@ from multifem.forms import (
     Analytic, Coefficient, Constant, FormError, Measure, Trace, div, grad, inner, sym,
     TestFunction, TrialFunction,
 )
-from multifem import mesh as mesh_module
+from multifem import bench, mesh as mesh_module
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.mesh import (
     EmptySelectionError, Mesh, facet_submesh, near, unit_cube_mesh, unit_square_mesh,
 )
-from multifem.opalg import collapse
+from multifem.opalg import (
+    BlockMat, InverseHandle, Matrix, OpError, Product, Sum, Transpose, Zero, collapse,
+)
+from multifem.reduction import ReductionCache
 from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
 
 assemble_module = importlib.import_module("multifem.assemble")   # not the function
@@ -364,6 +368,140 @@ class TestDirichletBC:
             apply_bc_block(sys["A"], sys["b"], {0: [bc]})
         with pytest.raises(ValueError, match="block 0"):
             apply_bc(collapse(sys["A"][0, 0]), np.zeros(V.dim), [bc])
+
+
+def _mask_products(block_op, rhs_blocks, bcs_by_block, symmetric):
+    """The oracle: Dirichlet conditions as diagonal 0/1 masks composed
+    lazily around each block (``Product([keep, block])`` for the rows,
+    ``Product([block, keep])`` for the columns) and a unit diagonal."""
+    rows = [list(row) for row in block_op.blocks]
+    rhs = [np.array(b, dtype=float) for b in rhs_blocks]
+    masks = {}
+    for i, bcs in bcs_by_block.items():
+        g, mask = np.zeros(block_op.col_dims[i]), np.zeros(block_op.col_dims[i])
+        for bc in bcs:
+            g[bc.dofs], mask[bc.dofs] = bc.values, 1.0
+        masks[i] = g, mask
+    if symmetric:
+        for j in range(len(rows)):
+            for i, (g, _) in masks.items():
+                if not isinstance(rows[j][i], Zero):
+                    rhs[j] -= rows[j][i].matvec(g)
+    for i, (g, mask) in masks.items():
+        keep = Matrix(sp.diags(1.0 - mask).tocsr())
+        for j in range(len(rows)):
+            if not isinstance(rows[i][j], Zero):
+                rows[i][j] = Product([keep, rows[i][j]])
+            if symmetric and not isinstance(rows[j][i], Zero):
+                rows[j][i] = Product([rows[j][i], keep])
+        unit = Matrix(sp.diags(mask).tocsr())
+        rows[i][i] = unit if isinstance(rows[i][i], Zero) else Sum([rows[i][i], unit])
+        rhs[i] = (1.0 - mask) * rhs[i] + g
+    return BlockMat(rows), rhs
+
+
+def _nodes(op):
+    """Every node of an operator tree, symbolic zeros included."""
+    yield op
+    if isinstance(op, BlockMat):
+        children = [b for row in op.blocks for b in row]
+    elif isinstance(op, Transpose):
+        children = [op.child]
+    else:
+        children = getattr(op, "terms", getattr(op, "factors", []))
+    for c in children:
+        yield from _nodes(c)
+
+
+def _leaves(op):
+    return [e for e in _nodes(op) if isinstance(e, Matrix)]
+
+
+def _sorted(op):
+    return collapse(op, force=True).sorted_indices()
+
+
+@pytest.fixture
+def constrained(monkeypatch):
+    """Assemble a benchmark system, recording the unconstrained block
+    operator, rhs, conditions and symmetry its ``apply_bc_block`` call got,
+    with copies of every matrix leaf of that operator and every reduction
+    matrix of the system's cache, taken before the call."""
+    def build(name, n):
+        cache, calls = ReductionCache(), []
+
+        def recorded(block_op, rhs_blocks, bcs_by_block, symmetric=True):
+            shared = [m.a for m in _leaves(block_op)]
+            shared += [red.matrix for red in cache._store.values()]
+            before = [(a, a.copy()) for a in shared]
+            out = apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric)
+            calls.append((block_op, rhs_blocks, bcs_by_block, symmetric, before))
+            return out
+        monkeypatch.setattr(bench, "apply_bc_block", recorded)
+        if name == "perfusion":
+            sys = bench.assemble_perfusion(n, cache=cache)
+        else:
+            sys = bench.assemble_darcy_stokes(n, name, cache=cache)
+        (call,) = calls
+        return sys, call
+    return build
+
+
+class TestLeafConstraints:
+    @pytest.mark.parametrize("name", ["mixed", "primal", "perfusion"])
+    def test_bitwise_the_mask_products(self, constrained, name):
+        sys, (block_op, rhs_blocks, bcs, symmetric, _) = constrained(name, 4)
+        assert symmetric == (name != "perfusion")
+        oracle, oracle_rhs = _mask_products(block_op, rhs_blocks, bcs, symmetric)
+        A = sys["A"]
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.standard_normal(A.cols)
+            assert np.array_equal(A.matvec(x), oracle.matvec(x))
+        for i, row in enumerate(A.blocks):
+            for j, blk in enumerate(row):
+                x = rng.standard_normal(blk.cols)
+                assert np.array_equal(blk.matvec(x), oracle[i, j].matvec(x)), (i, j)
+                assert _same_bits(_sorted(blk), _sorted(oracle[i, j])), (i, j)
+        assert _same_bits(_sorted(A), _sorted(oracle))
+        assert all(np.array_equal(b, c) for b, c in zip(sys["b"], oracle_rhs))
+
+    @pytest.mark.parametrize("name", ["mixed", "primal", "perfusion"])
+    def test_shared_matrices_unchanged(self, constrained, name):
+        _, (*_, before) = constrained(name, 4)
+        assert len(before) > 10
+        assert all(_same_bits(a, copy) for a, copy in before)
+
+    def test_unconstrained_blocks_are_the_lowered_blocks(self):
+        # babuska's trace matrix T is a leaf of both off-diagonal blocks;
+        # rows of block 0 constrained, block (0, 1) = T^T M takes a masked
+        # copy of T and block (1, 0) = M T keeps T itself
+        sys = assemble_babuska(8)
+        A = sys["A"]
+        V = sys["W"][0]
+        bc = DirichletBC(V, 0.0, lambda p: near(p[:, 1], 0.0))
+        out, _ = apply_bc_block(A, sys["b"], {0: [bc]}, symmetric=False)
+        assert out[1, 0] is A[1, 0] and out[1, 1] is A[1, 1]
+        (T,) = [m.a for m in _leaves(A[0, 1]) if m.a.shape[1] == V.dim]
+        assert any(m.a is T for m in _leaves(out[1, 0]))
+        assert not any(m.a is T for m in _leaves(out[0, 1]))
+
+    def test_no_mask_products(self, constrained):
+        # the constrained tree is the lowered tree plus a Sum and a unit
+        # diagonal per constrained block: no mask product or mask leaf
+        sys, (block_op, _, bcs, _, _) = constrained("mixed", 32)
+        nodes = len(list(_nodes(sys["A"])))
+        assert nodes <= 46
+        assert nodes == len(list(_nodes(block_op))) + 2 * len(bcs)
+        stored = sum(m.a.nnz for m in _leaves(sys["A"]))
+        assert stored <= 1.02 * collapse(sys["A"], force=True).nnz
+
+    def test_inverse_handle_block_raises(self):
+        V = build_space(unit_square_mesh(4, 4), lagrange(1))
+        bc = DirichletBC(V, 0.0, lambda p: near(p[:, 0], 0.0))
+        op = BlockMat([[InverseHandle(V.dim, lambda x: x, label="riesz")]])
+        with pytest.raises(OpError, match="InverseHandle"):
+            apply_bc_block(op, [np.zeros(V.dim)], {0: [bc]})
 
 
 def test_matrix_market_roundtrip(tmp_path):

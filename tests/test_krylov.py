@@ -9,7 +9,7 @@ from multifem import krylov
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.krylov import (
     KrylovError, build_preconditioner, fd_dual_pencil, gmres, h1_pencil,
-    hs_inverse_block, hs_norm, inverse_handle, minres, save_history_csv,
+    hs_inverse_block, hs_norm, inverse_handle, minres,
 )
 from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
 from multifem.opalg import Identity, Matrix, Scaled, collapse
@@ -380,12 +380,3 @@ class TestPreconditioners:
                 x = rng.standard_normal(blk.shape[1])
                 assert x @ blk.matvec(x) > 0
 
-
-def test_history_csv(tmp_path, babuska16):
-    B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
-    _, rep = minres(babuska16["A"], B, np.concatenate(babuska16["b"]), seed=0)
-    path = tmp_path / "hist.csv"
-    save_history_csv(rep, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,residual"
-    assert len(lines) == len(rep.history) + 1

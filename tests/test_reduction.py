@@ -105,8 +105,14 @@ class TestTraceMatrix:
         gamma = facet_submesh(far, lambda p: near(p[:, 0], 5.0))
         V = build_space(m1, lagrange(1))
         Vbar = deduce_reduced_space(V, gamma, TRACE)
-        with pytest.raises(OutOfDomainError, match="dof"):
+        with pytest.raises(OutOfDomainError, match="dof") as err:
             trace_matrix(V, Vbar)
+        # every target dof is outside: the first one, in dof order of first
+        # appearance, is reported at its batched position
+        first = Vbar.dofmap.ravel()[0]
+        assert err.value.index == 0
+        assert f"target dof {first})" in str(err.value)
+        assert np.array_equal(err.value.point, Vbar.dof_coords[first])
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +177,14 @@ class TestAverageMatrix:
         gamma = polyline_mesh([(0.9, 0.9, 0.2), (0.9, 0.9, 0.8)], 2)
         V = build_space(cube, lagrange(1))
         Q = deduce_reduced_space(V, gamma, ReductionKind("average", 0.3, 8))
-        with pytest.raises(OutOfDomainError, match="circle"):
+        with pytest.raises(OutOfDomainError, match="circle") as err:
             average_matrix(V, Q, radius=0.3, n_quad=8)
+        # the first circle point outside the cube, at its batched position
+        pts = circle_points(Q.dof_coords, curve_dof_tangents(Q), 0.3, 8).reshape(-1, 3)
+        first = int(np.flatnonzero(((pts < 0.0) | (pts > 1.0)).any(axis=1))[0])
+        assert err.value.index == first
+        assert f"curve dof {first // 8})" in str(err.value)
+        assert np.array_equal(err.value.point, pts[first])
 
     def test_row_sums_one(self, setting):
         cube, gamma, V, Q = setting
