@@ -5,7 +5,7 @@ conditions (pointwise and block-system variants) and Matrix Market IO.
 The element loop is vectorized over chunks of cells; output is independent
 of the chunk size.  Quadrature degree is estimated from the integrand
 (sum of factor degrees, gradients reduce by one, analytic data counts as
-its declared degree) and clamped to the available rules.
+its declared degree); a degree above the available rules raises.
 """
 from __future__ import annotations
 
@@ -289,20 +289,10 @@ def assemble(form, quad_degree=None):
         if reduced_terminals(integral.integrand):
             raise NotSinglescaleError(
                 f"form still contains reductions: {reduced_terminals(integral.integrand)[0]!r}")
-    arity = integrals[0].arity
-    test = integrals[0].test_argument()
-    trial = integrals[0].trial_argument()
-
     result = None
     for integral in integrals:
         part = _assemble_integral(integral, quad_degree)
         result = part if result is None else result + part
-    if arity == 2:
-        result = result.tocsr()
-        result.sum_duplicates()
-        result.sort_indices()
-        if result.shape != (test.space.dim, trial.space.dim):
-            raise FormError("assembled shape mismatch")
     return result
 
 

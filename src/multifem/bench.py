@@ -15,14 +15,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .assemble import DirichletBC, apply_bc_block, assemble, save_matrix_market
+from .assemble import DirichletBC, apply_bc, apply_bc_block, assemble, save_matrix_market
 from .forms import (
     Analytic, Average, BlockForm, Coefficient, Constant, Measure,
     ReductionKind, Restrict, Trace, div, dot, grad, inner, sym,
     TestFunction, TestFunctions, TrialFunction, TrialFunctions,
 )
 from .interpreter import multi_assemble
-from .krylov import _pencil, build_preconditioner, gmres, hs_norm, minres
+from .krylov import build_preconditioner, gmres, hs_norm, mass_matrix, minres, pencil
 from .manufactured import babuska_data, darcy_stokes_data
 from .mesh import (
     cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
@@ -144,7 +144,8 @@ def _square_boundary(p):
 
 def assemble_babuska(n, cache=None, data=None):
     """Bulk reaction-diffusion with the boundary value enforced by a
-    multiplier on the boundary mesh."""
+    multiplier on the boundary mesh.  Riesz map: the system's H1 block and
+    the H^{-1/2} norm of the multiplier."""
     omega = unit_square_mesh(n, n)
     gamma = facet_submesh(omega, _square_boundary)
     V = build_space(omega, lagrange(1))
@@ -169,7 +170,9 @@ def assemble_babuska(n, cache=None, data=None):
     cache = cache if cache is not None else ReductionCache()
     A = multi_assemble(a, cache)
     b = multi_assemble(L, cache)
-    return {"A": A, "b": b, "W": W, "omega": omega, "gamma": gamma, "cache": cache}
+    riesz = {"H1": A[0, 0], "multiplier": (Q, -0.5)}
+    return {"A": A, "b": b, "riesz": riesz, "W": W, "omega": omega, "gamma": gamma,
+            "cache": cache}
 
 
 def run_babuska(cfg: CaseConfig) -> StudyRecord:
@@ -181,7 +184,7 @@ def run_babuska(cfg: CaseConfig) -> StudyRecord:
         t0 = time.perf_counter()
         sys = assemble_babuska(n)
         V, Q = sys["W"]
-        B = build_preconditioner("babuska", sys["A"], sys["W"])
+        B = build_preconditioner(sys["riesz"])
         x, rep = minres(sys["A"], B, np.concatenate(sys["b"]), tol=cfg.tol, seed=cfg.seed)
         rec.ok = rec.ok and rep.converged
         parts = _split(x, sys["W"])
@@ -219,7 +222,13 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     """Coupled Stokes-Darcy system on [0,0.5]x[0,1] | [0.5,1]x[0,1] with
     independent n x n and n x 2n triangulations; the interface mesh comes
     from the Darcy-side facets.  Manufactured data enters through volume
-    forcing, boundary tractions/fluxes and interface residual terms."""
+    forcing, boundary tractions/fluxes and interface residual terms.
+
+    Riesz map: the system's Stokes block (with its tangential interface
+    coupling) and the P1 pressure mass; then primal: the system's Darcy
+    pressure Laplacian; mixed: the H(div) inner product under the flux
+    conditions, the P0 pressure mass and the H^{1/2} norm of the P0
+    multiplier."""
     data = darcy_stokes_data()
     m1, m2, gamma = _ds_meshes(n)
     gn1 = facet_submesh(m1, _horizontal)
@@ -310,8 +319,17 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     b = multi_assemble(L, cache)
     if apply_bcs:
         A, b = apply_bc_block(A, b, bcs, symmetric=True)
-    return {"A": A, "b": b, "W": W, "meshes": (m1, m2, gamma), "cache": cache,
-            "data": data}
+    riesz = {"stokes": A[0, 0], "stokes-pressure": mass_matrix(Q1)}
+    if formulation == "primal":
+        riesz["darcy-pressure"] = A[2, 2]
+    else:
+        hdiv = assemble(inner(u2, v2) * dx2 + inner(div(u2), div(v2)) * dx2)
+        # the constrained matrix does not depend on the boundary values
+        hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), bcs[2], symmetric=True)
+        riesz.update({"hdiv": hdiv, "darcy-pressure": mass_matrix(Q2),
+                      "multiplier": (Q, 0.5)})
+    return {"A": A, "b": b, "riesz": riesz, "W": W, "meshes": (m1, m2, gamma),
+            "cache": cache, "data": data}
 
 
 def _multiplier_errors(ph, data):
@@ -319,8 +337,7 @@ def _multiplier_errors(ph, data):
     Q = ph.space
     exact = interpolate(Q, data.multiplier)
     e = ph.coefficients - exact.coefficients
-    M, S = _pencil(Q)
-    op = hs_norm(M, S, 0.5).forward_op()
+    op = hs_norm(*pencil(Q), 0.5).forward_op()
     l2 = err_norm(ph, data.multiplier)
     hhalf = math.sqrt(abs(e @ op.matvec(e)))
     return l2, hhalf
@@ -334,18 +351,14 @@ def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
         cols = ["u1_h1", "p1_l2", "p2_l2"]
     rec = StudyRecord(f"ds-{formulation}", cols,
                       meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol})
+    solver = minres if formulation == "mixed" else gmres
     n = cfg.n
     for level in range(cfg.levels):
         t0 = time.perf_counter()
         sys = assemble_darcy_stokes(n, formulation)
         W = sys["W"]
-        flat_b = np.concatenate(sys["b"])
-        if formulation == "mixed":
-            B = build_preconditioner("ds-mixed", sys["A"], W)
-            x, rep = minres(sys["A"], B, flat_b, tol=cfg.tol, seed=cfg.seed)
-        else:
-            B = build_preconditioner("ds-primal", sys["A"], W)
-            x, rep = gmres(sys["A"], B, flat_b, tol=cfg.tol, seed=cfg.seed)
+        B = build_preconditioner(sys["riesz"])
+        x, rep = solver(sys["A"], B, np.concatenate(sys["b"]), tol=cfg.tol, seed=cfg.seed)
         rec.ok = rec.ok and rep.converged
         parts = _split(x, W)
         u1h = Function(W[0], parts[0])

@@ -13,18 +13,19 @@ from .bench import CASES, CaseConfig, export_case, run_case
 
 
 def _build_parser():
+    defaults = CaseConfig()
     parser = argparse.ArgumentParser(prog="multifem")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a refinement study")
     run.add_argument("--case", choices=list(CASES), required=True)
-    run.add_argument("--n", type=int, default=8, help="coarsest resolution")
-    run.add_argument("--levels", type=int, default=3)
-    run.add_argument("--tol", type=float, default=1e-10)
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--n", type=int, default=defaults.n, help="coarsest resolution")
+    run.add_argument("--levels", type=int, default=defaults.levels)
+    run.add_argument("--tol", type=float, default=defaults.tol)
+    run.add_argument("--seed", type=int, default=defaults.seed,
                      help="seed of a uniform random Krylov start (default: zero start)")
-    run.add_argument("--radius", type=float, default=0.2)
-    run.add_argument("--nquad", type=int, default=16)
+    run.add_argument("--radius", type=float, default=defaults.radius)
+    run.add_argument("--nquad", type=int, default=defaults.n_quad)
     run.add_argument("--out", default=".")
 
     exp = sub.add_parser("export", help="export system and reduction matrices")

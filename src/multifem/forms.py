@@ -446,9 +446,6 @@ class Measure:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
 
-    def __rmul__(self, integrand):
-        return Form([Integral(integrand, self.mesh)])
-
 
 def TrialFunction(space, block=0):
     return Argument(space, "trial", block)

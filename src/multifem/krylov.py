@@ -1,7 +1,7 @@
 """Preconditioned Krylov solvers (MinRes, GMRES), solver-backed inverse
 handles for preconditioner blocks, eigenvalue realization of fractional
-Sobolev norm operators, and the block-diagonal preconditioners of the
-benchmark problems.
+Sobolev norm operators, and the block-diagonal preconditioner of a case's
+Riesz-map blocks.
 
 Stopping is on the preconditioned residual norm relative to the initial
 one.  By default (``seed=None``) the solve starts from zero, so ``tol`` is
@@ -27,9 +27,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import DirichletBC, apply_bc, assemble
-from .forms import Measure, div, grad, inner, TestFunction, TrialFunction
-from .mesh import near
+from .assemble import assemble
+from .forms import Measure, grad, inner, TestFunction, TrialFunction
 from .opalg import (
     Identity, InverseHandle, Matrix, as_op, block_diag_mat, collapse,
 )
@@ -37,15 +36,16 @@ from .opalg import (
 __all__ = [
     "KrylovReport", "KrylovError", "minres", "gmres",
     "HsNormOperator", "hs_norm", "inverse_handle", "build_preconditioner",
-    "hs_inverse_block", "h1_pencil", "fd_dual_pencil",
+    "mass_matrix", "h1_pencil", "fd_dual_pencil", "pencil",
 ]
 
 HS_DIM_LIMIT = 5000
 
 # A dense eigensolve finds the pencil's eigenvalues to a modest multiple of
-# eps * lam_max: on babuska's multiplier pencils |lam_min - 1| / (eps
-# lam_max) is 0.02 at 512 rows and up to 0.31 at 2,048.  64 leaves room
-# and still rejects a pencil shifted down by 1e-6 M while lam_max < 7e7.
+# eps * lam_max: on the P1 pencils of the unit square's boundary,
+# |lam_min - 1| / (eps lam_max) is 0.02 at 512 rows and up to 0.31 at
+# 2,048.  64 leaves room and still rejects a pencil shifted down by 1e-6 M
+# while lam_max < 7e7.
 _EIG_ULPS = 64
 
 
@@ -290,7 +290,8 @@ def hs_norm(M, S, s):
     return HsNormOperator(M, S, s)
 
 
-def _mass(space):
+def mass_matrix(space):
+    """L2 inner product of ``space``."""
     p, q = TrialFunction(space), TestFunction(space)
     return assemble(inner(p, q) * Measure(space.mesh))
 
@@ -300,7 +301,7 @@ def h1_pencil(space):
     p, q = TrialFunction(space), TestFunction(space)
     dx = Measure(space.mesh)
     S = assemble(inner(grad(p), grad(q)) * dx + inner(p, q) * dx)
-    return _mass(space), S
+    return mass_matrix(space), S
 
 
 def fd_dual_pencil(space):
@@ -310,7 +311,7 @@ def fd_dual_pencil(space):
     mesh = space.mesh
     if mesh.tdim != 1 or space.element.degree != 0 or space.ncomp != 1:
         raise ValueError("dual-grid pencil expects a scalar P0 space on a curve")
-    M = _mass(space)
+    M = mass_matrix(space)
     # the two cells of each vertex that joins exactly two, lower index first
     flat = mesh.cells.ravel()
     order = np.argsort(flat, kind="stable")
@@ -328,16 +329,9 @@ def fd_dual_pencil(space):
     return M, (K + M).tocsr()
 
 
-def _pencil(space):
+def pencil(space):
     """The dual-grid pencil of a P0 multiplier space, else the H1 pencil."""
     return fd_dual_pencil(space) if space.element.degree == 0 else h1_pencil(space)
-
-
-def hs_inverse_block(space, s):
-    """Riesz-map block for an H^s multiplier space: inverse of the
-    eigenvalue-realized fractional norm operator."""
-    M, S = _pencil(space)
-    return hs_norm(M, S, s).inverse_op()
 
 
 # -- inverse handles ---------------------------------------------------------------
@@ -346,14 +340,15 @@ def inverse_handle(block, label="block"):
     """Operator applying the inverse of a square block, factorized once.
 
     SuperLU orders by minimum degree on A + A^T in symmetric mode: every
-    block the preconditioners hand it is a Riesz map, symmetric in
+    block a preconditioner hands it is a Riesz map, symmetric in
     structure, and symmetric mode prefers diagonal pivots and does not
     postorder the column elimination tree of A^T A, which would spoil an
-    A + A^T order.  On the babuska H1 and ds-mixed Stokes blocks this has
-    40% and 52% less fill than COLAMD.  The same ordering serves the
-    perfusion direct solve.  Every block is factorized, whatever its size;
-    a factorization that fails (an exactly singular block, or one whose
-    factors do not fit in memory) raises ``KrylovError`` naming the block.
+    A + A^T order.  On the benchmark's H1 (unit square) and Stokes blocks
+    this has 40% and 52% less fill than COLAMD.  The same ordering serves
+    the benchmark's direct solve.  Every block is factorized, whatever its
+    size; a factorization that fails (an exactly singular block, or one
+    whose factors do not fit in memory) raises ``KrylovError`` naming the
+    block.
     """
     op = as_op(block)
     if op.rows != op.cols:
@@ -368,48 +363,20 @@ def inverse_handle(block, label="block"):
     return InverseHandle(op.rows, lu.solve, label=label)
 
 
-# -- benchmark preconditioners ------------------------------------------------------
+# -- Riesz-map preconditioners -----------------------------------------------------
 
-def build_preconditioner(problem, system, spaces):
-    """Block-diagonal Riesz-map preconditioners for the demo problems.
-
-    babuska:  diag(H1 inner product, H^{-1/2} multiplier norm)^-1 -- the H1
-    block is shared with the system.
-    ds-mixed: diag(Stokes block incl. tangential coupling, P1 mass, Hdiv
-    inner product with essential flux conditions, P0 mass, H^{1/2} P0
-    multiplier norm)^-1.
-    ds-primal: as mixed on the Stokes side; the Darcy pressure block is the
-    system's Laplacian block with its essential conditions applied.
-    """
-    if problem == "babuska":
-        V, Q = spaces
-        return block_diag_mat([
-            inverse_handle(system[0, 0], "H1"),
-            hs_inverse_block(Q, s=-0.5),
-        ])
-
-    if problem == "ds-mixed":
-        V1, Q1, V2, Q2, Q = spaces
-        u, v = TrialFunction(V2), TestFunction(V2)
-        dx2 = Measure(V2.mesh)
-        hdiv = assemble(inner(u, v) * dx2 + inner(div(u), div(v)) * dx2)
-        bc = DirichletBC(V2, (0.0, 0.0), lambda x: near(x[:, 1] * (1.0 - x[:, 1]), 0.0))
-        hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), [bc], symmetric=True)
-        return block_diag_mat([
-            inverse_handle(system[0, 0], "stokes"),
-            inverse_handle(_mass(Q1), "stokes-pressure"),
-            inverse_handle(hdiv, "hdiv"),
-            inverse_handle(_mass(Q2), "darcy-pressure"),
-            hs_inverse_block(Q, s=0.5),
-        ])
-
-    if problem == "ds-primal":
-        V1, Q1, Q2p = spaces
-        return block_diag_mat([
-            inverse_handle(system[0, 0], "stokes"),
-            inverse_handle(_mass(Q1), "stokes-pressure"),
-            inverse_handle(system[2, 2], "darcy-pressure"),
-        ])
-
-    raise ValueError(f"unknown preconditioner problem {problem!r}")
-
+def build_preconditioner(blocks):
+    """Block-diagonal preconditioner diag(R_1, ..., R_k)^-1 from a case's
+    Riesz-map blocks ``blocks``, a dict label -> block in block order,
+    inverted in that order.  A sparse or lazy block is factorized by
+    ``inverse_handle(block, label)``; a pair ``(space, s)`` is the H^s norm
+    of a multiplier space, inverted through the eigenvalues of its
+    ``pencil``."""
+    inverses = []
+    for label, block in blocks.items():
+        if isinstance(block, tuple):
+            space, s = block
+            inverses.append(hs_norm(*pencil(space), s).inverse_op())
+        else:
+            inverses.append(inverse_handle(block, label))
+    return block_diag_mat(inverses)

@@ -1,16 +1,12 @@
 """Quadrature rules on reference simplices.
 
 Reference cells: interval [0,1], triangle {(0,0),(1,0),(0,1)}, tetrahedron
-{0, e1, e2, e3}.  Weights sum to the reference measure.  Degrees above the
-supported maximum are clamped with a logged warning.
+{0, e1, e2, e3}.  Weights sum to the reference measure.  A degree above
+the supported maximum raises ``ValueError``.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 MAX_DEGREE = {1: 9, 2: 5, 3: 2}
 
@@ -74,11 +70,9 @@ def rule(tdim, degree):
     """(points, weights) exact for polynomials up to ``degree`` on the
     reference simplex of dimension ``tdim``."""
     degree = max(1, int(degree))
-    cap = MAX_DEGREE[tdim]
-    if degree > cap:
-        logger.warning("quadrature degree %d above maximum %d for tdim=%d; clamped",
-                       degree, cap, tdim)
-        degree = cap
+    if degree > MAX_DEGREE[tdim]:
+        raise ValueError(f"no quadrature rule of degree {degree} for tdim={tdim} "
+                         f"(maximum {MAX_DEGREE[tdim]})")
     if tdim == 1:
         return _interval_rule(degree)
     if tdim == 2:

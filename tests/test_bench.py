@@ -42,7 +42,7 @@ class TestBabuskaCase:
         sys = assemble_babuska(4, data={"f": zero, "g": zero})
         b = np.concatenate(sys["b"])
         assert np.abs(b).max() == 0.0
-        B = build_preconditioner("babuska", sys["A"], sys["W"])
+        B = build_preconditioner(sys["riesz"])
         x, rep = minres(sys["A"], B, b)
         assert rep.converged and rep.iterations == 0
         assert np.abs(x).max() == 0.0
@@ -277,6 +277,17 @@ class TestCli:
         text = (out / "babuska.csv").read_text()
         assert text.splitlines()[1].split(",")[0] == "level"
         assert len(text.splitlines()) == 4
+
+    def test_run_defaults_are_the_case_config(self, monkeypatch, tmp_path):
+        from multifem import cli
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return bench.StudyRecord(cfg.case, [])
+        monkeypatch.setattr(cli, "run_case", fake_run)
+        assert cli.main(["run", "--case", "ds-mixed", "--out", str(tmp_path)]) == 0
+        assert seen == [CaseConfig(case="ds-mixed")]
 
     def test_unknown_case_rejected(self):
         from multifem.cli import main

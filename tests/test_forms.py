@@ -157,6 +157,11 @@ class TestWellFormedness:
         with pytest.raises(FormError):
             Integral(inner(u, q), gamma)     # u unreduced off the measure mesh
 
+    def test_number_times_measure_rejected(self, setup):
+        mesh, gamma, V, Q = setup
+        with pytest.raises(TypeError):
+            2.0 * Measure(mesh)
+
     def test_two_trial_lineages_rejected(self, setup):
         mesh, gamma, V, Q = setup
         u, w = TrialFunction(V), TrialFunction(V)

@@ -9,7 +9,7 @@ from multifem import krylov
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.krylov import (
     KrylovError, build_preconditioner, fd_dual_pencil, gmres, h1_pencil,
-    hs_inverse_block, hs_norm, inverse_handle, minres,
+    hs_norm, inverse_handle, mass_matrix, minres,
 )
 from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
 from multifem.opalg import Identity, Matrix, Scaled, collapse
@@ -39,14 +39,14 @@ class TestMinres:
         A = collapse(sys["A"])
         b = np.concatenate(sys["b"])
         ref = spla.spsolve(A.tocsc(), b)
-        B = build_preconditioner("babuska", sys["A"], sys["W"])
+        B = build_preconditioner(sys["riesz"])
         x, rep = minres(sys["A"], B, b, tol=1e-12, seed=0)
         assert rep.converged
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_history_non_increasing(self):
         sys = assemble_babuska(4)
-        B = build_preconditioner("babuska", sys["A"], sys["W"])
+        B = build_preconditioner(sys["riesz"])
         _, rep = minres(sys["A"], B, np.concatenate(sys["b"]), seed=3)
         hist = np.asarray(rep.history)
         assert np.all(hist[1:] <= hist[:-1] * (1 + 1e-12))
@@ -62,7 +62,7 @@ class TestMinres:
             minres(A, None, np.ones(2))
 
     def test_seed_stability_iteration_counts(self, babuska16):
-        B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
+        B = build_preconditioner(babuska16["riesz"])
         b = np.concatenate(babuska16["b"])
         counts = []
         for seed in range(5):
@@ -72,7 +72,7 @@ class TestMinres:
         assert max(counts) - min(counts) <= 4      # +/- 2 around the median
 
     def test_zero_start_residual_is_b_in_the_preconditioner_norm(self, babuska16):
-        B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
+        B = build_preconditioner(babuska16["riesz"])
         b = np.concatenate(babuska16["b"])
         _, rep = minres(babuska16["A"], B, b, seed=None)
         assert rep.converged and rep.seed is None
@@ -218,7 +218,7 @@ class TestHsNorm:
         make = krylov.hs_norm
         monkeypatch.setattr(krylov, "hs_norm", lambda *a: built.append(make(*a)) or built[-1])
         gamma = polyline_mesh([(0.0, 0.0), (1.0, 0.0)], 16)
-        hs_inverse_block(build_space(gamma, lagrange(1)), -0.5)
+        build_preconditioner({"multiplier": (build_space(gamma, lagrange(1)), -0.5)})
         assert len(built) == 1 and "_forward" not in vars(built[0])
         built[0].forward_op()
         assert "_forward" in vars(built[0])
@@ -239,7 +239,7 @@ class TestHsNorm:
                               | near(p[:, 1] * (1 - p[:, 1]), 0))
         Q = build_space(gamma, lagrange(1))
         assert Q.dim == 2048
-        assert hs_inverse_block(Q, -0.5).shape == (2048, 2048)
+        assert build_preconditioner({"multiplier": (Q, -0.5)}).shape == (2048, 2048)
 
     def test_dimension_guard(self):
         n = 5001
@@ -336,11 +336,10 @@ class TestInverseHandle:
 
     def test_direct_on_ds_primal_preconditioner(self):
         from multifem.bench import assemble_darcy_stokes
-        from multifem.krylov import _mass
         sys = assemble_darcy_stokes(4, "primal")
         V1, Q1, Q2p = sys["W"]
-        B = build_preconditioner("ds-primal", sys["A"], sys["W"])
-        blocks = [collapse(sys["A"][0, 0]).toarray(), _mass(Q1).toarray(),
+        B = build_preconditioner(sys["riesz"])
+        blocks = [collapse(sys["A"][0, 0]).toarray(), mass_matrix(Q1).toarray(),
                   collapse(sys["A"][2, 2]).toarray()]
         offs = np.cumsum([0] + [b.shape[0] for b in blocks])
         rng = np.random.default_rng(22)
@@ -354,7 +353,7 @@ class TestInverseHandle:
 
 class TestPreconditioners:
     def test_babuska_blocks_spd_in_action(self, babuska16):
-        B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
+        B = build_preconditioner(babuska16["riesz"])
         rng = np.random.default_rng(18)
         n = sum(V.dim for V in babuska16["W"])
         for _ in range(5):
@@ -362,7 +361,7 @@ class TestPreconditioners:
             assert x @ B.matvec(x) > 0
 
     def test_babuska_symmetric_in_action(self, babuska16):
-        B = build_preconditioner("babuska", babuska16["A"], babuska16["W"])
+        B = build_preconditioner(babuska16["riesz"])
         rng = np.random.default_rng(19)
         n = sum(V.dim for V in babuska16["W"])
         x, y = rng.standard_normal(n), rng.standard_normal(n)
@@ -371,7 +370,7 @@ class TestPreconditioners:
     def test_mixed_preconditioner_five_spd_blocks(self):
         from multifem.bench import assemble_darcy_stokes
         sys = assemble_darcy_stokes(4, "mixed")
-        B = build_preconditioner("ds-mixed", sys["A"], sys["W"])
+        B = build_preconditioner(sys["riesz"])
         assert len(B.row_dims) == 5
         rng = np.random.default_rng(20)
         for i in range(5):
@@ -380,3 +379,43 @@ class TestPreconditioners:
                 x = rng.standard_normal(blk.shape[1])
                 assert x @ blk.matvec(x) > 0
 
+
+    @pytest.mark.parametrize("case, order", [
+        ("babuska", ["H1", "hs"]),
+        ("ds-mixed", ["stokes", "stokes-pressure", "hdiv", "darcy-pressure", "hs"]),
+    ])
+    def test_blocks_inverted_in_order(self, monkeypatch, case, order):
+        # every factorization before a block comes first, the eigensolve
+        # of a multiplier norm included
+        from multifem.bench import CASES
+        sys = CASES[case][1](4)
+        calls = []
+        factor, eig = krylov.inverse_handle, krylov.hs_norm
+        monkeypatch.setattr(krylov, "inverse_handle",
+                            lambda blk, label: calls.append(label) or factor(blk, label))
+        monkeypatch.setattr(krylov, "hs_norm", lambda *a: calls.append("hs") or eig(*a))
+        build_preconditioner(sys["riesz"])
+        assert calls == order
+        assert [k for k in sys["riesz"] if k != "multiplier"] == order[:-1]
+
+    def test_singular_block_named_by_its_label(self):
+        singular = sp.diags([1.0, 1.0, 0.0]).tocsr()
+        with pytest.raises(KrylovError, match="'flux'"):
+            build_preconditioner({"mass": sp.identity(3, format="csr"), "flux": singular})
+
+    def test_mixed_hdiv_block_is_the_flux_constrained_inner_product(self):
+        # the case's own flux condition, with its boundary values, gives
+        # the matrix of a zero-valued condition on the horizontal edges
+        from multifem.assemble import DirichletBC, apply_bc, assemble
+        from multifem.bench import assemble_darcy_stokes
+        from multifem.forms import Measure, TestFunction, TrialFunction, div, inner
+        sys = assemble_darcy_stokes(8, "mixed")
+        V2, got = sys["W"][2], sys["riesz"]["hdiv"]
+        u, v = TrialFunction(V2), TestFunction(V2)
+        dx2 = Measure(V2.mesh)
+        ref = assemble(inner(u, v) * dx2 + inner(div(u), div(v)) * dx2)
+        bc = DirichletBC(V2, (0.0, 0.0), lambda x: near(x[:, 1] * (1.0 - x[:, 1]), 0.0))
+        ref, _ = apply_bc(ref, np.zeros(V2.dim), [bc], symmetric=True)
+        assert got.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))

@@ -4,13 +4,16 @@ Oracles: int_T x^a y^b = a! b! / (a+b+2)! on the reference triangle,
 int_K x^a y^b z^c = a! b! c! / (a+b+c+3)! on the reference tetrahedron,
 int_0^1 x^a = 1/(a+1).
 """
-import logging
 from math import factorial
 
 import numpy as np
 import pytest
 
+from multifem.assemble import assemble
+from multifem.forms import Analytic, Measure, TestFunction, inner
+from multifem.mesh import unit_cube_mesh
 from multifem.quadrature import MAX_DEGREE, rule
+from multifem.space import build_space, lagrange
 
 REF_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
 
@@ -67,9 +70,17 @@ def test_interval_two_point_gauss_exact_for_cubics():
     assert abs((wts * pts[:, 0] ** 3).sum() - 0.25) < 1e-15
 
 
-def test_degree_above_maximum_is_clamped_with_warning(caplog):
-    with caplog.at_level(logging.WARNING):
-        pts_hi, wts_hi = rule(2, 11)
-    assert any("clamped" in r.message for r in caplog.records)
-    pts_max, wts_max = rule(2, MAX_DEGREE[2])
-    assert np.array_equal(pts_hi, pts_max) and np.array_equal(wts_hi, wts_max)
+@pytest.mark.parametrize("tdim, degree", [(1, 10), (2, 6), (3, 3)])
+def test_degree_above_maximum_raises(tdim, degree):
+    msg = f"degree {degree} for tdim={tdim} \\(maximum {MAX_DEGREE[tdim]}\\)"
+    with pytest.raises(ValueError, match=msg):
+        rule(tdim, degree)
+
+
+def test_form_above_maximum_degree_raises():
+    # P1 test function (1) times degree-3 data on tets: degree 4, where
+    # the rules stop at 2
+    V = build_space(unit_cube_mesh(1), lagrange(1))
+    f = Analytic(lambda p: p[:, 0] ** 3, degree=3)
+    with pytest.raises(ValueError, match="degree 4 for tdim=3"):
+        assemble(inner(f, TestFunction(V)) * Measure(V.mesh))
