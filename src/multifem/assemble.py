@@ -307,14 +307,14 @@ def _assemble_integral(integral, quad_degree):
     nU = trial.space.nloc if trial is not None else 1
 
     bilinear = test is not None and trial is not None
+    if test is not None:
+        # entry (c, t, u) of the cell-major local values belongs to test dof t
+        # and (bilinear) trial dof u of cell c
+        vals = np.empty(mesh.num_cells * nT * nU)
     if bilinear:
-        # entry (c, t, u) of the cell-major triplets couples test dof t and
-        # trial dof u of cell c
         rows = np.repeat(test.space.dofmap.ravel(), nU)
         cols = np.tile(trial.space.dofmap, nT).ravel()
-        vals = np.empty(len(rows))
         cell_max = np.empty(mesh.num_cells)
-    vec = np.zeros(test.space.dim) if test is not None and trial is None else None
     scalar = 0.0
     tabs = {}
 
@@ -328,21 +328,21 @@ def _assemble_integral(integral, quad_degree):
         loc = _sum_products(zip(ref_wts, val)) * mesh.jacobian_measure[cells]
         C = loc.shape[-1]
         loc = np.broadcast_to(loc, (nT, nU, C))
-        if bilinear:
-            out = slice(start * nT * nU, (start + C) * nT * nU)
-            vals[out].reshape(C, nT, nU)[...] = loc.transpose(2, 0, 1)
-            cell_max[cells] = np.abs(loc.reshape(-1, C)).max(axis=0)
-        elif test is not None:
-            np.add.at(vec, test.space.dofmap[cells], loc[:, 0].T)
-        else:
+        if test is None:
             scalar += float(loc.sum())
+            continue
+        out = slice(start * nT * nU, (start + C) * nT * nU)
+        vals[out].reshape(C, nT, nU)[...] = loc.transpose(2, 0, 1)
+        if bilinear:
+            cell_max[cells] = np.abs(loc.reshape(-1, C)).max(axis=0)
 
     if bilinear:
         A = sp.coo_matrix((vals, (rows, cols)),
                           shape=(test.space.dim, trial.space.dim)).tocsr()
         return _drop_residue(A, cell_max, test.space.dofmap, trial.space.dofmap)
     if test is not None:
-        return vec
+        # each dof's values summed in cell-major order from zero
+        return np.bincount(test.space.dofmap.ravel(), vals, minlength=test.space.dim)
     return scalar
 
 

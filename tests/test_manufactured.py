@@ -1,16 +1,21 @@
-"""Finite-difference cross-checks of the symbolically derived problem data.
+"""Checks of the symbolically derived problem data.
 
 Every derived field (forcing, interface residuals, tractions) is rebuilt
 here from the primitive manufactured fields with central differences and
-compared against the symbolic version at random points.
+compared against the symbolic version at random points.  The committed
+numpy module is checked against its sympy derivation, and the run path
+against a process without sympy.
 """
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
+import sympy
 
+from multifem import _manufactured_fields, derive_manufactured
 from multifem.manufactured import babuska_data, darcy_stokes_data
 
 H = 1e-6
@@ -156,12 +161,49 @@ class TestBabuskaData:
         assert np.abs(batch - single).max() < 1e-14
 
 
-def test_sympy_loaded_only_for_manufactured_data():
-    # the cases without manufactured data never pay sympy's import
+class TestGeneratedModule:
+    def test_committed_module_is_the_derivation_output(self):
+        # a changed derivation needs `python -m multifem.derive_manufactured`
+        assert derive_manufactured.GENERATED.read_text() == derive_manufactured.render()
+
+    @pytest.mark.parametrize("shape", [(2,), (50, 2), (7, 5, 2)])
+    def test_fields_bitwise_equal_to_lambdified(self, shape):
+        xy = np.moveaxis(np.random.default_rng(11).uniform(-0.2, 1.2, shape), -1, 0)
+
+        def bits(value):
+            return np.broadcast_to(np.asarray(value, dtype=float), shape[:-1]).view(np.uint64)
+
+        checked = 0
+        for prefix, derive in derive_manufactured.DATA_SETS.items():
+            coords, fields = derive()
+            for name, field in fields.items():
+                fn = getattr(_manufactured_fields, f"{prefix}_{name}")
+                field_shape, comps = derive_manufactured.components(field)
+                assert _manufactured_fields.SHAPES[fn.__name__] == field_shape
+                generated = fn(*xy)
+                assert len(generated) == len(comps)
+                for expr, value in zip(comps, generated):
+                    expected = sympy.lambdify(coords, expr, modules="numpy")(*xy)
+                    assert np.array_equal(bits(value), bits(expected)), fn.__name__
+                checked += 1
+        assert checked == 18
+
+
+def test_run_path_needs_no_sympy(tmp_path):
+    # a None entry in sys.modules makes every import of sympy raise
     import multifem
     src = os.path.dirname(os.path.dirname(multifem.__file__))
-    code = ("import sys, multifem.bench; print('sympy' in sys.modules); "
-            "multifem.bench.babuska_data(); print('sympy' in sys.modules)")
+    code = textwrap.dedent(f"""
+        import sys
+        sys.modules["sympy"] = None
+        from multifem import cli
+        from multifem.bench import CaseConfig, run_case
+        for case in ("babuska", "ds-primal", "ds-mixed"):
+            assert run_case(CaseConfig(case=case, n=4, levels=1)).ok, case
+        assert cli.main(["run", "--case", "ds-mixed", "--n", "4", "--levels", "1",
+                         "--out", {str(tmp_path)!r}]) == 0
+    """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.split() == ["False", "True"]
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "ds-mixed.csv").exists()
