@@ -2,7 +2,8 @@
 primal and mixed form on nonmatching interface meshes, 3d-1d perfusion,
 and a restriction smoke case.  Each case runs a refinement study and
 records dof counts, Krylov iterations, per-field error norms and rates to
-CSV (17 significant digits).
+CSV (17 significant digits).  A Krylov case is its assembler: the system,
+its Riesz map, its solver and its error norms; one study runs them all.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ from .space import (
 )
 
 __all__ = [
-    "CASES", "CaseConfig", "StudyRecord", "run_babuska", "run_darcy_stokes",
-    "run_perfusion", "run_restrict_demo", "run_case", "export_case",
+    "CASES", "CaseConfig", "StudyRecord", "run_krylov", "run_perfusion",
+    "run_restrict_demo", "run_case", "export_case",
     "assemble_babuska", "assemble_darcy_stokes", "assemble_perfusion",
 ]
 
@@ -132,8 +133,38 @@ def err_norm(fn, exact, grad_exact=None, div_exact=None):
     return math.sqrt(abs(val))
 
 
-def _split(x, spaces):
-    return np.split(x, np.cumsum([V.dim for V in spaces])[:-1])
+def _functions(x, spaces):
+    """The flat solution vector as one Function per block space."""
+    parts = np.split(x, np.cumsum([V.dim for V in spaces])[:-1])
+    return [Function(V, c) for V, c in zip(spaces, parts)]
+
+
+# -- the Krylov study ------------------------------------------------------------
+
+def run_krylov(cfg: CaseConfig) -> StudyRecord:
+    """Refinement study of a case solved by a preconditioned Krylov method.
+    Its assembler in ``CASES`` returns, beside ``A`` and ``b``, the Riesz-map
+    blocks, the solver and the error norms as a function of the flat
+    solution vector; the CSV columns are the error norms' keys.  Assemblers
+    read the solver from this module's globals when they run, so a solver
+    patched by name is the one called."""
+    assembler = CASES[cfg.case][1]
+    rec = StudyRecord(cfg.case, [], meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol})
+    n = cfg.n
+    for level in range(cfg.levels):
+        t0 = time.perf_counter()
+        sys = assembler(n)
+        B = build_preconditioner(sys["riesz"])
+        x, rep = sys["solver"](sys["A"], B, np.concatenate(sys["b"]), tol=cfg.tol,
+                               seed=cfg.seed)
+        rec.ok = rec.ok and rep.converged
+        errors = sys["errors"](x)
+        if level == 0:
+            rec.err_columns = list(errors)
+        rec.add_row(level, 1.0 / n, sum(V.dim for V in sys["W"]), rep.iterations, errors,
+                    time.perf_counter() - t0)
+        n *= 2
+    return rec
 
 
 # -- Babuska ---------------------------------------------------------------------
@@ -145,7 +176,7 @@ def _square_boundary(p):
 def assemble_babuska(n, cache=None, data=None):
     """Bulk reaction-diffusion with the boundary value enforced by a
     multiplier on the boundary mesh.  Riesz map: the system's H1 block and
-    the H^{-1/2} norm of the multiplier."""
+    the H^{-1/2} norm of the multiplier; solved by MinRes."""
     omega = unit_square_mesh(n, n)
     gamma = facet_submesh(omega, _square_boundary)
     V = build_space(omega, lagrange(1))
@@ -172,33 +203,15 @@ def assemble_babuska(n, cache=None, data=None):
     b = multi_assemble(L, cache)
     riesz = {"H1": A[0, 0], "multiplier": (Q, -0.5)}
     return {"A": A, "b": b, "riesz": riesz, "W": W, "omega": omega, "gamma": gamma,
-            "cache": cache}
+            "cache": cache, "solver": minres,
+            "errors": functools.partial(_babuska_errors, W)}
 
 
-def run_babuska(cfg: CaseConfig) -> StudyRecord:
+def _babuska_errors(W, x):
     bd = babuska_data()
-    rec = StudyRecord("babuska", ["u_h1", "u_l2", "p_l2"],
-                      meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol})
-    n = cfg.n
-    for level in range(cfg.levels):
-        t0 = time.perf_counter()
-        sys = assemble_babuska(n)
-        V, Q = sys["W"]
-        B = build_preconditioner(sys["riesz"])
-        x, rep = minres(sys["A"], B, np.concatenate(sys["b"]), tol=cfg.tol, seed=cfg.seed)
-        rec.ok = rec.ok and rep.converged
-        parts = _split(x, sys["W"])
-        uh = Function(V, parts[0])
-        ph = Function(Q, parts[1])
-        errors = {
-            "u_h1": err_norm(uh, bd["u"], grad_exact=bd["grad_u"]),
-            "u_l2": err_norm(uh, bd["u"]),
-            "p_l2": err_norm(ph, bd["multiplier"]),
-        }
-        rec.add_row(level, 1.0 / n, V.dim + Q.dim, rep.iterations, errors,
-                    time.perf_counter() - t0)
-        n *= 2
-    return rec
+    uh, ph = _functions(x, W)
+    return {"u_h1": err_norm(uh, bd["u"], grad_exact=bd["grad_u"]),
+            "u_l2": err_norm(uh, bd["u"]), "p_l2": err_norm(ph, bd["multiplier"])}
 
 
 # -- Darcy-Stokes ------------------------------------------------------------------
@@ -225,10 +238,10 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     forcing, boundary tractions/fluxes and interface residual terms.
 
     Riesz map: the system's Stokes block (with its tangential interface
-    coupling) and the P1 pressure mass; then primal: the system's Darcy
-    pressure Laplacian; mixed: the H(div) inner product under the flux
-    conditions, the P0 pressure mass and the H^{1/2} norm of the P0
-    multiplier."""
+    coupling) and the P1 pressure mass; then primal (nonsymmetric, solved by
+    GMRES): the system's Darcy pressure Laplacian; mixed (symmetric, solved
+    by MinRes): the H(div) inner product under the flux conditions, the P0
+    pressure mass and the H^{1/2} norm of the P0 multiplier."""
     data = darcy_stokes_data()
     m1, m2, gamma = _ds_meshes(n)
     gn1 = facet_submesh(m1, _horizontal)
@@ -322,14 +335,17 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     riesz = {"stokes": A[0, 0], "stokes-pressure": mass_matrix(Q1)}
     if formulation == "primal":
         riesz["darcy-pressure"] = A[2, 2]
+        solver, errors = gmres, _ds_primal_errors
     else:
         hdiv = assemble(inner(u2, v2) * dx2 + inner(div(u2), div(v2)) * dx2)
         # the constrained matrix does not depend on the boundary values
         hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), bcs[2], symmetric=True)
         riesz.update({"hdiv": hdiv, "darcy-pressure": mass_matrix(Q2),
                       "multiplier": (Q, 0.5)})
+        solver, errors = minres, _ds_mixed_errors
     return {"A": A, "b": b, "riesz": riesz, "W": W, "meshes": (m1, m2, gamma),
-            "cache": cache, "data": data}
+            "cache": cache, "data": data, "solver": solver,
+            "errors": functools.partial(errors, W, data)}
 
 
 def _multiplier_errors(ph, data):
@@ -343,49 +359,25 @@ def _multiplier_errors(ph, data):
     return l2, hhalf
 
 
-def run_darcy_stokes(cfg: CaseConfig, formulation) -> StudyRecord:
-    data = darcy_stokes_data()
-    if formulation == "mixed":
-        cols = ["u1_h1", "p1_l2", "u2_hdiv", "p2_l2", "p_l2", "composite"]
-    else:
-        cols = ["u1_h1", "p1_l2", "p2_l2"]
-    rec = StudyRecord(f"ds-{formulation}", cols,
-                      meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol})
-    solver = minres if formulation == "mixed" else gmres
-    n = cfg.n
-    for level in range(cfg.levels):
-        t0 = time.perf_counter()
-        sys = assemble_darcy_stokes(n, formulation)
-        W = sys["W"]
-        B = build_preconditioner(sys["riesz"])
-        x, rep = solver(sys["A"], B, np.concatenate(sys["b"]), tol=cfg.tol, seed=cfg.seed)
-        rec.ok = rec.ok and rep.converged
-        parts = _split(x, W)
-        u1h = Function(W[0], parts[0])
-        p1h = Function(W[1], parts[1])
-        errors = {
-            "u1_h1": err_norm(u1h, data.u1, grad_exact=data.grad_u1),
-            "p1_l2": err_norm(p1h, data.p1),
-        }
-        if formulation == "mixed":
-            u2h = Function(W[2], parts[2])
-            p2h = Function(W[3], parts[3])
-            ph = Function(W[4], parts[4])
-            errors["u2_hdiv"] = err_norm(u2h, data.u2, div_exact=data.f2)
-            errors["p2_l2"] = err_norm(p2h, data.p2)
-            p_l2, p_hhalf = _multiplier_errors(ph, data)
-            errors["p_l2"] = p_l2
-            errors["composite"] = math.sqrt(
-                errors["u1_h1"] ** 2 + errors["p1_l2"] ** 2
-                + errors["u2_hdiv"] ** 2 + errors["p2_l2"] ** 2 + p_hhalf ** 2)
-        else:
-            p2h = Function(W[2], parts[2])
-            errors["p2_l2"] = err_norm(p2h, data.p2)
-        dofs = sum(V.dim for V in W)
-        rec.add_row(level, 1.0 / n, dofs, rep.iterations, errors,
-                    time.perf_counter() - t0)
-        n *= 2
-    return rec
+def _ds_primal_errors(W, data, x):
+    u1h, p1h, p2h = _functions(x, W)
+    return {"u1_h1": err_norm(u1h, data.u1, grad_exact=data.grad_u1),
+            "p1_l2": err_norm(p1h, data.p1), "p2_l2": err_norm(p2h, data.p2)}
+
+
+def _ds_mixed_errors(W, data, x):
+    """Per-field errors and their composite, with the multiplier in the
+    discrete H^1/2 norm."""
+    u1h, p1h, u2h, p2h, ph = _functions(x, W)
+    errors = {"u1_h1": err_norm(u1h, data.u1, grad_exact=data.grad_u1),
+              "p1_l2": err_norm(p1h, data.p1),
+              "u2_hdiv": err_norm(u2h, data.u2, div_exact=data.f2),
+              "p2_l2": err_norm(p2h, data.p2)}
+    errors["p_l2"], p_hhalf = _multiplier_errors(ph, data)
+    errors["composite"] = math.sqrt(
+        errors["u1_h1"] ** 2 + errors["p1_l2"] ** 2
+        + errors["u2_hdiv"] ** 2 + errors["p2_l2"] ** 2 + p_hhalf ** 2)
+    return errors
 
 
 # -- perfusion ----------------------------------------------------------------------
@@ -456,8 +448,7 @@ def _solve_perfusion(n, radius, n_quad, beta=1.0):
         raise np.linalg.LinAlgError(
             f"perfusion direct solve at n={n} ({x.size} dofs) gave non-finite "
             f"values; the system matrix is singular or not finite")
-    parts = _split(x, [V, Q])
-    return Function(V, parts[0]), Function(Q, parts[1])
+    return _functions(x, [V, Q])
 
 
 def _interp_onto(fn, target_space):
@@ -478,6 +469,8 @@ def run_perfusion(cfg: CaseConfig) -> StudyRecord:
                       meta={"n0": cfg.n, "radius": cfg.radius, "n_quad": cfg.n_quad})
     if cfg.radius >= 0.45 - 0.05:
         raise ValueError("circle radius reaches the bulk boundary")
+    if cfg.levels < 2:
+        raise ValueError("a study of differences between levels needs levels >= 2")
     n = cfg.n
     solutions = []
     sizes = []
@@ -541,11 +534,9 @@ def run_restrict_demo(cfg: CaseConfig) -> StudyRecord:
 # case -> (refinement study of a CaseConfig, assembler of its system from
 # (n, cache=...) or None where the case has no system to export)
 CASES = {
-    "babuska": (run_babuska, assemble_babuska),
-    "ds-primal": (functools.partial(run_darcy_stokes, formulation="primal"),
-                  functools.partial(assemble_darcy_stokes, formulation="primal")),
-    "ds-mixed": (functools.partial(run_darcy_stokes, formulation="mixed"),
-                 functools.partial(assemble_darcy_stokes, formulation="mixed")),
+    "babuska": (run_krylov, assemble_babuska),
+    "ds-primal": (run_krylov, functools.partial(assemble_darcy_stokes, formulation="primal")),
+    "ds-mixed": (run_krylov, functools.partial(assemble_darcy_stokes, formulation="mixed")),
     "perfusion": (run_perfusion, assemble_perfusion),
     "restrict-demo": (run_restrict_demo, None),
 }

@@ -408,9 +408,9 @@ class Form:
         self.integrals = list(integrals)
         if not self.integrals:
             raise FormError("a form needs at least one integral")
-        sig = _form_signature(self.integrals[0])
+        sig = _arity_signature(self.integrals[0].integrand)
         for i in self.integrals[1:]:
-            if _form_signature(i) != sig:
+            if _arity_signature(i.integrand) != sig:
                 raise FormError("all integrals of a form must share the same arity")
 
     def __add__(self, other):
@@ -432,12 +432,6 @@ class Form:
     @property
     def arity(self):
         return self.integrals[0].arity
-
-
-def _form_signature(integral):
-    t = integral.test_argument()
-    u = integral.trial_argument()
-    return (t is not None, u is not None)
 
 
 class Measure:

@@ -85,11 +85,10 @@ def trace_matrix(source: FunctionSpace, target: FunctionSpace):
 
 def _csr(rows, cols, vals, shape):
     """CSR from COO triplets in the given order, duplicates summed and
-    exact zeros (basis functions that vanish at a point) not stored."""
+    exact zeros (basis functions that vanish at a point) not stored.  The
+    conversion sums duplicates and sorts the column indices itself."""
     m = sp.coo_matrix((vals.ravel(), (rows, cols.ravel())), shape=shape).tocsr()
-    m.sum_duplicates()
     m.eliminate_zeros()
-    m.sort_indices()
     return m
 
 

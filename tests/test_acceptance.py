@@ -13,7 +13,7 @@ import pytest
 from multifem.assemble import assemble
 from multifem.bench import (
     CaseConfig, assemble_babuska, assemble_darcy_stokes, assemble_perfusion,
-    run_babuska, run_darcy_stokes, run_perfusion,
+    run_case, run_perfusion,
 )
 from multifem.forms import (
     Constant, Measure, ReductionKind, TestFunction, TrialFunction, dot, grad,
@@ -49,7 +49,7 @@ def rel_entry_gap(lowered, oracle):
 
 @pytest.fixture(scope="module")
 def babuska_study():
-    return run_babuska(CaseConfig(case="babuska", n=8, levels=4, seed=0))
+    return run_case(CaseConfig(case="babuska", n=8, levels=4, seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +60,12 @@ def mixed_study():
     # ||r0||_B / ||b||_B grows as 22.5, 67.3, 206, 597 at n = 8, 16, 32, 64.
     # The fixed relative tolerance then asks less of the solution at each
     # level: seed 0 gives counts 35, 35, 33, 31, zero gives 36, 37, 36, 35.
-    return run_darcy_stokes(CaseConfig(case="ds-mixed", n=8, levels=4,
-                                       seed=None), "mixed")
+    return run_case(CaseConfig(case="ds-mixed", n=8, levels=4, seed=None))
 
 
 @pytest.fixture(scope="module")
 def primal_study():
-    return run_darcy_stokes(CaseConfig(case="ds-primal", n=8, levels=4, seed=0),
-                            "primal")
+    return run_case(CaseConfig(case="ds-primal", n=8, levels=4, seed=0))
 
 
 @pytest.fixture(scope="module")

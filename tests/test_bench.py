@@ -11,7 +11,7 @@ from multifem import bench
 from multifem.assemble import load_matrix_market
 from multifem.bench import (
     CaseConfig, _solve_perfusion, assemble_babuska, assemble_perfusion,
-    export_case, run_babuska, run_case, run_restrict_demo,
+    export_case, run_case, run_restrict_demo,
 )
 from multifem.assemble import assemble
 from multifem.forms import Analytic, Coefficient, FormError, Measure, div, grad, inner
@@ -48,7 +48,7 @@ class TestBabuskaCase:
         assert np.abs(x).max() == 0.0
 
     def test_study_record_and_csv(self, tmp_path):
-        rec = run_babuska(CaseConfig(case="babuska", n=4, levels=2))
+        rec = run_case(CaseConfig(case="babuska", n=4, levels=2))
         assert rec.ok
         path = tmp_path / "babuska.csv"
         rec.write_csv(path)
@@ -66,8 +66,8 @@ class TestBabuskaCase:
         assert sys["omega"]._locator is None
 
     def test_reproducible_iteration_counts(self):
-        a = run_babuska(CaseConfig(case="babuska", n=4, levels=2, seed=5))
-        b = run_babuska(CaseConfig(case="babuska", n=4, levels=2, seed=5))
+        a = run_case(CaseConfig(case="babuska", n=4, levels=2, seed=5))
+        b = run_case(CaseConfig(case="babuska", n=4, levels=2, seed=5))
         assert a.iterations() == b.iterations()
 
 
@@ -139,6 +139,15 @@ class TestPerfusionCase:
     def test_radius_guard(self):
         with pytest.raises(ValueError, match="radius"):
             run_case(CaseConfig(case="perfusion", n=2, levels=2, radius=0.5))
+
+    def test_single_level_raises_before_solving(self, monkeypatch):
+        # the study reports differences between levels; one level once gave
+        # an ok study with no rows and a CSV of its header alone
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the level check")
+        monkeypatch.setattr(bench, "_solve_perfusion", no_solve)
+        with pytest.raises(ValueError, match="levels >= 2"):
+            run_case(CaseConfig(case="perfusion", n=4, levels=1))
 
     def test_n_quad_guard(self):
         # zero circle points once gave a zero average and a decoupled
@@ -221,6 +230,42 @@ def test_system_rhs_is_a_list_of_block_arrays(case):
     assert type(b) is list and len(b) == len(sys["A"].row_dims)
     for vec, n in zip(b, sys["A"].row_dims):
         assert type(vec) is np.ndarray and vec.dtype == np.float64 and vec.shape == (n,)
+
+
+# The comment line and header each case writes at n=4 (two levels where the
+# study compares levels); the error norms a case declares set the columns.
+CSV_HEAD = {
+    "babuska": (
+        "# case=babuska n0=4 seed=None tol=1e-10",
+        "level,h,dofs_total,iters,err_u_h1,err_u_l2,err_p_l2,"
+        "rate_u_h1,rate_u_l2,rate_p_l2,seconds"),
+    "ds-primal": (
+        "# case=ds-primal n0=4 seed=None tol=1e-10",
+        "level,h,dofs_total,iters,err_u1_h1,err_p1_l2,err_p2_l2,"
+        "rate_u1_h1,rate_p1_l2,rate_p2_l2,seconds"),
+    "ds-mixed": (
+        "# case=ds-mixed n0=4 seed=None tol=1e-10",
+        "level,h,dofs_total,iters,err_u1_h1,err_p1_l2,err_u2_hdiv,err_p2_l2,err_p_l2,"
+        "err_composite,rate_u1_h1,rate_p1_l2,rate_u2_hdiv,rate_p2_l2,rate_p_l2,"
+        "rate_composite,seconds"),
+    "perfusion": (
+        "# case=perfusion n0=4 radius=0.2 n_quad=16",
+        "level,h,dofs_total,iters,err_diff,rate_diff,seconds"),
+    "restrict-demo": (
+        "# case=restrict-demo n0=4",
+        "level,h,dofs_total,iters,err_restrict_interp,err_rowsum,"
+        "rate_restrict_interp,rate_rowsum,seconds"),
+}
+
+
+def test_csv_head_is_pinned_for_every_case(tmp_path):
+    assert set(CSV_HEAD) == set(bench.CASES)
+    for case, head in CSV_HEAD.items():
+        levels = 2 if case == "perfusion" else 1
+        path = tmp_path / f"{case}.csv"
+        run_case(CaseConfig(case=case, n=4, levels=levels)).write_csv(path)
+        lines = path.read_text().splitlines()
+        assert tuple(lines[:2]) == head and len(lines) == 3, case
 
 
 class TestRestrictDemo:

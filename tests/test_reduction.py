@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from multifem.bench import assemble_babuska, assemble_darcy_stokes, assemble_perfusion
 from multifem.forms import FormError, ReductionKind
@@ -294,8 +295,12 @@ class TestCache:
     lambda: assemble_babuska(16), lambda: assemble_darcy_stokes(8, "mixed"),
     lambda: assemble_perfusion(12)], ids=["babuska", "ds-mixed", "perfusion"])
 def test_reduction_matrices_store_no_zeros(system):
-    # basis functions that vanish at an evaluation point are not stored
+    # basis functions that vanish at an evaluation point are not stored, and
+    # the COO conversion leaves sorted, summed rows (checked on a rebuilt
+    # matrix, not read from a cached flag)
     store = system()["cache"]._store
     assert store
     for red in store.values():
-        assert red.matrix.nnz and np.all(red.matrix.data != 0)
+        m = red.matrix
+        assert m.nnz and np.all(m.data != 0)
+        assert sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).has_canonical_format
