@@ -51,10 +51,8 @@ class NotSinglescaleError(FormError):
 
 
 def estimate_degree(e):
-    if isinstance(e, Argument):
+    if isinstance(e, (Argument, Coefficient)):
         return _element_degree(e.space)
-    if isinstance(e, Coefficient):
-        return _element_degree(e.function.space)
     if isinstance(e, Constant):
         return 0
     if isinstance(e, Analytic):
@@ -76,7 +74,7 @@ def _element_degree(space):
     return space.element.degree
 
 
-# -- geometry over a chunk of cells -------------------------------------------
+# -- expression evaluation ------------------------------------------------------
 
 def _sum_products(pairs):
     """a_0 * b_0 + a_1 * b_1 + ... over ``pairs``, summed in order: a
@@ -88,56 +86,20 @@ def _sum_products(pairs):
     return out
 
 
-class _ChunkGeometry:
-    """The cells ``cells`` (a slice) of a mesh, cells last: gradient
-    transforms (gdim, tdim, C) sliced from the mesh's geometry; the
-    quadrature points' offsets from each cell's first vertex and their
-    physical positions (Q, gdim, C) on first use."""
+class _Evaluator:
+    """Evaluates an integrand over the cells ``cells`` (a slice) of a mesh
+    as arrays (Q, T, U, *shape, C): quadrature points, test and trial basis
+    functions, the value's axes, then the chunk's cells, so that every
+    product runs along the cells.  Any axis but the value's may have length
+    1 and broadcast."""
 
-    def __init__(self, mesh, cells, ref_pts):
+    def __init__(self, mesh, cells, ref_pts, tabs):
         self.mesh = mesh
         self.cells = cells
         self.ref_pts = ref_pts
-
-    @property
-    def G(self):
-        return self.mesh.gradient_transform[self.cells].transpose(1, 2, 0)
-
-    @functools.cached_property
-    def offsets(self):
-        """sum_t xi_t E_t of the edge vectors E of x = v0 + xi @ E."""
-        v = self.mesh.vertices.T[:, self.mesh.cells[self.cells].T]  # (g, tdim+1, C)
-        E = v[:, 1:] - v[:, :1]
-        xi = self.ref_pts[:, :, None, None]
-        return _sum_products((xi[:, t], E[:, t]) for t in range(E.shape[1]))
-
-    @functools.cached_property
-    def phys(self):
-        return self.mesh.vertices[self.mesh.cells[self.cells, 0]].T + self.offsets
-
-
-# -- expression evaluation ------------------------------------------------------
-
-def _basis_slot(arr, arg):
-    """Basis values (Q, nloc, ...) of ``arg`` as (Q, T, U, ...): its basis
-    axis in the test or trial slot, the other of length 1."""
-    return np.expand_dims(arr, 2 if arg.role == "test" else 1)
-
-
-class _Evaluator:
-    """Evaluates an integrand over one chunk as arrays (Q, T, U, *shape, C):
-    quadrature points, test and trial basis functions, the value's axes,
-    then the chunk's cells, so that every product runs along the cells.
-    Any axis but the value's may have length 1 and broadcast."""
-
-    def __init__(self, space_mesh, geom, ref_pts, tabs):
-        self.mesh = space_mesh
-        self.geom = geom
-        self.ref_pts = ref_pts
         self.memo = {}
         self._tab = tabs              # shared by the chunks of one integral
-        self._grads = {}
-        self._rt0 = {}
+        self._basis = {}
 
     def tab(self, space):
         key = space.uid
@@ -146,6 +108,20 @@ class _Evaluator:
                 space.mesh.tdim, space.element.degree, self.ref_pts)
         return self._tab[key]
 
+    @functools.cached_property
+    def offsets(self):
+        """The quadrature points (Q, gdim, C) relative to each cell's first
+        vertex: sum_t xi_t E_t of the edge vectors E of x = v0 + xi @ E."""
+        v = self.mesh.vertices.T[:, self.mesh.cells[self.cells].T]  # (g, tdim+1, C)
+        E = v[:, 1:] - v[:, :1]
+        xi = self.ref_pts[:, :, None, None]
+        return _sum_products((xi[:, t], E[:, t]) for t in range(E.shape[1]))
+
+    @functools.cached_property
+    def phys(self):
+        """The quadrature points' physical positions (Q, gdim, C)."""
+        return self.mesh.vertices[self.mesh.cells[self.cells, 0]].T + self.offsets
+
     def eval(self, e):
         key = id(e)
         if key not in self.memo:
@@ -153,14 +129,10 @@ class _Evaluator:
         return self.memo[key]
 
     def _eval(self, e):
-        if isinstance(e, Argument):
-            return self._argument_values(e)
-        if isinstance(e, Grad):
-            return self._grad(e.children[0])
-        if isinstance(e, Div):
-            return self._div(e.children[0])
-        if isinstance(e, Coefficient):
-            return self._coefficient_values(e)
+        if isinstance(e, (Argument, Coefficient)):
+            return self.terminal(e)
+        if isinstance(e, (Grad, Div)):
+            return self.terminal(e.children[0], type(e))
         if isinstance(e, Constant):
             return e.value.reshape((1, 1, 1) + e.shape + (1,))
         if isinstance(e, Analytic):
@@ -188,88 +160,52 @@ class _Evaluator:
             return e.alpha * self.eval(e.children[0])
         raise FormError(f"cannot evaluate {e!r}")
 
-    # terminal helpers ---------------------------------------------------
+    # terminals ----------------------------------------------------------
 
-    def _rt0_basis(self, space):
-        """RT0 values (Q, 3, g, C) and divergences (3, C) on the chunk."""
-        key = space.uid
-        if key not in self._rt0:
-            self._rt0[key] = space.rt0_cell_basis(self.geom.cells, self.geom.offsets)
-        return self._rt0[key]
-
-    def _argument_values(self, arg):
-        space = arg.space
-        if space.element.family == "RaviartThomas":
-            return _basis_slot(self._rt0_basis(space)[0], arg)
-        vals, _ = self.tab(space)                       # (Q, nloc_s)
-        if space.ncomp == 1:
-            return _basis_slot(vals[:, :, None], arg)
-        return _basis_slot(vector_basis(vals[:, :, None], space.ncomp), arg)
-
-    def _phys_scalar_grads(self, space):
-        """(Q, nloc_s, g, C), or (1, nloc_s, g, C) where the gradients are
-        constant on each cell (degree <= 1)."""
-        key = space.uid
-        if key not in self._grads:
-            _, ref_grads = self.tab(space)              # (Q, nloc_s, t)
-            if space.element.degree <= 1:
-                ref_grads = ref_grads[:1]
-            G = self.geom.G                             # (g, t, C)
-            self._grads[key] = _sum_products(
-                (ref_grads[:, :, None, t, None], G[:, t]) for t in range(G.shape[1]))
-        return self._grads[key]
-
-    def _coefficients(self, term):
-        """The term's space and its coefficients on the chunk (nloc, C)."""
-        space, coeffs = term.function.space, term.function.coefficients
-        if space.mesh is not self.mesh:
-            raise FormError("coefficient lives on a different mesh than the measure")
-        return space, coeffs[space.dofmap[self.geom.cells].T]
-
-    def _grad(self, term):
-        if isinstance(term, Argument):
-            space = term.space
-            sg = self._phys_scalar_grads(space)         # (Q, nloc_s, g, C)
-            if space.ncomp == 1:
-                return _basis_slot(sg, term)
-            return _basis_slot(vector_basis(sg, space.ncomp), term)
-        space, cf = self._coefficients(term)
-        sg = self._phys_scalar_grads(space)
-        if space.ncomp == 1:
-            out = _sum_products((sg[:, i], cf[i]) for i in range(len(cf)))
-        else:
-            cfv = cf.reshape(space.nloc_scalar, space.ncomp, -1)
-            out = _sum_products((sg[:, i, None], cfv[i, :, None]) for i in range(len(cfv)))
-        return out[:, None, None]
-
-    def _div(self, term):
-        space = term.space if isinstance(term, Argument) else term.function.space
-        if space.element.family != "RaviartThomas":
+    def terminal(self, e, op=None):
+        """The Argument or Coefficient ``e``, or its ``Grad`` or ``Div``
+        (``op``): an argument is its basis table in its test or trial slot,
+        a coefficient the table contracted with its local coefficients in
+        local-dof order."""
+        if op is Div and e.space.element.family != "RaviartThomas":
             # the trace of the vector gradient: for a basis function, one
             # nonzero addend per dof
-            return np.trace(self._grad(term), axis1=-3, axis2=-2)
-        divs = self._rt0_basis(space)[1]
-        if isinstance(term, Argument):
-            return _basis_slot(divs[None], term)
-        _, cf = self._coefficients(term)
-        return _sum_products((divs[k], cf[k]) for k in range(len(cf)))[None, None, None]
+            return np.trace(self.terminal(e, Grad), axis1=-3, axis2=-2)
+        if isinstance(e, Argument):
+            return np.expand_dims(self.basis(e.space, op), 2 if e.role == "test" else 1)
+        if e.space.mesh is not self.mesh:
+            raise FormError("coefficient lives on a different mesh than the measure")
+        phi = self.basis(e.space, op)
+        cf = e.function.coefficients[e.space.dofmap[self.cells].T]     # (nloc, C)
+        return _sum_products((phi[:, k], cf[k]) for k in range(len(cf)))[:, None, None]
 
-    def _coefficient_values(self, e):
-        space, cf = self._coefficients(e)
+    def basis(self, space, op=None):
+        """The basis of ``space`` on the chunk, (Q, nloc, *shape, C) with Q
+        or C of length 1 where it is constant: values (``op`` None),
+        gradients (``Grad``) or RT0 divergences (``Div``)."""
+        key = (space.uid, op)
+        if key in self._basis:
+            return self._basis[key]
         if space.element.family == "RaviartThomas":
-            vals = self._rt0_basis(space)[0]
-            out = _sum_products((vals[:, k], cf[k]) for k in range(len(cf)))
-            return out[:, None, None]
-        vals, _ = self.tab(space)                       # (Q, nloc_s)
-        cfv = cf.reshape(space.nloc_scalar, -1)         # (nloc_s, ncomp * C)
-        out = _sum_products((vals[:, i, None], cfv[i]) for i in range(len(cfv)))
-        if space.ncomp > 1:
-            out = out.reshape(len(vals), space.ncomp, -1)
-        return out[:, None, None]
+            vals, divs = space.rt0_cell_basis(self.cells, self.offsets)
+            self._basis[space.uid, None], self._basis[space.uid, Div] = vals, divs[None]
+            return self._basis[key]
+        vals, ref_grads = self.tab(space)               # (Q, nloc_s), (Q, nloc_s, t)
+        if op is Grad:
+            if space.element.degree <= 1:               # constant on each cell
+                ref_grads = ref_grads[:1]
+            G = self.mesh.gradient_transform[self.cells].transpose(1, 2, 0)  # (g, t, C)
+            scalar = _sum_products(
+                (ref_grads[:, :, None, t, None], G[:, t]) for t in range(G.shape[1]))
+        else:
+            scalar = vals[:, :, None]
+        out = scalar if space.ncomp == 1 else vector_basis(scalar, space.ncomp)
+        self._basis[key] = out
+        return out
 
     def _analytic(self, e):
         """``e.fn`` maps points (N, gdim) to values (N,) + e.shape."""
-        pts = self.geom.phys
+        pts = self.phys
         Q, g, C = pts.shape
         flat = pts.transpose(0, 2, 1).reshape(-1, g)
         vals = _call_on_points(e.fn, flat, e.shape, error=FormError)
@@ -320,8 +256,7 @@ def _assemble_integral(integral, quad_degree):
 
     for start in range(0, mesh.num_cells, _CHUNK):
         cells = slice(start, min(start + _CHUNK, mesh.num_cells))
-        geom = _ChunkGeometry(mesh, cells, ref_pts)
-        val = _Evaluator(mesh, geom, ref_pts, tabs).eval(integral.integrand)
+        val = _Evaluator(mesh, cells, ref_pts, tabs).eval(integral.integrand)
         val = np.broadcast_to(val, (len(ref_wts),) + val.shape[1:])
         # sum_q w_q |det E| val_q, with |det E| factored out: a value that is
         # the same on every cell (a mass matrix) is summed once, not per cell

@@ -36,10 +36,15 @@ from .space import (
 )
 
 __all__ = [
-    "CASES", "CaseConfig", "StudyRecord", "run_krylov", "run_perfusion",
+    "CASES", "CaseConfig", "ConfigError", "StudyRecord", "run_krylov", "run_perfusion",
     "run_restrict_demo", "run_case", "export_case",
     "assemble_babuska", "assemble_darcy_stokes", "assemble_perfusion",
 ]
+
+
+class ConfigError(ValueError):
+    """A study configuration that no study can run."""
+
 
 @dataclass
 class CaseConfig:
@@ -53,11 +58,11 @@ class CaseConfig:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("resolution n must be >= 2")
+            raise ConfigError("resolution n must be >= 2")
         if self.levels < 1:
-            raise ValueError("refinement count must be >= 1")
+            raise ConfigError("refinement count must be >= 1")
         if not 0.0 < self.tol < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
+            raise ConfigError("tolerance must lie in (0, 1)")
 
 
 @dataclass
@@ -431,14 +436,14 @@ def assemble_perfusion(n, radius=0.2, n_quad=16, beta=1.0, cache=None,
     return {"A": A, "b": b, "W": W, "omega": omega, "gamma": gamma, "cache": cache}
 
 
-def _solve_perfusion(n, radius, n_quad, beta=1.0):
+def _solve_perfusion(n, radius, n_quad):
     """Direct solve of the perfusion system by SuperLU in the minimum-degree
     order of A + A^T, the ordering of every sparse LU in the package (see
     ``krylov.inverse_handle``).  The assembler stores no cancellation
     residue, so the factored pattern is the true one.  A singular matrix
     makes SuperLU warn and return NaNs; that raises here.  The lazy operator
     is released before the factorization."""
-    sys = assemble_perfusion(n, radius, n_quad, beta)
+    sys = assemble_perfusion(n, radius, n_quad)
     V, Q = sys["W"]
     b = np.concatenate(sys["b"])
     A = collapse(sys.pop("A")).tocsc()
@@ -468,9 +473,9 @@ def run_perfusion(cfg: CaseConfig) -> StudyRecord:
     rec = StudyRecord("perfusion", ["diff"],
                       meta={"n0": cfg.n, "radius": cfg.radius, "n_quad": cfg.n_quad})
     if cfg.radius >= 0.45 - 0.05:
-        raise ValueError("circle radius reaches the bulk boundary")
+        raise ConfigError("circle radius reaches the bulk boundary")
     if cfg.levels < 2:
-        raise ValueError("a study of differences between levels needs levels >= 2")
+        raise ConfigError("a study of differences between levels needs levels >= 2")
     n = cfg.n
     solutions = []
     sizes = []
@@ -498,36 +503,40 @@ def run_perfusion(cfg: CaseConfig) -> StudyRecord:
 
 def run_restrict_demo(cfg: CaseConfig) -> StudyRecord:
     """Lowering and polynomial-reproduction checks for the restriction
-    operator onto a subdomain carved out of the parent triangulation; no
-    PDE solve."""
+    operator onto a subdomain carved out of the parent triangulation, one
+    row per level; no PDE solve.  At every level the second lowering
+    reuses the first one's reduction matrix."""
     rec = StudyRecord("restrict-demo", ["restrict_interp", "rowsum"],
                       meta={"n0": cfg.n})
-    omega = unit_square_mesh(cfg.n, cfg.n)
-    sub = cell_submesh(omega, lambda c: c[:, 0] <= 0.5)
-    V = build_space(omega, lagrange(1))
-    Vw = build_space(sub, lagrange(1))
-    phi = TrialFunction(V)
-    v = TestFunction(Vw)
-    dxw = Measure(sub)
-    cache = ReductionCache()
-    t0 = time.perf_counter()
-    op = multi_assemble(inner(Restrict(phi, sub), v) * dxw, cache)
-    multi_assemble(inner(Restrict(phi, sub), v) * dxw, cache)
-    rec.ok = cache.build_count == 1
+    n = cfg.n
+    for level in range(cfg.levels):
+        t0 = time.perf_counter()
+        omega = unit_square_mesh(n, n)
+        sub = cell_submesh(omega, lambda c: c[:, 0] <= 0.5)
+        V = build_space(omega, lagrange(1))
+        Vw = build_space(sub, lagrange(1))
+        phi = TrialFunction(V)
+        v = TestFunction(Vw)
+        dxw = Measure(sub)
+        cache = ReductionCache()
+        op = multi_assemble(inner(Restrict(phi, sub), v) * dxw, cache)
+        multi_assemble(inner(Restrict(phi, sub), v) * dxw, cache)
 
-    red = cache.get_or_build(V, sub, ReductionKind("restrict"))
-    f = lambda p: p[:, 0] + 2.0 * p[:, 1]
-    lifted = red.matrix @ interpolate(V, f).coefficients
-    dev_interp = float(np.abs(lifted - interpolate(red.target_space, f).coefficients).max())
+        red = cache.get_or_build(V, sub, ReductionKind("restrict"))
+        f = lambda p: p[:, 0] + 2.0 * p[:, 1]
+        lifted = red.matrix @ interpolate(V, f).coefficients
+        dev_interp = float(np.abs(lifted - interpolate(red.target_space, f).coefficients).max())
 
-    ubar = TrialFunction(red.target_space)
-    mass = assemble(inner(ubar, v) * dxw)
-    dev_rowsum = float(np.abs(np.asarray(collapse(op).sum(axis=1)).ravel()
-                              - np.asarray(mass.sum(axis=1)).ravel()).max())
-    rec.ok = rec.ok and dev_interp < 1e-12 and dev_rowsum < 1e-12
-    rec.add_row(0, 1.0 / cfg.n, V.dim + Vw.dim, 0,
-                {"restrict_interp": dev_interp, "rowsum": dev_rowsum},
-                time.perf_counter() - t0)
+        ubar = TrialFunction(red.target_space)
+        mass = assemble(inner(ubar, v) * dxw)
+        dev_rowsum = float(np.abs(np.asarray(collapse(op).sum(axis=1)).ravel()
+                                  - np.asarray(mass.sum(axis=1)).ravel()).max())
+        rec.ok = (rec.ok and cache.build_count == 1
+                  and dev_interp < 1e-12 and dev_rowsum < 1e-12)
+        rec.add_row(level, 1.0 / n, V.dim + Vw.dim, 0,
+                    {"restrict_interp": dev_interp, "rowsum": dev_rowsum},
+                    time.perf_counter() - t0)
+        n *= 2
     return rec
 
 

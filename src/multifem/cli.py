@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from .bench import CASES, CaseConfig, export_case, run_case
+from .bench import CASES, CaseConfig, ConfigError, export_case, run_case
 
 
 def _build_parser():
@@ -37,17 +37,20 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "export":
         out = export_case(args.case, args.n, args.out)
         print(f"wrote matrices to {out}")
         return 0
 
-    cfg = CaseConfig(
-        case=args.case, n=args.n, levels=args.levels, tol=args.tol,
-        seed=args.seed, radius=args.radius, n_quad=args.nquad,
-    )
-    record = run_case(cfg)
+    try:
+        record = run_case(CaseConfig(
+            case=args.case, n=args.n, levels=args.levels, tol=args.tol,
+            seed=args.seed, radius=args.radius, n_quad=args.nquad,
+        ))
+    except ConfigError as exc:
+        parser.error(str(exc))          # exits with code 2
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.case}.csv")
     record.write_csv(path)

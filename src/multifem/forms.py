@@ -83,9 +83,13 @@ class Argument(Expr):
 
 
 class Coefficient(Expr):
+    """A finite element function as a terminal: sum_k c_k phi_k over the
+    basis of its ``space``."""
+
     def __init__(self, function: Function):
         self.function = function
-        self.shape = function.space.value_shape
+        self.space = function.space
+        self.shape = self.space.value_shape
         self.children = ()
 
     def __repr__(self):
@@ -148,9 +152,8 @@ class Reduced(Expr):
         if not isinstance(operand, (Argument, Coefficient)):
             raise FormError(
                 f"reductions apply to terminal arguments/coefficients only, got {operand!r}")
-        space = operand.space if isinstance(operand, Argument) else operand.function.space
         if kind.name == "average":
-            if space.mesh.gdim != 3 or target_mesh.tdim != 1:
+            if operand.space.mesh.gdim != 3 or target_mesh.tdim != 1:
                 raise FormError("average reduces a 3d field onto a curve")
             _check_average(kind.radius, kind.n_quad)
         self.kind = kind
@@ -181,10 +184,9 @@ class Grad(Expr):
     def __init__(self, e):
         if not isinstance(e, (Argument, Coefficient)):
             raise FormError(f"grad applies to arguments/coefficients, got {e!r}")
-        space = e.space if isinstance(e, Argument) else e.function.space
-        if space.element.family == "RaviartThomas":
+        if e.space.element.family == "RaviartThomas":
             raise FormError("grad of RT0 fields is not available")
-        self.shape = e.shape + (space.mesh.gdim,)
+        self.shape = e.shape + (e.space.mesh.gdim,)
         self.children = (e,)
 
     def __repr__(self):

@@ -67,9 +67,9 @@ def _lower_integral(integral, cache):
             else:
                 right = red.matrix
         else:
-            fn = operand.function
-            red = cache.get_or_build(fn.space, node.target_mesh, node.kind)
-            bare = Coefficient(Function(red.target_space, red.matrix @ fn.coefficients))
+            red = cache.get_or_build(operand.space, node.target_mesh, node.kind)
+            bare = Coefficient(Function(red.target_space,
+                                        red.matrix @ operand.function.coefficients))
         integrand = replace(integrand, node, bare)
     out = assemble(Form([Integral(integrand, integral.mesh)]))
     if left is None and right is None:

@@ -17,13 +17,16 @@ from multifem.forms import (
 from multifem import bench, mesh as mesh_module
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.mesh import (
-    EmptySelectionError, Mesh, facet_submesh, near, unit_cube_mesh, unit_square_mesh,
+    EmptySelectionError, Mesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
+    unit_square_mesh,
 )
 from multifem.opalg import (
     BlockMat, InverseHandle, Matrix, OpError, Product, Sum, Transpose, Zero, collapse,
 )
 from multifem.reduction import ReductionCache
-from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
+from multifem.space import (
+    Function, build_space, dg0, interpolate, lagrange, rt0, vector_dg0, vector_lagrange,
+)
 
 assemble_module = importlib.import_module("multifem.assemble")   # not the function
 
@@ -136,6 +139,51 @@ class TestAssemblyProperties:
             errs.append(np.sqrt(e @ (M @ e)))
         rates = [np.log2(errs[k - 1] / errs[k]) for k in (1, 2)]
         assert min(rates) >= 1.9
+
+
+def _value(e):
+    return e
+
+
+# (mesh, element, the operators T checked on it)
+_TERMINAL_CASES = {
+    "P1": (lambda: unit_square_mesh(5, 4), lagrange(1), [_value, grad]),
+    "P2": (lambda: unit_square_mesh(5, 4), lagrange(2), [_value, grad]),
+    "vector-P1": (lambda: unit_square_mesh(5, 4), vector_lagrange(1), [_value, grad]),
+    "vector-P2": (lambda: unit_square_mesh(5, 4), vector_lagrange(2), [_value, grad, div]),
+    "tet-P1": (lambda: unit_cube_mesh(3), lagrange(1), [_value, grad]),
+    "curve-P1": (lambda: polyline_mesh([(0.1, 0.2, 0.3), (0.7, 0.4, 0.9)], 7),
+                 lagrange(1), [_value, grad]),
+    "P0": (lambda: unit_square_mesh(5, 4), dg0(), [_value]),
+    "vector-P0": (lambda: unit_square_mesh(5, 4), vector_dg0(), [_value]),
+    "RT0": (lambda: unit_square_mesh(5, 4), rt0(), [_value, div]),
+}
+
+
+class TestCoefficientTerminals:
+    """A coefficient is its basis contracted with its coefficients, so
+    T(coefficient) tested against T(v) is the matrix of T(u), T(v) applied
+    to the coefficient vector."""
+
+    @pytest.mark.parametrize("case", list(_TERMINAL_CASES))
+    def test_coefficient_is_the_argument_matrix_applied(self, case):
+        make_mesh, element, ops = _TERMINAL_CASES[case]
+        mesh = make_mesh()
+        V = build_space(mesh, element)
+        c = np.random.default_rng(7).standard_normal(V.dim)
+        u, v, dx = TrialFunction(V), TestFunction(V), Measure(mesh)
+        for T in ops:
+            lhs = assemble(inner(T(Coefficient(Function(V, c))), T(v)) * dx)
+            rhs = assemble(inner(T(u), T(v)) * dx) @ c
+            assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(rhs).max(), T.__name__
+
+    def test_coefficient_off_the_measure_mesh_raises(self):
+        other = build_space(unit_square_mesh(3, 3), lagrange(1))
+        mesh = unit_square_mesh(2, 2)
+        v = TestFunction(build_space(mesh, lagrange(1)))
+        for T in (_value, grad):
+            with pytest.raises(FormError, match="different mesh"):
+                assemble(inner(T(Coefficient(Function(other))), T(v)) * Measure(mesh))
 
 
 def _geometry_forms(mesh):

@@ -275,6 +275,14 @@ class TestRestrictDemo:
         assert rec.rows[0]["err_restrict_interp"] < 1e-12
         assert rec.rows[0]["err_rowsum"] < 1e-12
 
+    def test_one_row_per_level(self):
+        # --levels once wrote a single row at n whatever its value
+        rec = run_restrict_demo(CaseConfig(case="restrict-demo", n=4, levels=2))
+        assert rec.ok
+        assert [row["level"] for row in rec.rows] == [0, 1]
+        assert [row["h"] for row in rec.rows] == [1 / 4, 1 / 8]
+        assert rec.rows[1]["dofs_total"] > rec.rows[0]["dofs_total"]
+
 
 class TestExport:
     def test_babuska_export_matches_collapse(self, tmp_path):
@@ -333,6 +341,22 @@ class TestCli:
         monkeypatch.setattr(cli, "run_case", fake_run)
         assert cli.main(["run", "--case", "ds-mixed", "--out", str(tmp_path)]) == 0
         assert seen == [CaseConfig(case="ds-mixed")]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--case", "perfusion", "--n", "4", "--levels", "1"], "levels >= 2"),
+        (["--case", "perfusion", "--radius", "0.5"], "radius reaches"),
+        (["--case", "babuska", "--n", "1"], "resolution n must be >= 2"),
+        (["--case", "babuska", "--tol", "2"], "tolerance"),
+    ])
+    def test_config_errors_are_usage_errors(self, argv, message, tmp_path, capsys):
+        # they once escaped as a traceback
+        from multifem.cli import main
+        with pytest.raises(SystemExit) as err:
+            main(["run", *argv, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: multifem") and message in stderr
+        assert "Traceback" not in stderr and not os.listdir(tmp_path)
 
     def test_unknown_case_rejected(self):
         from multifem.cli import main
