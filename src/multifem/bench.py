@@ -18,8 +18,8 @@ import scipy.sparse.linalg as spla
 from . import quadrature
 from .assemble import DirichletBC, apply_bc, apply_bc_block, assemble, save_matrix_market
 from .forms import (
-    Analytic, Average, BlockForm, Coefficient, Constant, Measure,
-    ReductionKind, Restrict, Trace, div, dot, grad, inner, sym,
+    Analytic, Average, BlockForm, Coefficient, Constant, FormError, Measure,
+    ReductionKind, Restrict, Trace, _check_average, div, dot, grad, inner, sym,
     TestFunction, TestFunctions, TrialFunction, TrialFunctions,
 )
 from .interpreter import multi_assemble
@@ -242,11 +242,15 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     from the Darcy-side facets.  Manufactured data enters through volume
     forcing, boundary tractions/fluxes and interface residual terms.
 
-    Riesz map: the system's Stokes block (with its tangential interface
-    coupling) and the P1 pressure mass; then primal (nonsymmetric, solved by
-    GMRES): the system's Darcy pressure Laplacian; mixed (symmetric, solved
-    by MinRes): the H(div) inner product under the flux conditions, the P0
-    pressure mass and the H^{1/2} norm of the P0 multiplier."""
+    Both systems share the Stokes side and its Riesz blocks: the system's
+    Stokes block (with its tangential interface coupling) and the P1
+    pressure mass.  ``formulation`` picks the Darcy side: "primal"
+    (nonsymmetric, solved by GMRES; Riesz block: the system's pressure
+    Laplacian) or "mixed" (symmetric, solved by MinRes; Riesz blocks: the
+    H(div) inner product under the flux conditions, the P0 pressure mass and
+    the H^{1/2} norm of the P0 multiplier)."""
+    if formulation not in ("primal", "mixed"):
+        raise ValueError(f"unknown formulation {formulation!r}")
     data = darcy_stokes_data()
     m1, m2, gamma = _ds_meshes(n)
     gn1 = facet_submesh(m1, _horizontal)
@@ -254,8 +258,11 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
 
     V1 = build_space(m1, vector_lagrange(2))
     Q1 = build_space(m1, lagrange(1))
+    u1, p1 = TrialFunction(V1, 0), TrialFunction(Q1, 1)
+    v1, q1 = TestFunction(V1, 0), TestFunction(Q1, 1)
     dx1, dx2, dl = Measure(m1), Measure(m2), Measure(gamma)
-    n_if, tau = _N_IF, _TAU_IF
+    un1, vn1 = dot(Trace(u1, gamma), _N_IF), dot(Trace(v1, gamma), _N_IF)
+    ut1, vt1 = dot(Trace(u1, gamma), _TAU_IF), dot(Trace(v1, gamma), _TAU_IF)
 
     f1 = Analytic(data.f1, shape=(2,), degree=3)
     f2 = Analytic(data.f2, degree=3)
@@ -264,78 +271,56 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     g_m = Analytic(data.g_mass, degree=3)
     traction = Analytic(data.traction_horizontal, shape=(2,), degree=3)
 
+    # the Darcy side: its forms, its loads, the normal-stress load on the
+    # Stokes test function (primal only) and its boundary condition
     if formulation == "primal":
-        Q2p = build_space(m2, lagrange(2))
-        W = [V1, Q1, Q2p]
-        u1, p1, p2 = TrialFunctions(W)
-        v1, q1, q2 = TestFunctions(W)
+        Q2 = build_space(m2, lagrange(2))
+        W = [V1, Q1, Q2]
+        p2, q2 = TrialFunctions(W)[2], TestFunctions(W)[2]
         gn2 = facet_submesh(m2, _horizontal)
-
-        a = BlockForm(W, 2)
-        a.add(inner(sym(grad(u1)), sym(grad(v1))) * dx1
-              + inner(dot(Trace(u1, gamma), tau), dot(Trace(v1, gamma), tau)) * dl)
-        a.add(-1.0 * inner(p1, div(v1)) * dx1)
-        a.add(-1.0 * inner(q1, div(u1)) * dx1)
-        a.add(inner(Trace(p2, gamma), dot(Trace(v1, gamma), n_if)) * dl)
-        a.add(-1.0 * inner(dot(Trace(u1, gamma), n_if), Trace(q2, gamma)) * dl)
-        a.add(inner(grad(p2), grad(q2)) * dx2)
-
+        darcy = [inner(Trace(p2, gamma), vn1) * dl, -1.0 * inner(un1, Trace(q2, gamma)) * dl,
+                 inner(grad(p2), grad(q2)) * dx2]
         flux = Analytic(data.darcy_flux_horizontal, degree=3)
-        L = BlockForm(W, 1)
-        L.add(inner(f1, v1) * dx1
-              + inner(g_n, dot(Trace(v1, gamma), n_if)) * dl
-              - inner(g_t, dot(Trace(v1, gamma), tau)) * dl
-              + inner(traction, Trace(v1, gn1)) * Measure(gn1))
-        L.add(inner(f2, q2) * dx2
-              + inner(flux, Trace(q2, gn2)) * Measure(gn2)
-              - inner(g_m, Trace(q2, gamma)) * dl)
-
-        bcs = {
-            0: [DirichletBC(V1, data.u1, lambda p: near(p[:, 0], 0.0))],
-            2: [DirichletBC(Q2p, data.p2, lambda p: near(p[:, 0], 1.0))],
-        }
-    elif formulation == "mixed":
+        loads = [inner(f2, q2) * dx2 + inner(flux, Trace(q2, gn2)) * Measure(gn2)
+                 - inner(g_m, Trace(q2, gamma)) * dl]
+        stress = [inner(g_n, vn1) * dl]
+        darcy_bc = DirichletBC(Q2, data.p2, lambda p: near(p[:, 0], 1.0))
+    else:
         V2 = build_space(m2, rt0())
         Q2 = build_space(m2, dg0())
         Q = build_space(gamma, dg0())
         W = [V1, Q1, V2, Q2, Q]
-        u1, p1, u2, p2, p = TrialFunctions(W)
-        v1, q1, v2, q2, q = TestFunctions(W)
+        u2, p2, p = TrialFunctions(W)[2:]
+        v2, q2, q = TestFunctions(W)[2:]
+        un2, vn2 = dot(Trace(u2, gamma), _N_IF), dot(Trace(v2, gamma), _N_IF)
         gd2 = facet_submesh(m2, lambda p: near(p[:, 0], 1.0))
-
-        a = BlockForm(W, 2)
-        a.add(inner(sym(grad(u1)), sym(grad(v1))) * dx1
-              + inner(dot(Trace(u1, gamma), tau), dot(Trace(v1, gamma), tau)) * dl)
-        a.add(-1.0 * inner(p1, div(v1)) * dx1)
-        a.add(-1.0 * inner(q1, div(u1)) * dx1)
-        a.add(inner(u2, v2) * dx2)
-        a.add(-1.0 * inner(p2, div(v2)) * dx2)
-        a.add(-1.0 * inner(q2, div(u2)) * dx2)
-        a.add(inner(p, dot(Trace(v1, gamma), n_if)) * dl)
-        a.add(-1.0 * inner(p, dot(Trace(v2, gamma), n_if)) * dl)
-        a.add(inner(q, dot(Trace(u1, gamma), n_if)) * dl)
-        a.add(-1.0 * inner(q, dot(Trace(u2, gamma), n_if)) * dl)
-
+        darcy = [inner(u2, v2) * dx2, -1.0 * inner(p2, div(v2)) * dx2,
+                 -1.0 * inner(q2, div(u2)) * dx2, inner(p, vn1) * dl,
+                 -1.0 * inner(p, vn2) * dl, inner(q, un1) * dl, -1.0 * inner(q, un2) * dl]
         p2_bdry = Analytic(data.p2, degree=3)
-        L = BlockForm(W, 1)
-        L.add(inner(f1, v1) * dx1
-              - inner(g_t, dot(Trace(v1, gamma), tau)) * dl
-              + inner(traction, Trace(v1, gn1)) * Measure(gn1))
-        L.add(inner(g_n, dot(Trace(v2, gamma), n_if)) * dl
-              - inner(p2_bdry, dot(Trace(v2, gd2), Constant((1.0, 0.0)))) * Measure(gd2))
-        L.add(-1.0 * inner(f2, q2) * dx2)
-        L.add(inner(g_m, q) * dl)
+        loads = [inner(g_n, vn2) * dl
+                 - inner(p2_bdry, dot(Trace(v2, gd2), Constant((1.0, 0.0)))) * Measure(gd2),
+                 -1.0 * inner(f2, q2) * dx2, inner(g_m, q) * dl]
+        stress = []
+        darcy_bc = DirichletBC(V2, data.u2, _horizontal)
 
-        bcs = {
-            0: [DirichletBC(V1, data.u1, lambda p: near(p[:, 0], 0.0))],
-            2: [DirichletBC(V2, data.u2, _horizontal)],
-        }
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
+    a = BlockForm(W, 2)
+    a.add(inner(sym(grad(u1)), sym(grad(v1))) * dx1 + inner(ut1, vt1) * dl)
+    a.add(-1.0 * inner(p1, div(v1)) * dx1)
+    a.add(-1.0 * inner(q1, div(u1)) * dx1)
+    L = BlockForm(W, 1)
+    # a block's integrals sum in the order written; the primal stress stays second
+    L.add(sum([*stress, -inner(g_t, vt1) * dl, inner(traction, Trace(v1, gn1)) * Measure(gn1)],
+              inner(f1, v1) * dx1))
+    for form in darcy:
+        a.add(form)
+    for form in loads:
+        L.add(form)
 
     A = multi_assemble(a, cache)
     b = multi_assemble(L, cache)
     if apply_bcs:
+        bcs = {0: [DirichletBC(V1, data.u1, lambda p: near(p[:, 0], 0.0))], 2: [darcy_bc]}
         A, b = apply_bc_block(A, b, bcs, symmetric=True)
     riesz = {"stokes": A[0, 0], "stokes-pressure": mass_matrix(Q1)}
     if formulation == "primal":
@@ -344,13 +329,12 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     else:
         hdiv = assemble(inner(u2, v2) * dx2 + inner(div(u2), div(v2)) * dx2)
         # the constrained matrix does not depend on the boundary values
-        hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), bcs[2], symmetric=True)
+        hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), [darcy_bc], symmetric=True)
         riesz.update({"hdiv": hdiv, "darcy-pressure": mass_matrix(Q2),
                       "multiplier": (Q, 0.5)})
         solver, errors = minres, _ds_mixed_errors
     return {"A": A, "b": b, "riesz": riesz, "W": W, "meshes": (m1, m2, gamma),
-            "cache": cache, "data": data, "solver": solver,
-            "errors": functools.partial(errors, W, data)}
+            "cache": cache, "solver": solver, "errors": functools.partial(errors, W, data)}
 
 
 def _multiplier_errors(ph, data):
@@ -472,6 +456,10 @@ def _l2_norm(*fns):
 def run_perfusion(cfg: CaseConfig) -> StudyRecord:
     rec = StudyRecord("perfusion", ["diff"],
                       meta={"n0": cfg.n, "radius": cfg.radius, "n_quad": cfg.n_quad})
+    try:
+        _check_average(cfg.radius, cfg.n_quad)
+    except FormError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.radius >= 0.45 - 0.05:
         raise ConfigError("circle radius reaches the bulk boundary")
     if cfg.levels < 2:

@@ -178,12 +178,10 @@ class FunctionSpace:
             scalar_dofmap = np.hstack([mesh.cells, nv + mesh.cell_edges])
             midpoints = mesh.vertices[mesh.edges].mean(axis=1)
             coords = np.vstack([mesh.vertices, midpoints])
-        self.nloc_scalar = scalar_dofmap.shape[1]
         self._vectorize(scalar_dofmap, coords)
 
     def _init_dg0(self):
         scalar_dofmap = np.arange(self.mesh.num_cells, dtype=np.int64)[:, None]
-        self.nloc_scalar = 1
         self._vectorize(scalar_dofmap, self.mesh.cell_centroids)
 
     def _init_rt0(self):
@@ -205,7 +203,6 @@ class FunctionSpace:
         self.dim = len(edges)
         self.dof_coords = self.edge_midpoints  # functional location, not point evaluation
         self.dof_component = None
-        self.nloc_scalar = 3
 
     @property
     def nloc(self):

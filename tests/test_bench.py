@@ -14,7 +14,7 @@ from multifem.bench import (
     export_case, run_case, run_restrict_demo,
 )
 from multifem.assemble import assemble
-from multifem.forms import Analytic, Coefficient, FormError, Measure, div, grad, inner
+from multifem.forms import Analytic, Coefficient, Measure, div, grad, inner
 from multifem.krylov import build_preconditioner, minres
 from multifem.manufactured import babuska_data, darcy_stokes_data
 from multifem.mesh import CellLocator, Mesh, unit_square_mesh
@@ -152,7 +152,7 @@ class TestPerfusionCase:
     def test_n_quad_guard(self):
         # zero circle points once gave a zero average and a decoupled
         # system that reported ok
-        with pytest.raises(FormError, match="n_quad"):
+        with pytest.raises(bench.ConfigError, match="n_quad"):
             run_case(CaseConfig(case="perfusion", n=2, levels=2, n_quad=0))
 
     def test_ordered_solve_matches_unordered(self):
@@ -199,6 +199,30 @@ class TestPerfusionCase:
         monkeypatch.setattr(bench, "assemble_perfusion", singular)
         with pytest.raises(np.linalg.LinAlgError, match=r"n=4 \(130 dofs\)"):
             run_case(CaseConfig(case="perfusion", n=4, levels=2))
+
+
+def _bits(M):
+    M = collapse(M)
+    return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+class TestDarcyStokesCase:
+    @pytest.mark.parametrize("apply_bcs", [True, False])
+    def test_formulations_share_the_stokes_side_bitwise(self, apply_bcs):
+        primal, mixed = (bench.assemble_darcy_stokes(4, f, apply_bcs=apply_bcs)
+                         for f in ("primal", "mixed"))
+        for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            assert _bits(primal["A"][i, j]) == _bits(mixed["A"][i, j]), (i, j)
+        assert primal["b"][1].tobytes() == mixed["b"][1].tobytes()
+        for key in ("stokes", "stokes-pressure"):
+            assert _bits(primal["riesz"][key]) == _bits(mixed["riesz"][key]), key
+
+    def test_unknown_formulation_raises_before_any_mesh(self, monkeypatch):
+        def no_meshes(n):
+            raise AssertionError("built meshes for an unknown formulation")
+        monkeypatch.setattr(bench, "_ds_meshes", no_meshes)
+        with pytest.raises(ValueError, match="unknown formulation 'dual'"):
+            bench.assemble_darcy_stokes(4, "dual")
 
 
 @pytest.mark.parametrize("case,n,levels", [
@@ -347,6 +371,9 @@ class TestCli:
         (["--case", "perfusion", "--radius", "0.5"], "radius reaches"),
         (["--case", "babuska", "--n", "1"], "resolution n must be >= 2"),
         (["--case", "babuska", "--tol", "2"], "tolerance"),
+        (["--case", "perfusion", "--radius", "0"], "radius must be positive"),
+        (["--case", "perfusion", "--radius", "-0.1"], "radius must be positive"),
+        (["--case", "perfusion", "--nquad", "0"], "n_quad must be an integer >= 1"),
     ])
     def test_config_errors_are_usage_errors(self, argv, message, tmp_path, capsys):
         # they once escaped as a traceback
