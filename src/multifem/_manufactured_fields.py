@@ -5,7 +5,7 @@ rewrites this file from the sympy derivations in that module.  Each
 function maps coordinate arrays to the components of one field in
 row-major order; ``SHAPES`` gives each field's value shape.
 """
-from numpy import cos, pi, sin
+from numpy import cos, pi, sign, sin
 
 SHAPES = {
     "darcy_stokes_u1": (2,),
@@ -19,8 +19,8 @@ SHAPES = {
     "darcy_stokes_g_stress": (),
     "darcy_stokes_g_bjs": (),
     "darcy_stokes_multiplier": (),
-    "darcy_stokes_stress_col_y": (2,),
-    "darcy_stokes_dp2_dy": (),
+    "darcy_stokes_traction_horizontal": (2,),
+    "darcy_stokes_darcy_flux_horizontal": (),
     "babuska_u": (),
     "babuska_grad_u": (2,),
     "babuska_f": (),
@@ -101,16 +101,16 @@ def darcy_stokes_multiplier(x, y):
     )
 
 
-def darcy_stokes_stress_col_y(x, y):
+def darcy_stokes_traction_horizontal(x, y):
     return (
-        x**3 - 3*x*y**2,
-        -6*x**2*y - sin(pi*x)*cos(pi*y) - pi**2*cos(pi*x)*cos(pi*y),
+        (x**3 - 3*x*y**2)*sign(y - 1/2),
+        (-6*x**2*y - sin(pi*x)*cos(pi*y) - pi**2*cos(pi*x)*cos(pi*y))*sign(y - 1/2),
     )
 
 
-def darcy_stokes_dp2_dy(x, y):
+def darcy_stokes_darcy_flux_horizontal(x, y):
     return (
-        x - pi*sin(pi*y)*cos(pi*x) - 1/2,
+        (x - pi*sin(pi*y)*cos(pi*x) - 1/2)*sign(y - 1/2),
     )
 
 

@@ -341,23 +341,27 @@ def _bc_vectors(block_op, i, bcs):
     return g, mask
 
 
-def apply_bc(matrix, rhs, bcs, symmetric=False):
+def apply_bc(matrix, rhs, bcs, *, symmetric):
     """Constrain a square single-space system: ``apply_bc_block`` on the
     1x1 block system, collapsed (forced: the result stores at most the
     entries of ``matrix`` and its diagonal)."""
     bcs = [bcs] if isinstance(bcs, DirichletBC) else bcs
-    op, (rhs,) = apply_bc_block(BlockMat([[matrix]]), [rhs], {0: bcs}, symmetric)
+    op, (rhs,) = apply_bc_block(BlockMat([[matrix]]), [rhs], {0: bcs}, symmetric=symmetric)
     return collapse(op, force=True), rhs
 
 
-def apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric=True):
+def apply_bc_block(block_op, rhs_blocks, bcs_by_block, *, symmetric):
     """Constrain a lazy block system.  ``bcs_by_block`` maps block index ->
     list of DirichletBC, each on a space of that block's dimension.  Rows
     of constrained dofs are zeroed with a unit diagonal and their rhs
     entries set to the boundary values; with ``symmetric`` the columns are
     eliminated too, lifting the rhs first.  The masks go into the blocks'
     matrix leaves (``_constrain``): a constrained block keeps the shape of
-    its lowered tree, and no product the interpreter built is collapsed."""
+    its lowered tree, and no product the interpreter built is collapsed.
+
+    Each caller states ``symmetric``: ds-mixed's MinRes needs the symmetric
+    form, and perfusion's direct solve is faster with rows alone (symmetric
+    elimination slowed its n=24 ``spsolve``, though the fill fell)."""
     rows = block_op.blocks
     vectors = {i: _bc_vectors(block_op, i, bcs) for i, bcs in bcs_by_block.items()}
     rhs = [np.array(b, dtype=float, copy=True) for b in rhs_blocks]

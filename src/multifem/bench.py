@@ -26,7 +26,7 @@ from .interpreter import multi_assemble
 from .krylov import build_preconditioner, gmres, hs_norm, mass_matrix, minres, pencil
 from .manufactured import babuska_data, darcy_stokes_data
 from .mesh import (
-    cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
+    _is_count, cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
     unit_square_mesh,
 )
 from .opalg import Matrix, Zero, collapse
@@ -181,7 +181,9 @@ def _square_boundary(p):
 def assemble_babuska(n, cache=None, data=None):
     """Bulk reaction-diffusion with the boundary value enforced by a
     multiplier on the boundary mesh.  Riesz map: the system's H1 block and
-    the H^{-1/2} norm of the multiplier; solved by MinRes."""
+    the H^{-1/2} norm of the multiplier; solved by MinRes.  ``data`` holds
+    point fields ``f`` and ``g`` (default: the manufactured data set)."""
+    data = babuska_data() if data is None else data
     omega = unit_square_mesh(n, n)
     gamma = facet_submesh(omega, _square_boundary)
     V = build_space(omega, lagrange(1))
@@ -196,12 +198,9 @@ def assemble_babuska(n, cache=None, data=None):
     a.add(inner(p, Trace(v, gamma)) * dl)
     a.add(inner(Trace(u, gamma), q) * dl)
 
-    if data is None:
-        bd = babuska_data()
-        data = {"f": Analytic(bd["f"], degree=3), "g": Analytic(bd["g"], degree=3)}
     L = BlockForm(W, 1)
-    L.add(inner(data["f"], v) * dx)
-    L.add(inner(data["g"], q) * dl)
+    L.add(inner(Analytic(data.f, degree=3), v) * dx)
+    L.add(inner(Analytic(data.g, degree=3), q) * dl)
 
     cache = cache if cache is not None else ReductionCache()
     A = multi_assemble(a, cache)
@@ -209,14 +208,13 @@ def assemble_babuska(n, cache=None, data=None):
     riesz = {"H1": A[0, 0], "multiplier": (Q, -0.5)}
     return {"A": A, "b": b, "riesz": riesz, "W": W, "omega": omega, "gamma": gamma,
             "cache": cache, "solver": minres,
-            "errors": functools.partial(_babuska_errors, W)}
+            "errors": functools.partial(_babuska_errors, W, data)}
 
 
-def _babuska_errors(W, x):
-    bd = babuska_data()
+def _babuska_errors(W, data, x):
     uh, ph = _functions(x, W)
-    return {"u_h1": err_norm(uh, bd["u"], grad_exact=bd["grad_u"]),
-            "u_l2": err_norm(uh, bd["u"]), "p_l2": err_norm(ph, bd["multiplier"])}
+    return {"u_h1": err_norm(uh, data.u, grad_exact=data.grad_u),
+            "u_l2": err_norm(uh, data.u), "p_l2": err_norm(ph, data.multiplier)}
 
 
 # -- Darcy-Stokes ------------------------------------------------------------------
@@ -554,6 +552,8 @@ def export_case(case, n, out_dir):
     assembler = CASES.get(case, (None, None))[1]
     if assembler is None:
         raise ValueError(f"case {case!r} has no exportable system")
+    if not _is_count(n):
+        raise ConfigError(f"resolution n must be an integer >= 1, got {n!r}")
     os.makedirs(out_dir, exist_ok=True)
     cache = ReductionCache()
     sys = assembler(n, cache=cache)

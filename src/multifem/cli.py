@@ -39,12 +39,10 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "export":
-        out = export_case(args.case, args.n, args.out)
-        print(f"wrote matrices to {out}")
-        return 0
-
     try:
+        if args.command == "export":
+            print(f"wrote matrices to {export_case(args.case, args.n, args.out)}")
+            return 0
         record = run_case(CaseConfig(
             case=args.case, n=args.n, levels=args.levels, tol=args.tol,
             seed=args.seed, radius=args.radius, n_quad=args.nquad,

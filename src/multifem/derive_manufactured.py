@@ -58,6 +58,8 @@ def darcy_stokes_fields():
     n = sym.Matrix([1, 0])
     tau = sym.Matrix([0, 1])
     sn = stress * n
+    # outward normal (0, -1) on y = 0 and (0, 1) on y = 1
+    side = sym.sign(y - sym.Rational(1, 2))
     return xy, {
         "u1": u1,
         "grad_u1": gradu1,
@@ -70,9 +72,9 @@ def darcy_stokes_fields():
         "g_stress": n.dot(sn) + p2,
         "g_bjs": -tau.dot(sn) - u1.dot(tau),
         "multiplier": -n.dot(sn),               # normal stress the multiplier carries
-        # column sigma . e_y; tractions on y = 0/1 are -/+ this column
-        "stress_col_y": [stress[0, 1], stress[1, 1]],
-        "dp2_dy": sym.diff(p2, y),
+        # sigma . n and grad p2 . n on the y = 0 / y = 1 boundary pieces
+        "traction_horizontal": [side * stress[0, 1], side * stress[1, 1]],
+        "darcy_flux_horizontal": side * sym.diff(p2, y),
     }
 
 

@@ -132,9 +132,9 @@ class TestAssemblyProperties:
             u, v = TrialFunction(V), TestFunction(V)
             dx = Measure(mesh)
             A = assemble(inner(grad(u), grad(v)) * dx + inner(u, v) * dx)
-            b = assemble(inner(Analytic(bd["f"], degree=3), v) * dx)
+            b = assemble(inner(Analytic(bd.f, degree=3), v) * dx)
             x = spla.spsolve(A.tocsc(), b)
-            e = x - interpolate(V, bd["u"]).coefficients
+            e = x - interpolate(V, bd.u).coefficients
             M = assemble(inner(u, v) * dx)
             errs.append(np.sqrt(e @ (M @ e)))
         rates = [np.log2(errs[k - 1] / errs[k]) for k in (1, 2)]
@@ -404,7 +404,7 @@ class TestDirichletBC:
         other = build_space(self.mesh, lagrange(2))
         bc = DirichletBC(other, 0.0, lambda p: near(p[:, 0], 0))
         with pytest.raises(ValueError):
-            apply_bc(self.A, self.b, [bc])
+            apply_bc(self.A, self.b, [bc], symmetric=False)
 
     def test_both_paths_reject_a_condition_on_another_block_space(self):
         # a condition on babuska's 32-dof multiplier space once pinned dofs
@@ -413,9 +413,9 @@ class TestDirichletBC:
         V, Q = sys["W"]
         bc = DirichletBC(Q, 0.0, lambda p: np.ones(len(p), dtype=bool))
         with pytest.raises(ValueError, match="32 dofs, block 0 is 81 x 81"):
-            apply_bc_block(sys["A"], sys["b"], {0: [bc]})
+            apply_bc_block(sys["A"], sys["b"], {0: [bc]}, symmetric=True)
         with pytest.raises(ValueError, match="block 0"):
-            apply_bc(collapse(sys["A"][0, 0]), np.zeros(V.dim), [bc])
+            apply_bc(collapse(sys["A"][0, 0]), np.zeros(V.dim), [bc], symmetric=False)
 
 
 def _mask_products(block_op, rhs_blocks, bcs_by_block, symmetric):
@@ -478,11 +478,11 @@ def constrained(monkeypatch):
     def build(name, n):
         cache, calls = ReductionCache(), []
 
-        def recorded(block_op, rhs_blocks, bcs_by_block, symmetric=True):
+        def recorded(block_op, rhs_blocks, bcs_by_block, *, symmetric):
             shared = [m.a for m in _leaves(block_op)]
             shared += [red.matrix for red in cache._store.values()]
             before = [(a, a.copy()) for a in shared]
-            out = apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric)
+            out = apply_bc_block(block_op, rhs_blocks, bcs_by_block, symmetric=symmetric)
             calls.append((block_op, rhs_blocks, bcs_by_block, symmetric, before))
             return out
         monkeypatch.setattr(bench, "apply_bc_block", recorded)
@@ -549,7 +549,7 @@ class TestLeafConstraints:
         bc = DirichletBC(V, 0.0, lambda p: near(p[:, 0], 0.0))
         op = BlockMat([[InverseHandle(V.dim, lambda x: x, label="riesz")]])
         with pytest.raises(OpError, match="InverseHandle"):
-            apply_bc_block(op, [np.zeros(V.dim)], {0: [bc]})
+            apply_bc_block(op, [np.zeros(V.dim)], {0: [bc]}, symmetric=True)
 
 
 def test_matrix_market_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ class TestCaseConfig:
 
 class TestBabuskaCase:
     def test_zero_data_zero_solution_zero_iterations(self):
-        zero = Analytic(lambda p: np.zeros(np.shape(np.asarray(p)[..., 0])), degree=1)
-        sys = assemble_babuska(4, data={"f": zero, "g": zero})
+        zero = lambda p: np.zeros(np.shape(np.asarray(p)[..., 0]))
+        sys = assemble_babuska(4, data=SimpleNamespace(f=zero, g=zero))
         b = np.concatenate(sys["b"])
         assert np.abs(b).max() == 0.0
         B = build_preconditioner(sys["riesz"])
@@ -94,9 +95,9 @@ class TestErrorNorms:
     def test_h1_scalar_and_vector(self):
         mesh = unit_square_mesh(5, 4)
         bd = babuska_data()
-        uh = self.perturbed(build_space(mesh, lagrange(2)), bd["u"])
-        one = bench.err_norm(uh, bd["u"], grad_exact=bd["grad_u"])
-        two = self.two_integrals(uh, bd["u"], grad, bd["grad_u"], (2,))
+        uh = self.perturbed(build_space(mesh, lagrange(2)), bd.u)
+        one = bench.err_norm(uh, bd.u, grad_exact=bd.grad_u)
+        two = self.two_integrals(uh, bd.u, grad, bd.grad_u, (2,))
         assert one > 1e-3 and abs(one - two) <= 1e-12 * two
         data = darcy_stokes_data()
         u1h = self.perturbed(build_space(mesh, vector_lagrange(2)), data.u1)
@@ -344,6 +345,21 @@ class TestCli:
         assert "invalid choice: 'restrict-demo'" in capsys.readouterr().err
         with pytest.raises(ValueError, match="no exportable system"):
             export_case("restrict-demo", 4, tmp_path)
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_export_rejects_a_resolution_below_one(self, tmp_path, capsys, n):
+        from multifem.cli import main
+        with pytest.raises(SystemExit) as err:
+            main(["export", "--case", "babuska", "--n", n, "--out", str(tmp_path / "bad")])
+        assert err.value.code == 2
+        assert f"resolution n must be an integer >= 1, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("case", ["babuska", "ds-primal", "ds-mixed", "perfusion"])
+    def test_export_at_the_coarsest_resolution(self, tmp_path, case):
+        from multifem.cli import main
+        assert main(["export", "--case", case, "--n", "1", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "A_0_0.mtx").exists()
 
     def test_run_solver_case(self, tmp_path):
         from multifem.cli import main

@@ -169,6 +169,22 @@ def pencil():
     return h1_pencil(Q)
 
 
+def test_h1_pencil_is_the_assembled_forms_bitwise(babuska16):
+    # the mass matrix is assembled once and reused in the shifted stiffness
+    from multifem.assemble import assemble
+    from multifem.forms import Measure, TestFunction, TrialFunction, grad, inner
+    Q = babuska16["W"][1]
+    p, q = TrialFunction(Q), TestFunction(Q)
+    dx = Measure(Q.mesh)
+    M, S = h1_pencil(Q)
+    for got, form in ((M, inner(p, q) * dx),
+                      (S, inner(grad(p), grad(q)) * dx + inner(p, q) * dx)):
+        want = assemble(form)
+        assert got.shape == want.shape == (64, 64)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 class TestHsNorm:
 
     def test_s1_reconstructs_shifted_stiffness(self, pencil):

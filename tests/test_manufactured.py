@@ -130,6 +130,42 @@ class TestBoundaryData:
             assert abs(data.darcy_flux_horizontal(bottom) - fd @ [0, -1]) < FD_TOL
 
 
+    def test_horizontal_pieces_are_the_signed_column_bitwise(self, data):
+        # sigma . e_y and dp2/dy by hand, negated on y = 0 and kept on y = 1
+        x = np.linspace(0.0, 1.0, 2001)
+        for y0 in (0.0, 1.0):
+            y = np.full_like(x, y0)
+            pts = np.column_stack([x, y])
+            side = np.where(y > 1 / 2, 1.0, -1.0)
+            col = np.column_stack([
+                x ** 3 - 3 * x * y ** 2,
+                -6 * x ** 2 * y - np.sin(np.pi * x) * np.cos(np.pi * y)
+                - np.pi ** 2 * np.cos(np.pi * x) * np.cos(np.pi * y)])
+            dp2_dy = x - np.pi * np.sin(np.pi * y) * np.cos(np.pi * x) - 1 / 2
+            assert np.array_equal(data.traction_horizontal(pts), side[:, None] * col)
+            assert np.array_equal(data.darcy_flux_horizontal(pts), side * dp2_dy)
+
+
+class TestDataSets:
+    @pytest.mark.parametrize("prefix, read", [("darcy_stokes", darcy_stokes_data),
+                                              ("babuska", babuska_data)])
+    def test_attributes_are_the_generated_fields(self, prefix, read):
+        names = {key[len(prefix) + 1:] for key in _manufactured_fields.SHAPES
+                 if key.startswith(prefix + "_")}
+        assert names and set(vars(read())) == names
+
+    def test_babuska_study_reads_its_data_once_per_level(self, monkeypatch):
+        from multifem import bench
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return babuska_data()
+        monkeypatch.setattr(bench, "babuska_data", counted)
+        bench.run_case(bench.CaseConfig(case="babuska", n=4, levels=2))
+        assert len(calls) == 2
+
+
 class TestBabuskaData:
     def test_f_matches_operator_applied_to_u(self):
         bd = babuska_data()
@@ -140,24 +176,24 @@ class TestBabuskaData:
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                lap += (bd["u"](p + e) - 2 * bd["u"](p) + bd["u"](p - e)) / h ** 2
-            assert abs(bd["f"](p) - (-lap + bd["u"](p))) < 1e-5
+                lap += (bd.u(p + e) - 2 * bd.u(p) + bd.u(p - e)) / h ** 2
+            assert abs(bd.f(p) - (-lap + bd.u(p))) < 1e-5
 
     def test_boundary_value_is_u(self):
         bd = babuska_data()
         p = np.array([0.0, 0.3])
-        assert bd["g"](p) == pytest.approx(bd["u"](p))
+        assert bd.g(p) == pytest.approx(bd.u(p))
 
     def test_exact_multiplier_vanishes(self):
         bd = babuska_data()
         pts = np.column_stack([np.zeros(5), np.linspace(0, 1, 5)])
-        assert np.abs(bd["multiplier"](pts)).max() == 0.0
+        assert np.abs(bd.multiplier(pts)).max() == 0.0
 
     def test_vectorized_and_pointwise_agree(self):
         bd = babuska_data()
         pts = np.random.default_rng(3).uniform(0, 1, (6, 2))
-        batch = bd["f"](pts)
-        single = np.array([bd["f"](p) for p in pts])
+        batch = bd.f(pts)
+        single = np.array([bd.f(p) for p in pts])
         assert np.abs(batch - single).max() < 1e-14
 
 
