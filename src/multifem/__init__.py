@@ -32,7 +32,7 @@ from .opalg import (
     BlockMat, block_diag_mat, collapse, as_op,
 )
 from .krylov import (
-    minres, gmres, hs_norm, HsNormOperator, inverse_handle,
+    minres, gmres, hs_norm, inverse_handle,
     build_preconditioner, KrylovReport, KrylovError,
 )
 

@@ -23,7 +23,9 @@ from .forms import (
     TestFunction, TestFunctions, TrialFunction, TrialFunctions,
 )
 from .interpreter import multi_assemble
-from .krylov import build_preconditioner, gmres, hs_norm, mass_matrix, minres, pencil
+from .krylov import (
+    KrylovError, build_preconditioner, gmres, hs_norm, mass_matrix, minres, pencil,
+)
 from .manufactured import babuska_data, darcy_stokes_data
 from .mesh import (
     _is_count, cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
@@ -63,6 +65,8 @@ class CaseConfig:
             raise ConfigError("refinement count must be >= 1")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tolerance must lie in (0, 1)")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -336,14 +340,17 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
 
 
 def _multiplier_errors(ph, data):
-    """L2 and discrete H^1/2 errors of the interface multiplier."""
+    """L2 and discrete H^1/2 errors of the interface multiplier.  An
+    H^1/2 quadratic form below -1e-12 times the H^1 one raises
+    ``KrylovError``; a smaller negative value, rounding, reads as 0."""
     Q = ph.space
     exact = interpolate(Q, data.multiplier)
     e = ph.coefficients - exact.coefficients
-    op = hs_norm(*pencil(Q), 0.5).forward_op()
-    l2 = err_norm(ph, data.multiplier)
-    hhalf = math.sqrt(abs(e @ op.matvec(e)))
-    return l2, hhalf
+    M, S = pencil(Q)
+    form = e @ hs_norm(M, S, 0.5).forward_op().matvec(e)
+    if form < -1e-12 * (e @ (S @ e)):
+        raise KrylovError(f"discrete H^1/2 form of the multiplier error is {form:.3e} < 0")
+    return err_norm(ph, data.multiplier), math.sqrt(max(form, 0.0))
 
 
 def _ds_primal_errors(W, data, x):

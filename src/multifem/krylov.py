@@ -1,7 +1,7 @@
 """Preconditioned Krylov solvers (MinRes, GMRES), solver-backed inverse
-handles for preconditioner blocks, eigenvalue realization of fractional
-Sobolev norm operators, and the block-diagonal preconditioner of a case's
-Riesz-map blocks.
+handles for preconditioner blocks, fractional Sobolev norms realized as
+rational sums of shifted sparse solves, and the block-diagonal
+preconditioner of a case's Riesz-map blocks.
 
 Stopping is on the preconditioned residual norm relative to the initial
 one.  By default (``seed=None``) the solve starts from zero, so ``tol`` is
@@ -19,35 +19,26 @@ refinement study from a zero start.
 """
 from __future__ import annotations
 
-import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import assemble
 from .forms import Measure, grad, inner, TestFunction, TrialFunction
 from .opalg import (
-    Identity, InverseHandle, Matrix, as_op, block_diag_mat, collapse,
+    Identity, InverseHandle, Matrix, Product, as_op, block_diag_mat, collapse,
 )
 
 __all__ = [
     "KrylovReport", "KrylovError", "minres", "gmres",
-    "HsNormOperator", "hs_norm", "inverse_handle", "build_preconditioner",
+    "HsNorm", "hs_norm", "spectral_bound", "rational_inverse_sqrt",
+    "inverse_handle", "build_preconditioner",
     "mass_matrix", "h1_pencil", "fd_dual_pencil", "pencil",
 ]
-
-HS_DIM_LIMIT = 5000
-
-# A dense eigensolve finds the pencil's eigenvalues to a modest multiple of
-# eps * lam_max: on the P1 pencils of the unit square's boundary,
-# |lam_min - 1| / (eps lam_max) is 0.02 at 512 rows and up to 0.31 at
-# 2,048.  64 leaves room and still rejects a pencil shifted down by 1e-6 M
-# while lam_max < 7e7.
-_EIG_ULPS = 64
-
 
 class KrylovError(RuntimeError):
     pass
@@ -246,48 +237,185 @@ def gmres(A, B, b, tol=1e-10, maxiter=500, seed=None):
 
 # -- fractional Sobolev norms ----------------------------------------------------
 
-class HsNormOperator:
-    """H^s norm operator from the generalized eigenproblem S u = lam M u
-    with U^T M U = I (S the mass-shifted stiffness, so lam >= 1).
+# Largest relative error of the rational approximation of lam^(-1/2) on the
+# pencil's spectral interval [1, b]; it alone fixes the number of poles
+# (20 on babuska's 512-row multiplier pencil, 24 at 2,048 rows).  A norm
+# applied and then inverted is checked to 1e-9, which the approximation
+# alone meets from about 5e-10; the rest is left to the rounding of the
+# shifted solves.
+RATIONAL_TOL = 1e-11
 
-    forward: M U lam^s U^T M (reconstructs S at s=1, M at s=0), built on
-    first use, since a Riesz-map block needs only the inverse;
-    inverse: U lam^-s U^T.
-    """
+# The check that a pencil has no eigenvalue below 1 allows rounding of this
+# many eps * b, b its spectral bound.  The exact least eigenvalue of the
+# multiplier pencils is 1; their LDL^T passes from 0.21 eps b (P1 on the
+# unit square's boundary, 32 to 2,048 rows) and 0.13 eps b (the P0
+# interface).  64 leaves room and still refuses a pencil shifted down by
+# 1e-6 M while b < 7e7.
+_SHIFT_ULPS = 64
 
-    def __init__(self, M, S, s):
-        n = M.shape[0]
-        if n > HS_DIM_LIMIT:
-            raise ValueError(f"dense eigensolve refused for dimension {n} > {HS_DIM_LIMIT}")
-        if not -1.0 <= s <= 1.0:
-            raise ValueError(f"exponent must lie in [-1, 1], got {s}")
-        Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-        Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-        lam, U = scipy.linalg.eigh(Sd, Md)
-        slack = _EIG_ULPS * np.finfo(float).eps * lam.max()
-        if lam.min() < 1.0 - slack:
-            raise ValueError(f"shifted pencil has eigenvalue {lam.min():.12g} < 1 "
-                             f"(rounding allows {slack:.3g})")
-        self.M, self.s = Md, s
-        self.eigenvalues, self.eigenvectors = lam, U
-        self._inverse = (U * (lam ** -s)[None, :]) @ U.T
 
-    @functools.cached_property
-    def _forward(self):
-        MU = self.M @ self.eigenvectors
-        return (MU * (self.eigenvalues ** self.s)[None, :]) @ MU.T
+def spectral_bound(M, S):
+    """Upper bound on the largest eigenvalue of the symmetric pencil (S, M)
+    with M positive definite, by Gershgorin's theorem twice: with D the
+    diagonal of the row sums of |M|, lam_max(S, D) <= max_i sum_j |S_ij| /
+    D_ii and lam_min(D^-1 M) >= min_i (M_ii - sum_{j!=i} |M_ij|) / D_ii, and
+    lam_max(S, M) is at most their ratio.  The second bound is exact for a
+    diagonal M (P0); on a uniform P1 loop of spacing h the ratio is 12/h^2
+    + 3 against the true 12/h^2 + 1.  A mass matrix that is not strictly
+    diagonally dominant (P1 on a surface) raises ``ValueError``."""
+    D = np.asarray(abs(M).sum(axis=1)).ravel()
+    if not (D > 0).all():
+        raise ValueError("mass matrix has an empty row")
+    diag = M.diagonal()
+    least = ((diag + np.abs(diag) - D) / D).min()
+    if not least > 0:
+        raise ValueError(f"Gershgorin bound on the mass matrix is {least:.3g} <= 0: "
+                         "no spectral bound for the pencil")
+    return (np.asarray(abs(S).sum(axis=1)).ravel() / D).max() / least
+
+
+def _check_shift(M, S, b):
+    """Raise ``ValueError`` unless S - (1 - slack) M is positive definite,
+    i.e. the pencil (S, M) has no eigenvalue below 1 by more than the
+    rounding slack.  Symmetric mode with no pivoting threshold factors
+    P A P^T = L U with U = D L^T, so it is definite when the row and
+    column orders agree and every pivot is positive."""
+    slack = _SHIFT_ULPS * np.finfo(float).eps * b
+    try:
+        lu = spla.splu((S - (1.0 - slack) * M).tocsc(), diag_pivot_thresh=0.0, **_SUPERLU)
+        definite = np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()
+    except RuntimeError:                    # an exactly zero pivot
+        definite = False
+    if not definite:
+        raise ValueError(f"shifted pencil has an eigenvalue below 1 by more than "
+                         f"its rounding allows ({slack:.3g})")
+
+
+def _agm(a, b):
+    """Arithmetic-geometric mean of a >= b > 0; K(k) = pi / (2 agm(1, kc))
+    (DLMF 19.8.5)."""
+    while a - b > np.finfo(float).eps * a:
+        a, b = (a + b) / 2.0, np.sqrt(a * b)
+    return a
+
+
+def _sc(t, kc):
+    """Jacobi's sn(u, k) / cn(u, k) at u = t K(k), for modulus k = sqrt(1 -
+    kc^2), by the descending Landen (arithmetic-geometric mean) recurrence
+    (DLMF 22.20(ii)).  Its limit a_N gives K(k) = pi / (2 a_N) (DLMF
+    19.8.5), so the starting angle 2^N a_N u is 2^N t pi / 2."""
+    a, b, c = [1.0], kc, [np.sqrt((1.0 - kc) * (1.0 + kc))]
+    while c[-1] > np.finfo(float).eps * a[-1]:
+        a_n = a[-1]
+        a.append((a_n + b) / 2.0)
+        c.append((a_n - b) / 2.0)
+        b = np.sqrt(a_n * b)
+    phi = 2.0 ** (len(a) - 1) * t * np.pi / 2.0
+    for a_n, c_n in zip(a[:0:-1], c[:0:-1]):
+        phi = (phi + np.arcsin(c_n / a_n * np.sin(phi))) / 2.0
+    return np.tan(phi)
+
+
+def rational_inverse_sqrt(b):
+    """Zolotarev's best relative approximation of lam^(-1/2) on [1, b] of
+    type (m, m), with m the least degree whose error is at most
+    ``RATIONAL_TOL``:
+
+        lam^(-1/2) ~ c0 + sum_l w_l / (lam - p_l),  c0 > 0, w_l > 0, p_l < 0.
+
+    Its zeros and poles are -C_i, C_i = sc^2(i K / (2m + 1), k) with k^2 =
+    1 - 1/b, i = 1..2m, poles at the odd i (van den Eshof et al., Comput.
+    Phys. Commun. 146, 2002); C_i C_{2m+1-i} = b gives the upper half from
+    the lower, where the recurrence is accurate.  The relative error
+    equioscillates between the 2m + 2 points 1 / dn^2(i K / (2m + 1), k) =
+    (1 + C_i) / (1 + C_i / b), i = 0..2m+1 (C_0 = 0, the ends 1 and b), and
+    c0 centres its values there, which also absorbs the rounding of the
+    C_i.  The error is about 4 q^(2m+1), q = exp(-pi K(kc) / K(k)) the
+    nome and kc^2 = 1/b, and on 1 <= b <= 1e10 it is never below that, so
+    the search starts from the degree this estimate gives.  The residues
+    are products of ratios of interlaced C_i, so they neither overflow nor
+    change sign.  Returns (c0, poles, weights)."""
+    kc = 1.0 / np.sqrt(b)
+    k = np.sqrt((1.0 - kc) * (1.0 + kc))
+    start = 1
+    if k > 0.0:
+        decay = np.pi * _agm(1.0, kc) / _agm(1.0, k)        # -ln q
+        start = max(1, math.ceil((math.log(4.0 / RATIONAL_TOL) / decay - 1.0) / 2.0))
+    for m in itertools.count(start):
+        low = _sc(np.arange(1, m + 1) / (2 * m + 1), kc) ** 2
+        C = np.concatenate([low, b / low[::-1]])
+        odd, even = C[0::2], C[1::2]
+        lam = np.concatenate([[1.0], (1.0 + C) / (1.0 + C / b), [b]])[:, None]
+        g = np.sqrt(lam[:, 0]) * np.prod((lam + even) / (lam + odd), axis=1)
+        if g.max() - g.min() <= RATIONAL_TOL * (g.max() + g.min()):
+            break
+    c0 = 2.0 / (g.max() + g.min())
+    ratios = (even[None, :] - odd[:, None]) / (odd[None, :] - odd[:, None] + np.eye(m))
+    return c0, -odd, c0 * np.prod(ratios, axis=1)
+
+
+class HsNorm:
+    """The H^s norm of a pencil as two lazy operators: ``forward_op()``, the
+    norm's matrix, and ``inverse_op()``, its inverse (a Riesz-map block)."""
+
+    def __init__(self, forward, inverse):
+        self._forward, self._inverse = forward, inverse
 
     def forward_op(self):
-        return Matrix(self._forward)
+        return self._forward
 
     def inverse_op(self):
-        return Matrix(self._inverse)
+        return self._inverse
 
 
 def hs_norm(M, S, s):
-    """Eigenvalue realization of the fractional operator for the pencil
-    (S, M); see HsNormOperator."""
-    return HsNormOperator(M, S, s)
+    """The H^s norm of the pencil (S, M), S the mass-shifted stiffness
+    (so every eigenvalue lam of S u = lam M u is >= 1), for s in {-1/2, 0,
+    1/2, 1}; any other exponent raises ``ValueError``, as does a pencil
+    with an eigenvalue below 1 (see ``_check_shift``).
+
+    In the eigenbasis (U^T M U = I) the norm is M U lam^s U^T M and its
+    inverse U lam^-s U^T.  s = 0 and s = 1 are M and S.  For s = +-1/2, R
+    = c0 M^-1 + sum_l w_l (S - p_l M)^-1 realizes U lam^(-1/2) U^T with
+    the rational approximation of ``rational_inverse_sqrt`` on
+    [1, ``spectral_bound``]: the norm at 1/2 is S R M, its inverse R; at
+    -1/2 they are M R M and M^-1 S R.  The shifted pencils are stacked into
+    one block-diagonal matrix, factored once, so R costs one solve with M
+    and one with the stack on the tiled vector.  Both operators agree with
+    the eigen realization to within 2 ``RATIONAL_TOL`` relative on the
+    benchmark cases' multiplier pencils (measured: 8.5e-12 up to 1,024
+    rows)."""
+    if s not in (-0.5, 0.0, 0.5, 1.0):
+        raise ValueError(f"exponent must be one of -1/2, 0, 1/2, 1, got {s}")
+    M, S = sp.csr_matrix(M), sp.csr_matrix(S)
+    n = M.shape[0]
+    b = spectral_bound(M, S)
+    _check_shift(M, S, b)
+    if s == 1.0:
+        return HsNorm(Matrix(S), InverseHandle(n, _factor(S, "hs").solve, label="hs"))
+    mass = _factor(M, "hs mass").solve
+    if s == 0.0:
+        return HsNorm(Matrix(M), InverseHandle(n, mass, label="hs"))
+
+    c0, poles, weights = rational_inverse_sqrt(b)
+    m = poles.size
+    Sc, Mc = S.tocoo(), M.tocoo()
+    shift = n * np.arange(m)[:, None]
+    stack = sp.csc_matrix((
+        np.concatenate([np.tile(Sc.data, m), (-poles[:, None] * Mc.data).ravel()]),
+        (np.concatenate([(Sc.row + shift).ravel(), (Mc.row + shift).ravel()]),
+         np.concatenate([(Sc.col + shift).ravel(), (Mc.col + shift).ravel()]))),
+        shape=(m * n, m * n))
+    shifted = _factor(stack, "hs shifted pencils").solve
+
+    def inverse_sqrt(x):
+        return c0 * mass(x) + weights @ shifted(np.tile(x, m)).reshape(m, n)
+
+    R = InverseHandle(n, inverse_sqrt, label="hs")
+    if s == 0.5:
+        return HsNorm(Product([Matrix(S), R, Matrix(M)]), R)
+    return HsNorm(Product([Matrix(M), R, Matrix(M)]),
+                  InverseHandle(n, lambda x: mass(S @ inverse_sqrt(x)), label="hs"))
 
 
 def mass_matrix(space):
@@ -336,6 +464,22 @@ def pencil(space):
 
 # -- inverse handles ---------------------------------------------------------------
 
+# SuperLU's options for every factorization in this module (see inverse_handle).
+_SUPERLU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+
+def _factor(A, label):
+    """SuperLU factors of a square sparse matrix; a failure raises
+    ``KrylovError`` naming ``label``."""
+    A = sp.csc_matrix(A)
+    try:
+        return spla.splu(A, **_SUPERLU)
+    except (RuntimeError, MemoryError) as exc:
+        raise KrylovError(
+            f"LU of block '{label}' ({A.shape[0]} rows, {A.nnz} stored entries) "
+            f"failed: {exc}") from exc
+
+
 def inverse_handle(block, label="block"):
     """Operator applying the inverse of a square block, factorized once.
 
@@ -353,14 +497,7 @@ def inverse_handle(block, label="block"):
     op = as_op(block)
     if op.rows != op.cols:
         raise ValueError(f"inverse handle needs a square block, got {op.shape}")
-    A = collapse(op).tocsc()
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    except (RuntimeError, MemoryError) as exc:
-        raise KrylovError(
-            f"LU of block '{label}' ({A.shape[0]} rows, {A.nnz} stored entries) "
-            f"failed: {exc}") from exc
-    return InverseHandle(op.rows, lu.solve, label=label)
+    return InverseHandle(op.rows, _factor(collapse(op), label).solve, label=label)
 
 
 # -- Riesz-map preconditioners -----------------------------------------------------
@@ -370,8 +507,8 @@ def build_preconditioner(blocks):
     Riesz-map blocks ``blocks``, a dict label -> block in block order,
     inverted in that order.  A sparse or lazy block is factorized by
     ``inverse_handle(block, label)``; a pair ``(space, s)`` is the H^s norm
-    of a multiplier space, inverted through the eigenvalues of its
-    ``pencil``."""
+    of a multiplier space, whose inverse ``hs_norm`` applies as a rational
+    sum of solves with its ``pencil``, shifted and factored once."""
     inverses = []
     for label, block in blocks.items():
         if isinstance(block, tuple):

@@ -16,10 +16,10 @@ from multifem.bench import (
 )
 from multifem.assemble import assemble
 from multifem.forms import Analytic, Coefficient, Measure, div, grad, inner
-from multifem.krylov import build_preconditioner, minres
+from multifem.krylov import KrylovError, build_preconditioner, minres
 from multifem.manufactured import babuska_data, darcy_stokes_data
 from multifem.mesh import CellLocator, Mesh, unit_square_mesh
-from multifem.opalg import Matrix, collapse
+from multifem.opalg import Matrix, Scaled, collapse
 from multifem.quadrature import MAX_DEGREE
 from multifem.reduction import ReductionCache
 from multifem.space import (
@@ -218,6 +218,16 @@ class TestDarcyStokesCase:
         for key in ("stokes", "stokes-pressure"):
             assert _bits(primal["riesz"][key]) == _bits(mixed["riesz"][key]), key
 
+    def test_negative_hhalf_form_raises(self, monkeypatch):
+        # a forward operator that is not positive is reported, not hidden
+        # under an absolute value
+        hs_norm = bench.hs_norm
+        monkeypatch.setattr(bench, "hs_norm", lambda M, S, s: SimpleNamespace(
+            forward_op=lambda: Scaled(-1.0, hs_norm(M, S, s).forward_op())))
+        sys = bench.assemble_darcy_stokes(4, "mixed")
+        with pytest.raises(KrylovError, match="H\\^1/2 form"):
+            sys["errors"](np.zeros(sum(V.dim for V in sys["W"])))
+
     def test_unknown_formulation_raises_before_any_mesh(self, monkeypatch):
         def no_meshes(n):
             raise AssertionError("built meshes for an unknown formulation")
@@ -390,6 +400,8 @@ class TestCli:
         (["--case", "perfusion", "--radius", "0"], "radius must be positive"),
         (["--case", "perfusion", "--radius", "-0.1"], "radius must be positive"),
         (["--case", "perfusion", "--nquad", "0"], "n_quad must be an integer >= 1"),
+        (["--case", "babuska", "--n", "4", "--levels", "1", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
     ])
     def test_config_errors_are_usage_errors(self, argv, message, tmp_path, capsys):
         # they once escaped as a traceback

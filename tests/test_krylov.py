@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hs_oracle import DenseHsNorm
 from multifem import krylov
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.krylov import (
@@ -162,11 +163,7 @@ class TestRightHandSide:
 
 @pytest.fixture(scope="module")
 def pencil():
-    mesh = unit_square_mesh(8, 8)
-    gamma = facet_submesh(mesh, lambda p: near(p[:, 0] * (1 - p[:, 0]), 0)
-                          | near(p[:, 1] * (1 - p[:, 1]), 0))
-    Q = build_space(gamma, lagrange(1))
-    return h1_pencil(Q)
+    return h1_pencil(boundary_space(8))
 
 
 def test_h1_pencil_is_the_assembled_forms_bitwise(babuska16):
@@ -185,27 +182,46 @@ def test_h1_pencil_is_the_assembled_forms_bitwise(babuska16):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
+def as_dense(op):
+    """The matrix of a lazy operator, one column per unit vector."""
+    return np.column_stack([op.matvec(e) for e in np.eye(op.cols)])
+
+
+def boundary_space(n):
+    """P1 on the boundary loop of the unit square at resolution n."""
+    omega = unit_square_mesh(n)
+    gamma = facet_submesh(omega, lambda p: near(p[:, 0] * (1 - p[:, 0]), 0)
+                          | near(p[:, 1] * (1 - p[:, 1]), 0))
+    return build_space(gamma, lagrange(1))
+
+
 class TestHsNorm:
 
     def test_s1_reconstructs_shifted_stiffness(self, pencil):
         M, S = pencil
         op = hs_norm(M, S, 1.0)
-        gap = np.linalg.norm(op._forward - S.toarray()) / np.linalg.norm(S.toarray())
+        gap = np.linalg.norm(as_dense(op.forward_op()) - S.toarray()) / np.linalg.norm(S.toarray())
         assert gap <= 1e-10
+        x = np.random.default_rng(12).standard_normal(M.shape[0])
+        y = op.inverse_op().matvec(op.forward_op().matvec(x))
+        assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_s0_reconstructs_mass(self, pencil):
         M, S = pencil
         op = hs_norm(M, S, 0.0)
-        gap = np.linalg.norm(op._forward - M.toarray()) / np.linalg.norm(M.toarray())
+        gap = np.linalg.norm(as_dense(op.forward_op()) - M.toarray()) / np.linalg.norm(M.toarray())
         assert gap <= 1e-10
+        x = np.random.default_rng(12).standard_normal(M.shape[0])
+        y = op.inverse_op().matvec(op.forward_op().matvec(x))
+        assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_half_power_cauchy_schwarz(self, pencil):
-        # oracle: direct eigen-expansion gives x^T H^s x = sum lam^s (U^T M x)^2,
-        # bounded by the geometric mean of the s=0 and s=1 quadratic forms
+        # x^T H^1/2 x = sum lam^1/2 (U^T M x)^2 is bounded by the geometric
+        # mean of the s=0 and s=1 quadratic forms
         M, S = pencil
         op = hs_norm(M, S, 0.5)
         rng = np.random.default_rng(13)
-        H = op._forward
+        H = as_dense(op.forward_op())
         Md, Sd = M.toarray(), S.toarray()
         for _ in range(100):
             x = rng.standard_normal(H.shape[0])
@@ -229,15 +245,22 @@ class TestHsNorm:
         y = op.inverse_op().matvec(op.forward_op().matvec(x))
         assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
-    def test_inverse_block_builds_no_forward_operator(self, monkeypatch):
-        built = []
-        make = krylov.hs_norm
-        monkeypatch.setattr(krylov, "hs_norm", lambda *a: built.append(make(*a)) or built[-1])
-        gamma = polyline_mesh([(0.0, 0.0), (1.0, 0.0)], 16)
-        build_preconditioner({"multiplier": (build_space(gamma, lagrange(1)), -0.5)})
-        assert len(built) == 1 and "_forward" not in vars(built[0])
-        built[0].forward_op()
-        assert "_forward" in vars(built[0])
+    def test_preconditioner_factors_once(self, monkeypatch):
+        # the shift check, the mass matrix and the stacked shifted pencils,
+        # each factored once however many poles and applications
+        factored = []
+        splu = krylov.spla.splu
+        monkeypatch.setattr(krylov.spla, "splu",
+                            lambda A, **kw: factored.append(A.shape) or splu(A, **kw))
+        Q = build_space(polyline_mesh([(0.0, 0.0), (1.0, 0.0)], 16), lagrange(1))
+        B = build_preconditioner({"multiplier": (Q, -0.5)})
+        poles = krylov.rational_inverse_sqrt(krylov.spectral_bound(*krylov.pencil(Q)))[1]
+        assert poles.size > 1
+        assert factored == [(17, 17), (17, 17), (17 * poles.size, 17 * poles.size)]
+        x = np.random.default_rng(23).standard_normal(17)
+        for _ in range(5):
+            B.matvec(x)
+        assert len(factored) == 3
 
     @pytest.mark.parametrize("shift", [-1.0, -1e-6], ids=["stiffness", "below-mass"])
     def test_eigenvalue_guard_rejects_pencil_below_the_shift(self, pencil, shift):
@@ -247,21 +270,30 @@ class TestHsNorm:
             hs_norm(M, S + shift * M, 0.5)
 
     def test_eigenvalue_guard_scales_with_rounding(self):
-        # babuska's n=512 multiplier pencil (2,048 rows): the dense eigh
-        # puts lam_min 1.3e-10 to 2.2e-10 below the exact 1, more than the
-        # absolute 1e-10 the guard once allowed
-        omega = unit_square_mesh(512)
-        gamma = facet_submesh(omega, lambda p: near(p[:, 0] * (1 - p[:, 0]), 0)
-                              | near(p[:, 1] * (1 - p[:, 1]), 0))
-        Q = build_space(gamma, lagrange(1))
+        # babuska's n=512 multiplier pencil (2,048 rows): its LDL^T puts
+        # lam_min below the exact 1 by 0.21 eps b, more than an absolute
+        # 1e-10 would allow
+        Q = boundary_space(512)
         assert Q.dim == 2048
         assert build_preconditioner({"multiplier": (Q, -0.5)}).shape == (2048, 2048)
 
-    def test_dimension_guard(self):
-        n = 5001
-        M = sp.identity(n, format="csr")
-        with pytest.raises(ValueError, match="5000"):
-            hs_norm(M, M, 0.5)
+    def test_pencil_beyond_the_old_dense_limit(self):
+        # 5,002 rows, which the dense eigensolve refused above 5,000
+        Q = build_space(polyline_mesh([(0.0, 0.0), (1.0, 0.0)], 5001), lagrange(1))
+        M, S = krylov.pencil(Q)
+        assert M.shape == (5002, 5002)
+        rng = np.random.default_rng(24)
+        for s in (0.5, -0.5):
+            op = hs_norm(M, S, s)
+            x = rng.standard_normal(M.shape[0])
+            y = op.inverse_op().matvec(op.forward_op().matvec(x))
+            assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("s", [0.25, 0.3, 2.0 / 3.0, -1.0, 2.0])
+    def test_unsupported_exponent(self, pencil, s):
+        M, S = pencil
+        with pytest.raises(ValueError, match="exponent"):
+            hs_norm(M, S, s)
 
     def test_fd_dual_pencil_on_p0(self):
         mesh = unit_square_mesh(2, 4, offset=(0.5, 0), extent=(0.5, 1))
@@ -274,6 +306,68 @@ class TestHsNorm:
         # constants see only the mass shift
         ones = np.ones(Q.dim)
         assert np.abs(S @ ones - M @ ones).max() < 1e-12
+
+
+# -- the rational realization against the dense eigen one -----------------------
+
+MULTIPLIER_SPACES = {
+    **{f"babuska-{n}": (lambda n=n: boundary_space(n)) for n in (16, 32, 64, 128, 256)},
+    **{f"ds-mixed-{n}": (lambda n=n: build_space(_ds_meshes(n)[2], dg0())) for n in (8, 32)},
+}
+
+
+@pytest.mark.parametrize("name", MULTIPLIER_SPACES)
+def test_rational_hs_norm_matches_the_eigen_realization(name):
+    # both operators at s = +-1/2 agree with the eigen ones to twice the
+    # approximation's tolerance: the approximation and the solves' rounding
+    M, S = krylov.pencil(MULTIPLIER_SPACES[name]())
+    dense = DenseHsNorm(M, S)
+    X = np.random.default_rng(25).standard_normal((M.shape[0], 6))
+    for s in (0.5, -0.5):
+        op = hs_norm(M, S, s)
+        for got, want in ((op.forward_op(), dense.forward(s)),
+                          (op.inverse_op(), dense.inverse(s))):
+            ref = want @ X
+            gap = np.column_stack([got.matvec(x) for x in X.T]) - ref
+            assert np.linalg.norm(gap) <= 2 * krylov.RATIONAL_TOL * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("space", [
+    lambda: boundary_space(16),                                            # closed P1 loop
+    lambda: build_space(polyline_mesh([(0, 0), (1, 0.3), (1.5, 1)], 20), lagrange(1)),
+    lambda: build_space(polyline_mesh([(0, 0), (1, 0.3), (1.5, 1)], 20), dg0()),
+    lambda: build_space(_ds_meshes(8)[2], dg0()),                          # P0 interface
+], ids=["p1-loop", "p1-open", "p0-polyline", "p0-interface"])
+def test_spectral_bound_holds(space):
+    M, S = krylov.pencil(space())
+    lam = DenseHsNorm(M, S).eigenvalues
+    assert lam.max() <= krylov.spectral_bound(M, S)
+
+
+def test_spectral_bound_refuses_a_mass_without_diagonal_dominance():
+    # P1 on a surface: each row's off-diagonal sum equals its diagonal
+    M = mass_matrix(build_space(unit_square_mesh(3), lagrange(1)))
+    with pytest.raises(ValueError, match="Gershgorin"):
+        krylov.spectral_bound(M, M)
+
+
+@pytest.mark.parametrize("b", np.geomspace(1.0, 1e9, 28))
+def test_rational_inverse_sqrt_is_positive_and_within_tolerance(b):
+    c0, poles, weights = krylov.rational_inverse_sqrt(b)
+    assert c0 > 0 and (poles < 0).all() and (weights > 0).all()
+    lam = np.geomspace(1.0, b, 20001)
+    r = c0 + (weights / (lam[:, None] - poles)).sum(axis=1)
+    assert np.abs(np.sqrt(lam) * r - 1.0).max() <= krylov.RATIONAL_TOL
+
+
+@pytest.mark.parametrize("b, degree", [
+    (1.0, 1), (np.nextafter(1.0, 2.0), 1), (1.5, 4), (771.0, 13), (16385.0, 17),
+    (196611.0, 20), (3145731.0, 24), (1e9, 32),
+])
+def test_rational_degree_is_the_least_within_tolerance(b, degree):
+    # degrees found by searching from m = 1; the search starts at the
+    # nome estimate, which must not skip past them
+    assert krylov.rational_inverse_sqrt(b)[1].size == degree
 
 
 def loop_dual_laplacian(mesh):
@@ -401,8 +495,8 @@ class TestPreconditioners:
         ("ds-mixed", ["stokes", "stokes-pressure", "hdiv", "darcy-pressure", "hs"]),
     ])
     def test_blocks_inverted_in_order(self, monkeypatch, case, order):
-        # every factorization before a block comes first, the eigensolve
-        # of a multiplier norm included
+        # every factorization before a block comes first, the shifted
+        # pencils of a multiplier norm included
         from multifem.bench import CASES
         sys = CASES[case][1](4)
         calls = []
