@@ -1,9 +1,10 @@
 """Benchmark cases: Babuska boundary-multiplier problem, Darcy-Stokes in
-primal and mixed form on nonmatching interface meshes, 3d-1d perfusion,
-and a restriction smoke case.  Each case runs a refinement study and
+primal and mixed form on nonmatching interface meshes, and 3d-1d perfusion.
+Each case is a refinement study and the assembler of its system; a study
 records dof counts, Krylov iterations, per-field error norms and rates to
 CSV (17 significant digits).  A Krylov case is its assembler: the system,
-its Riesz map, its solver and its error norms; one study runs them all.
+its Riesz map as operators, its solver and its error norms; one study runs
+them all.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ import scipy.sparse.linalg as spla
 from . import quadrature
 from .assemble import DirichletBC, apply_bc, apply_bc_block, assemble, save_matrix_market
 from .forms import (
-    Analytic, Average, BlockForm, Coefficient, Constant, FormError, Measure,
-    ReductionKind, Restrict, Trace, _check_average, div, dot, grad, inner, sym,
+    Analytic, Average, BlockForm, Coefficient, Constant, FormError, Measure, Trace,
+    _check_average, div, dot, grad, inner, sym,
     TestFunction, TestFunctions, TrialFunction, TrialFunctions,
 )
 from .interpreter import multi_assemble
@@ -28,10 +29,9 @@ from .krylov import (
 )
 from .manufactured import babuska_data, darcy_stokes_data
 from .mesh import (
-    _is_count, cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
-    unit_square_mesh,
+    _is_count, facet_submesh, near, polyline_mesh, unit_cube_mesh, unit_square_mesh,
 )
-from .opalg import Matrix, Zero, collapse
+from .opalg import Zero, collapse
 from .reduction import ReductionCache
 from .space import (
     Function, basis_rows, build_space, dg0, interpolate, lagrange, rt0, vector_lagrange,
@@ -39,7 +39,7 @@ from .space import (
 
 __all__ = [
     "CASES", "CaseConfig", "ConfigError", "StudyRecord", "run_krylov", "run_perfusion",
-    "run_restrict_demo", "run_case", "export_case",
+    "run_case", "export_case",
     "assemble_babuska", "assemble_darcy_stokes", "assemble_perfusion",
 ]
 
@@ -67,6 +67,10 @@ class CaseConfig:
             raise ConfigError("tolerance must lie in (0, 1)")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        try:
+            _check_average(self.radius, self.n_quad)
+        except FormError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -127,7 +131,8 @@ class StudyRecord:
 def err_norm(fn, exact, grad_exact=None, div_exact=None):
     """L2 norm of ``fn - exact``; with ``grad_exact`` or ``div_exact`` the
     H1 or H(div) norm, adding the L2 norm of ``grad(fn) - grad_exact`` or
-    ``div(fn) - div_exact``."""
+    ``div(fn) - div_exact``.  The rule at ``MAX_DEGREE`` has positive
+    weights, so the integral of squares is >= 0 and a negative one raises."""
     mesh = fn.space.mesh
     shape = fn.space.value_shape
     e = Coefficient(fn) - Analytic(exact, shape=shape, degree=3)
@@ -139,7 +144,7 @@ def err_norm(fn, exact, grad_exact=None, div_exact=None):
         d = div(Coefficient(fn)) - Analytic(div_exact, shape=(), degree=3)
         integrand = integrand + inner(d, d)
     val = assemble(integrand * Measure(mesh), quad_degree=quadrature.MAX_DEGREE[mesh.tdim])
-    return math.sqrt(abs(val))
+    return math.sqrt(val)
 
 
 def _functions(x, spaces):
@@ -153,10 +158,11 @@ def _functions(x, spaces):
 def run_krylov(cfg: CaseConfig) -> StudyRecord:
     """Refinement study of a case solved by a preconditioned Krylov method.
     Its assembler in ``CASES`` returns, beside ``A`` and ``b``, the Riesz-map
-    blocks, the solver and the error norms as a function of the flat
-    solution vector; the CSV columns are the error norms' keys.  Assemblers
-    read the solver from this module's globals when they run, so a solver
-    patched by name is the one called."""
+    entries (blocks to factor, or inverses to apply as they are), the solver
+    and the error norms as a function of the flat solution vector; the CSV
+    columns are the error norms' keys.  Assemblers read the solver from this
+    module's globals when they run, so a solver patched by name is the one
+    called."""
     assembler = CASES[cfg.case][1]
     rec = StudyRecord(cfg.case, [], meta={"n0": cfg.n, "seed": cfg.seed, "tol": cfg.tol})
     n = cfg.n
@@ -185,8 +191,9 @@ def _square_boundary(p):
 def assemble_babuska(n, cache=None, data=None):
     """Bulk reaction-diffusion with the boundary value enforced by a
     multiplier on the boundary mesh.  Riesz map: the system's H1 block and
-    the H^{-1/2} norm of the multiplier; solved by MinRes.  ``data`` holds
-    point fields ``f`` and ``g`` (default: the manufactured data set)."""
+    the inverse of the multiplier's H^{-1/2} norm, built here from its
+    pencil; solved by MinRes.  ``data`` holds point fields ``f`` and ``g``
+    (default: the manufactured data set)."""
     data = babuska_data() if data is None else data
     omega = unit_square_mesh(n, n)
     gamma = facet_submesh(omega, _square_boundary)
@@ -209,7 +216,7 @@ def assemble_babuska(n, cache=None, data=None):
     cache = cache if cache is not None else ReductionCache()
     A = multi_assemble(a, cache)
     b = multi_assemble(L, cache)
-    riesz = {"H1": A[0, 0], "multiplier": (Q, -0.5)}
+    riesz = {"H1": A[0, 0], "multiplier": hs_norm(*pencil(Q), -0.5).inverse_op()}
     return {"A": A, "b": b, "riesz": riesz, "W": W, "omega": omega, "gamma": gamma,
             "cache": cache, "solver": minres,
             "errors": functools.partial(_babuska_errors, W, data)}
@@ -250,7 +257,8 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
     (nonsymmetric, solved by GMRES; Riesz block: the system's pressure
     Laplacian) or "mixed" (symmetric, solved by MinRes; Riesz blocks: the
     H(div) inner product under the flux conditions, the P0 pressure mass and
-    the H^{1/2} norm of the P0 multiplier)."""
+    the inverse of the P0 multiplier's H^{1/2} norm, whose forward operator
+    the multiplier's error norm reads, so the norm is built once)."""
     if formulation not in ("primal", "mixed"):
         raise ValueError(f"unknown formulation {formulation!r}")
     data = darcy_stokes_data()
@@ -332,22 +340,23 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
         hdiv = assemble(inner(u2, v2) * dx2 + inner(div(u2), div(v2)) * dx2)
         # the constrained matrix does not depend on the boundary values
         hdiv, _ = apply_bc(hdiv, np.zeros(V2.dim), [darcy_bc], symmetric=True)
+        M, S = pencil(Q)
+        hhalf = hs_norm(M, S, 0.5)
         riesz.update({"hdiv": hdiv, "darcy-pressure": mass_matrix(Q2),
-                      "multiplier": (Q, 0.5)})
-        solver, errors = minres, _ds_mixed_errors
+                      "multiplier": hhalf.inverse_op()})
+        solver, errors = minres, functools.partial(_ds_mixed_errors, hhalf, S)
     return {"A": A, "b": b, "riesz": riesz, "W": W, "meshes": (m1, m2, gamma),
             "cache": cache, "solver": solver, "errors": functools.partial(errors, W, data)}
 
 
-def _multiplier_errors(ph, data):
-    """L2 and discrete H^1/2 errors of the interface multiplier.  An
+def _multiplier_errors(ph, data, hhalf, S):
+    """L2 and discrete H^1/2 errors of the interface multiplier, the latter
+    by ``hhalf``, the H^1/2 norm of the pencil with stiffness ``S``.  An
     H^1/2 quadratic form below -1e-12 times the H^1 one raises
     ``KrylovError``; a smaller negative value, rounding, reads as 0."""
-    Q = ph.space
-    exact = interpolate(Q, data.multiplier)
+    exact = interpolate(ph.space, data.multiplier)
     e = ph.coefficients - exact.coefficients
-    M, S = pencil(Q)
-    form = e @ hs_norm(M, S, 0.5).forward_op().matvec(e)
+    form = e @ hhalf.forward_op().matvec(e)
     if form < -1e-12 * (e @ (S @ e)):
         raise KrylovError(f"discrete H^1/2 form of the multiplier error is {form:.3e} < 0")
     return err_norm(ph, data.multiplier), math.sqrt(max(form, 0.0))
@@ -359,15 +368,15 @@ def _ds_primal_errors(W, data, x):
             "p1_l2": err_norm(p1h, data.p1), "p2_l2": err_norm(p2h, data.p2)}
 
 
-def _ds_mixed_errors(W, data, x):
+def _ds_mixed_errors(hhalf, S, W, data, x):
     """Per-field errors and their composite, with the multiplier in the
-    discrete H^1/2 norm."""
+    discrete H^1/2 norm (see ``_multiplier_errors``)."""
     u1h, p1h, u2h, p2h, ph = _functions(x, W)
     errors = {"u1_h1": err_norm(u1h, data.u1, grad_exact=data.grad_u1),
               "p1_l2": err_norm(p1h, data.p1),
               "u2_hdiv": err_norm(u2h, data.u2, div_exact=data.f2),
               "p2_l2": err_norm(p2h, data.p2)}
-    errors["p_l2"], p_hhalf = _multiplier_errors(ph, data)
+    errors["p_l2"], p_hhalf = _multiplier_errors(ph, data, hhalf, S)
     errors["composite"] = math.sqrt(
         errors["u1_h1"] ** 2 + errors["p1_l2"] ** 2
         + errors["u2_hdiv"] ** 2 + errors["p2_l2"] ** 2 + p_hhalf ** 2)
@@ -461,10 +470,6 @@ def _l2_norm(*fns):
 def run_perfusion(cfg: CaseConfig) -> StudyRecord:
     rec = StudyRecord("perfusion", ["diff"],
                       meta={"n0": cfg.n, "radius": cfg.radius, "n_quad": cfg.n_quad})
-    try:
-        _check_average(cfg.radius, cfg.n_quad)
-    except FormError as exc:
-        raise ConfigError(str(exc)) from None
     if cfg.radius >= 0.45 - 0.05:
         raise ConfigError("circle radius reaches the bulk boundary")
     if cfg.levels < 2:
@@ -492,55 +497,13 @@ def run_perfusion(cfg: CaseConfig) -> StudyRecord:
     return rec
 
 
-# -- restriction demo ----------------------------------------------------------------
-
-def run_restrict_demo(cfg: CaseConfig) -> StudyRecord:
-    """Lowering and polynomial-reproduction checks for the restriction
-    operator onto a subdomain carved out of the parent triangulation, one
-    row per level; no PDE solve.  At every level the second lowering
-    reuses the first one's reduction matrix."""
-    rec = StudyRecord("restrict-demo", ["restrict_interp", "rowsum"],
-                      meta={"n0": cfg.n})
-    n = cfg.n
-    for level in range(cfg.levels):
-        t0 = time.perf_counter()
-        omega = unit_square_mesh(n, n)
-        sub = cell_submesh(omega, lambda c: c[:, 0] <= 0.5)
-        V = build_space(omega, lagrange(1))
-        Vw = build_space(sub, lagrange(1))
-        phi = TrialFunction(V)
-        v = TestFunction(Vw)
-        dxw = Measure(sub)
-        cache = ReductionCache()
-        op = multi_assemble(inner(Restrict(phi, sub), v) * dxw, cache)
-        multi_assemble(inner(Restrict(phi, sub), v) * dxw, cache)
-
-        red = cache.get_or_build(V, sub, ReductionKind("restrict"))
-        f = lambda p: p[:, 0] + 2.0 * p[:, 1]
-        lifted = red.matrix @ interpolate(V, f).coefficients
-        dev_interp = float(np.abs(lifted - interpolate(red.target_space, f).coefficients).max())
-
-        ubar = TrialFunction(red.target_space)
-        mass = assemble(inner(ubar, v) * dxw)
-        dev_rowsum = float(np.abs(np.asarray(collapse(op).sum(axis=1)).ravel()
-                                  - np.asarray(mass.sum(axis=1)).ravel()).max())
-        rec.ok = (rec.ok and cache.build_count == 1
-                  and dev_interp < 1e-12 and dev_rowsum < 1e-12)
-        rec.add_row(level, 1.0 / n, V.dim + Vw.dim, 0,
-                    {"restrict_interp": dev_interp, "rowsum": dev_rowsum},
-                    time.perf_counter() - t0)
-        n *= 2
-    return rec
-
-
 # case -> (refinement study of a CaseConfig, assembler of its system from
-# (n, cache=...) or None where the case has no system to export)
+# (n, cache=...))
 CASES = {
     "babuska": (run_krylov, assemble_babuska),
     "ds-primal": (run_krylov, functools.partial(assemble_darcy_stokes, formulation="primal")),
     "ds-mixed": (run_krylov, functools.partial(assemble_darcy_stokes, formulation="mixed")),
     "perfusion": (run_perfusion, assemble_perfusion),
-    "restrict-demo": (run_restrict_demo, None),
 }
 
 
@@ -556,9 +519,7 @@ def export_case(case, n, out_dir):
     """Write every system block, rhs block and reduction matrix of a case
     in Matrix Market format."""
     import os
-    assembler = CASES.get(case, (None, None))[1]
-    if assembler is None:
-        raise ValueError(f"case {case!r} has no exportable system")
+    assembler = CASES[case][1]
     if not _is_count(n):
         raise ConfigError(f"resolution n must be an integer >= 1, got {n!r}")
     os.makedirs(out_dir, exist_ok=True)

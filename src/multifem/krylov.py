@@ -1,7 +1,7 @@
 """Preconditioned Krylov solvers (MinRes, GMRES), solver-backed inverse
 handles for preconditioner blocks, fractional Sobolev norms realized as
 rational sums of shifted sparse solves, and the block-diagonal
-preconditioner of a case's Riesz-map blocks.
+preconditioner of a case's Riesz-map entries.
 
 Stopping is on the preconditioned residual norm relative to the initial
 one.  By default (``seed=None``) the solve starts from zero, so ``tol`` is
@@ -504,16 +504,10 @@ def inverse_handle(block, label="block"):
 
 def build_preconditioner(blocks):
     """Block-diagonal preconditioner diag(R_1, ..., R_k)^-1 from a case's
-    Riesz-map blocks ``blocks``, a dict label -> block in block order,
-    inverted in that order.  A sparse or lazy block is factorized by
-    ``inverse_handle(block, label)``; a pair ``(space, s)`` is the H^s norm
-    of a multiplier space, whose inverse ``hs_norm`` applies as a rational
-    sum of solves with its ``pencil``, shifted and factored once."""
-    inverses = []
-    for label, block in blocks.items():
-        if isinstance(block, tuple):
-            space, s = block
-            inverses.append(hs_norm(*pencil(space), s).inverse_op())
-        else:
-            inverses.append(inverse_handle(block, label))
-    return block_diag_mat(inverses)
+    Riesz-map entries ``blocks``, a dict label -> entry in block order.  An
+    ``InverseHandle`` already is the inverse (an H^s norm's ``inverse_op()``)
+    and is used as it is; any other entry, sparse or lazy, is a block
+    factorized in that order by ``inverse_handle(block, label)``."""
+    return block_diag_mat([block if isinstance(block, InverseHandle)
+                           else inverse_handle(block, label)
+                           for label, block in blocks.items()])

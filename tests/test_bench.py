@@ -8,18 +8,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from multifem import bench
+from multifem import bench, krylov
 from multifem.assemble import load_matrix_market
 from multifem.bench import (
     CaseConfig, _solve_perfusion, assemble_babuska, assemble_perfusion,
-    export_case, run_case, run_restrict_demo,
+    export_case, run_case,
 )
 from multifem.assemble import assemble
 from multifem.forms import Analytic, Coefficient, Measure, div, grad, inner
 from multifem.krylov import KrylovError, build_preconditioner, minres
 from multifem.manufactured import babuska_data, darcy_stokes_data
 from multifem.mesh import CellLocator, Mesh, unit_square_mesh
-from multifem.opalg import Matrix, Scaled, collapse
+from multifem.opalg import Matrix, OpExpr, Scaled, collapse
 from multifem.quadrature import MAX_DEGREE
 from multifem.reduction import ReductionCache
 from multifem.space import (
@@ -222,11 +222,25 @@ class TestDarcyStokesCase:
         # a forward operator that is not positive is reported, not hidden
         # under an absolute value
         hs_norm = bench.hs_norm
-        monkeypatch.setattr(bench, "hs_norm", lambda M, S, s: SimpleNamespace(
-            forward_op=lambda: Scaled(-1.0, hs_norm(M, S, s).forward_op())))
+
+        def negated(M, S, s):
+            norm = hs_norm(M, S, s)
+            return SimpleNamespace(forward_op=lambda: Scaled(-1.0, norm.forward_op()),
+                                   inverse_op=norm.inverse_op)
+        monkeypatch.setattr(bench, "hs_norm", negated)
         sys = bench.assemble_darcy_stokes(4, "mixed")
         with pytest.raises(KrylovError, match="H\\^1/2 form"):
             sys["errors"](np.zeros(sum(V.dim for V in sys["W"])))
+
+    def test_multiplier_norm_built_once_per_level(self, monkeypatch):
+        # the error norm reads the forward operator of the norm whose
+        # inverse preconditions the multiplier block
+        calls = []
+        hs_norm = bench.hs_norm
+        for module in (bench, krylov):
+            monkeypatch.setattr(module, "hs_norm", lambda *a: calls.append(a[2]) or hs_norm(*a))
+        assert run_case(CaseConfig(case="ds-mixed", n=4, levels=2)).ok
+        assert calls == [0.5, 0.5]
 
     def test_unknown_formulation_raises_before_any_mesh(self, monkeypatch):
         def no_meshes(n):
@@ -257,14 +271,21 @@ def test_run_leaves_no_cyclic_meshes_or_spaces(case, n, levels):
     assert cyclic == []
 
 
-@pytest.mark.parametrize("case", [c for c, (_, system) in bench.CASES.items()
-                                  if system is not None])
+@pytest.mark.parametrize("case", list(bench.CASES))
 def test_system_rhs_is_a_list_of_block_arrays(case):
     sys = bench.CASES[case][1](4)
     b = sys["b"]
     assert type(b) is list and len(b) == len(sys["A"].row_dims)
     for vec, n in zip(b, sys["A"].row_dims):
         assert type(vec) is np.ndarray and vec.dtype == np.float64 and vec.shape == (n,)
+
+
+@pytest.mark.parametrize("case", [c for c, (study, _) in bench.CASES.items()
+                                  if study is bench.run_krylov])
+def test_riesz_entries_are_operators(case):
+    # a block to factor or an inverse to apply, never a recipe to decode
+    riesz = bench.CASES[case][1](4)["riesz"]
+    assert riesz and all(isinstance(e, OpExpr) or sp.issparse(e) for e in riesz.values())
 
 
 # The comment line and header each case writes at n=4 (two levels where the
@@ -286,10 +307,6 @@ CSV_HEAD = {
     "perfusion": (
         "# case=perfusion n0=4 radius=0.2 n_quad=16",
         "level,h,dofs_total,iters,err_diff,rate_diff,seconds"),
-    "restrict-demo": (
-        "# case=restrict-demo n0=4",
-        "level,h,dofs_total,iters,err_restrict_interp,err_rowsum,"
-        "rate_restrict_interp,rate_rowsum,seconds"),
 }
 
 
@@ -301,22 +318,6 @@ def test_csv_head_is_pinned_for_every_case(tmp_path):
         run_case(CaseConfig(case=case, n=4, levels=levels)).write_csv(path)
         lines = path.read_text().splitlines()
         assert tuple(lines[:2]) == head and len(lines) == 3, case
-
-
-class TestRestrictDemo:
-    def test_checks_pass_and_single_build(self):
-        rec = run_restrict_demo(CaseConfig(case="restrict-demo", n=8))
-        assert rec.ok
-        assert rec.rows[0]["err_restrict_interp"] < 1e-12
-        assert rec.rows[0]["err_rowsum"] < 1e-12
-
-    def test_one_row_per_level(self):
-        # --levels once wrote a single row at n whatever its value
-        rec = run_restrict_demo(CaseConfig(case="restrict-demo", n=4, levels=2))
-        assert rec.ok
-        assert [row["level"] for row in rec.rows] == [0, 1]
-        assert [row["h"] for row in rec.rows] == [1 / 4, 1 / 8]
-        assert rec.rows[1]["dofs_total"] > rec.rows[0]["dofs_total"]
 
 
 class TestExport:
@@ -337,24 +338,14 @@ class TestCli:
     def test_run_and_export_smoke(self, tmp_path):
         from multifem.cli import main
         out = tmp_path / "res"
-        code = main(["run", "--case", "restrict-demo", "--n", "4",
+        code = main(["run", "--case", "ds-primal", "--n", "4", "--levels", "1",
                      "--out", str(out)])
         assert code == 0
-        assert (out / "restrict-demo.csv").exists()
-        code = main(["export", "--case", "babuska", "--n", "3",
+        assert (out / "ds-primal.csv").exists()
+        code = main(["export", "--case", "ds-primal", "--n", "3",
                      "--out", str(tmp_path / "mats")])
         assert code == 0
         assert (tmp_path / "mats" / "A_0_0.mtx").exists()
-
-    def test_export_offers_only_cases_with_a_system(self, tmp_path, capsys):
-        from multifem.cli import main
-        # restrict-demo has no system: argparse rejects it, not export_case
-        with pytest.raises(SystemExit) as err:
-            main(["export", "--case", "restrict-demo", "--out", str(tmp_path)])
-        assert err.value.code == 2
-        assert "invalid choice: 'restrict-demo'" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="no exportable system"):
-            export_case("restrict-demo", 4, tmp_path)
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_export_rejects_a_resolution_below_one(self, tmp_path, capsys, n):
@@ -365,11 +356,14 @@ class TestCli:
         assert f"resolution n must be an integer >= 1, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
-    @pytest.mark.parametrize("case", ["babuska", "ds-primal", "ds-mixed", "perfusion"])
+    @pytest.mark.parametrize("case", list(bench.CASES))
     def test_export_at_the_coarsest_resolution(self, tmp_path, case):
+        # every case lowers a trace or an average, so writes its matrix
         from multifem.cli import main
         assert main(["export", "--case", case, "--n", "1", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "A_0_0.mtx").exists()
+        files = os.listdir(tmp_path)
+        assert "A_0_0.mtx" in files
+        assert any(f.startswith("reduction_") and f.endswith(".mtx") for f in files)
 
     def test_run_solver_case(self, tmp_path):
         from multifem.cli import main
@@ -402,6 +396,11 @@ class TestCli:
         (["--case", "perfusion", "--nquad", "0"], "n_quad must be an integer >= 1"),
         (["--case", "babuska", "--n", "4", "--levels", "1", "--seed", "-1"],
          "seed must be a non-negative integer, got -1"),
+        # the circle average's parameters are checked for every case
+        (["--case", "babuska", "--n", "4", "--levels", "1", "--radius", "-1"],
+         "radius must be positive"),
+        (["--case", "babuska", "--n", "4", "--levels", "1", "--nquad", "0"],
+         "n_quad must be an integer >= 1"),
     ])
     def test_config_errors_are_usage_errors(self, argv, message, tmp_path, capsys):
         # they once escaped as a traceback

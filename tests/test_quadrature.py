@@ -56,6 +56,15 @@ def test_rules_exact_to_stated_degree(tdim):
                 f"degree-{degree} rule misses monomial {powers}"
 
 
+@pytest.mark.parametrize("tdim", [1, 2, 3])
+def test_weights_positive_at_the_maximum_degree(tdim):
+    # bench.err_norm integrates a sum of squares at MAX_DEGREE and takes its
+    # square root unguarded; not every rule is positive (the degree-3
+    # triangle rule weighs its centroid -27/48), so this names the degree
+    _, wts = rule(tdim, MAX_DEGREE[tdim])
+    assert (wts > 0).all()
+
+
 def test_triangle_degree2_single_monomials():
     pts, wts = rule(2, 2)
     # each quadratic monomial integrates to 1/12; their sum to 1/6

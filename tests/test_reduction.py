@@ -3,11 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 from multifem.bench import assemble_babuska, assemble_darcy_stokes, assemble_perfusion
-from multifem.forms import FormError, ReductionKind
+from multifem.forms import (
+    FormError, Measure, ReductionKind, Restrict, TestFunction, TrialFunction, inner,
+)
+from multifem.interpreter import multi_assemble
 from multifem.mesh import (
-    OutOfDomainError, facet_submesh, near, polyline_mesh, unit_cube_mesh,
+    OutOfDomainError, cell_submesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
     unit_square_mesh,
 )
+from multifem.opalg import collapse
 from multifem.reduction import (
     ReductionCache, UnsupportedReductionError, average_matrix, circle_frames,
     circle_points, curve_dof_tangents, deduce_reduced_space, trace_matrix,
@@ -275,6 +279,13 @@ class TestCache:
         a = cache.get_or_build(V, gamma, TRACE)
         b = cache.get_or_build(V, gamma, TRACE)
         assert a is b and cache.build_count == 1
+        # a restriction onto a cell submesh, lowered twice through one cache
+        sub = cell_submesh(mesh, lambda c: c[:, 0] <= 0.5)
+        form = inner(Restrict(TrialFunction(V), sub),
+                     TestFunction(build_space(sub, lagrange(1)))) * Measure(sub)
+        ops = [multi_assemble(form, cache) for _ in range(2)]
+        assert cache.build_count == 2
+        assert (collapse(ops[0]) != collapse(ops[1])).nnz == 0
 
     def test_unknown_kind_raises(self):
         # rejected where it is named, so no cache ever sees it
