@@ -2,14 +2,22 @@
 into scipy sparse matrices / vectors / scalars, plus Dirichlet boundary
 conditions (pointwise and block-system variants) and Matrix Market IO.
 
-The element loop is vectorized over chunks of cells; output is independent
-of the chunk size.  Quadrature degree is estimated from the integrand
-(sum of factor degrees, gradients reduce by one, analytic data counts as
-its declared degree); a degree above the available rules raises.
+A form's integrals are grouped by mesh and (test, trial) space pair, and
+each group is assembled in one pass over chunks of cells: per chunk, every
+integral's local tensor under its own quadrature rule, summed in the order
+the integrals are written, then one scatter per group (one COO->CSR sum of
+a matrix, one ``bincount`` of a vector, one sum of a functional's per-cell
+values).  A chunk's cell count follows from budgets on its largest
+evaluated table, on its callback points and on its cells (see
+``_CHUNK_ENTRIES``); the output is bitwise independent of it.
+Quadrature degree is estimated from the integrand (sum of factor degrees,
+gradients reduce by one, analytic data counts as its declared degree); a
+degree above the available rules raises.
 """
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,7 +25,7 @@ import scipy.sparse as sp
 from . import quadrature
 from .forms import (
     Add, Analytic, Argument, Coefficient, Constant, Div, Dot, Form, FormError,
-    Grad, Inner, Neg, Scale, Sym, reduced_terminals,
+    Grad, Inner, Neg, Scale, Sym, _walk, arguments, reduced_terminals,
 )
 from .mesh import EmptySelectionError, _call_on_points, _facets_where
 from .opalg import BlockMat, Matrix, OpError, Product, Sum, Transpose, Zero, collapse
@@ -27,8 +35,6 @@ __all__ = [
     "assemble", "NotSinglescaleError", "DirichletBC", "apply_bc",
     "apply_bc_block", "save_matrix_market", "load_matrix_market",
 ]
-
-_CHUNK = 512
 
 # An assembled entry a_ij is a sum of element contributions, each at most
 # m_K = max|A_K| in size.  Where they cancel in exact arithmetic (the
@@ -98,7 +104,7 @@ class _Evaluator:
         self.cells = cells
         self.ref_pts = ref_pts
         self.memo = {}
-        self._tab = tabs              # shared by the chunks of one integral
+        self._tab = tabs              # shared by the chunks of one rule
         self._basis = {}
 
     def tab(self, space):
@@ -214,58 +220,128 @@ class _Evaluator:
 
 # -- assembly -------------------------------------------------------------------
 
+# Cells per chunk follow from budgets measured on the benchmark's peak RSS.
+# The largest table a chunk's evaluation makes, Q quadrature points times
+# its entries per point and cell (``_point_entries``), holds at most
+# _CHUNK_ENTRIES entries: the vector-P2 Stokes form's product table, 3 * 144
+# per cell, gets 462 cells, under the 512 at which it was measured flat
+# (flat 4096-cell chunks raised ds-mixed's peak from 103 to 120 MB through
+# it).  An Analytic callback makes temporaries of its own as long as the
+# points it is called on, Q per cell, so those are at most _CHUNK_POINTS:
+# whole-mesh chunks (32768 cells, 7 points each) raised babuska's peak from
+# 103 to 131 MB through its error norms, which get 4681 cells here.  A
+# chunk holds at most _CHUNK_CELLS: P1 forms in chunks of up to 8192 cells
+# left babuska and perfusion flat, and perfusion's 3d stiffness in 12500
+# raised its peak by 2 MB.
+_CHUNK_ENTRIES = 200_000
+_CHUNK_POINTS = 1 << 15
+_CHUNK_CELLS = 8192
+
+
 def assemble(form, quad_degree=None):
     """Assemble a reduction-free form: arity 2 -> csr matrix, 1 -> vector,
-    0 -> float.  ``quad_degree`` overrides the estimated degree."""
-    if isinstance(form, Form):
-        integrals = form.integrals
-    else:
-        integrals = [form]
+    0 -> float.  ``quad_degree`` overrides the estimated degree.  The
+    integrals on one mesh and one (test, trial) space pair form a group,
+    assembled in one pass over the cells; the groups' results add in the
+    order of their first integrals."""
+    integrals = form.integrals if isinstance(form, Form) else [form]
+    groups = {}
     for integral in integrals:
-        if reduced_terminals(integral.integrand):
-            raise NotSinglescaleError(
-                f"form still contains reductions: {reduced_terminals(integral.integrand)[0]!r}")
+        found = reduced_terminals(integral.integrand)
+        if found:
+            raise NotSinglescaleError(f"form still contains reductions: {found[0]!r}")
+        key = (id(integral.mesh),) + tuple(
+            None if a is None else a.space.uid
+            for a in (integral.test_argument(), integral.trial_argument()))
+        groups.setdefault(key, []).append(integral)
     result = None
-    for integral in integrals:
-        part = _assemble_integral(integral, quad_degree)
+    for group in groups.values():
+        part = _assemble_group(group, quad_degree)
         result = part if result is None else result + part
     return result
 
 
-def _assemble_integral(integral, quad_degree):
-    mesh = integral.mesh
-    test = integral.test_argument()
-    trial = integral.trial_argument()
-    deg = quad_degree if quad_degree is not None else estimate_degree(integral.integrand)
-    ref_pts, ref_wts = quadrature.rule(mesh.tdim, deg)
+def _rules(integrals, quad_degree):
+    """Each integral's quadrature degree, and the rule of each degree."""
+    tdim = integrals[0].mesh.tdim
+    degrees = [quad_degree if quad_degree is not None else estimate_degree(i.integrand)
+               for i in integrals]
+    return degrees, {d: quadrature.rule(tdim, d) for d in degrees}
 
+
+def _point_entries(integrand, gdim):
+    """Entries per quadrature point and cell of the largest table that
+    evaluating ``integrand`` makes: a node's value size times the local dofs
+    of the arguments below it, or of the coefficient whose basis table it
+    reads; a gradient or divergence reads the gradient table of its operand,
+    gdim times the operand's value size."""
+    largest = 1
+    for node in _walk(integrand):
+        operand, size = node, math.prod(node.shape)
+        if isinstance(node, (Grad, Div)):
+            operand = node.children[0]
+            size = math.prod(operand.shape) * gdim
+        if isinstance(operand, Coefficient):
+            dofs = operand.space.nloc
+        else:
+            dofs = math.prod(a.space.nloc for a in arguments(node))
+        largest = max(largest, dofs * size)
+    return largest
+
+
+def _chunk_cells(integrals, quad_degree=None):
+    """Cells per chunk of the group ``integrals``: the most that keep each
+    integral within the budgets (see ``_CHUNK_ENTRIES``), and at least one."""
+    degrees, rules = _rules(integrals, quad_degree)
+    gdim = integrals[0].mesh.gdim
+    cells = [_CHUNK_CELLS]
+    for integral, d in zip(integrals, degrees):
+        Q = len(rules[d][1])
+        cells.append(_CHUNK_ENTRIES // (Q * _point_entries(integral.integrand, gdim)))
+        if any(isinstance(n, Analytic) for n in _walk(integral.integrand)):
+            cells.append(_CHUNK_POINTS // Q)
+    return max(1, min(cells))
+
+
+def _assemble_group(integrals, quad_degree):
+    """One pass over the cells for ``integrals``, which share their mesh and
+    their test and trial spaces.  Per chunk, each integral's local tensor
+    under its own rule, the tensors summed in order; then one scatter."""
+    mesh = integrals[0].mesh
+    test = integrals[0].test_argument()
+    trial = integrals[0].trial_argument()
     nT = test.space.nloc if test is not None else 1
     nU = trial.space.nloc if trial is not None else 1
+    degrees, rules = _rules(integrals, quad_degree)
+    step = _chunk_cells(integrals, quad_degree)
 
     bilinear = test is not None and trial is not None
-    if test is not None:
-        # entry (c, t, u) of the cell-major local values belongs to test dof t
-        # and (bilinear) trial dof u of cell c
-        vals = np.empty(mesh.num_cells * nT * nU)
+    # entry (c, t, u) of the cell-major local values belongs to test dof t
+    # and trial dof u of cell c (a single entry per cell for a functional)
+    vals = np.empty(mesh.num_cells * nT * nU)
     if bilinear:
+        # made before the chunks' tables: made after them, they changed the
+        # heap's layout so that perfusion's n=24 spsolve took 8.7k page
+        # faults per unit, not 1.6k
         rows = np.repeat(test.space.dofmap.ravel(), nU)
         cols = np.tile(trial.space.dofmap, nT).ravel()
         cell_max = np.empty(mesh.num_cells)
-    scalar = 0.0
-    tabs = {}
+    tabs = {d: {} for d in rules}       # shared by the chunks of one rule
 
-    for start in range(0, mesh.num_cells, _CHUNK):
-        cells = slice(start, min(start + _CHUNK, mesh.num_cells))
-        val = _Evaluator(mesh, cells, ref_pts, tabs).eval(integral.integrand)
-        val = np.broadcast_to(val, (len(ref_wts),) + val.shape[1:])
-        # sum_q w_q |det E| val_q, with |det E| factored out: a value that is
-        # the same on every cell (a mass matrix) is summed once, not per cell
-        loc = _sum_products(zip(ref_wts, val)) * mesh.jacobian_measure[cells]
+    for start in range(0, mesh.num_cells, step):
+        cells = slice(start, min(start + step, mesh.num_cells))
+        loc = None
+        for integral, d in zip(integrals, degrees):
+            ref_pts, ref_wts = rules[d]
+            val = _Evaluator(mesh, cells, ref_pts, tabs[d]).eval(integral.integrand)
+            val = np.broadcast_to(val, (len(ref_wts),) + val.shape[1:])
+            # sum_q w_q |det E| val_q, with |det E| factored out: a value that
+            # is the same on every cell (a mass matrix) is summed once, not
+            # per cell
+            part = _sum_products(zip(ref_wts, val)) * mesh.jacobian_measure[cells]
+            loc = part if loc is None else loc + part
         C = loc.shape[-1]
         loc = np.broadcast_to(loc, (nT, nU, C))
-        if test is None:
-            scalar += float(loc.sum())
-            continue
         out = slice(start * nT * nU, (start + C) * nT * nU)
         vals[out].reshape(C, nT, nU)[...] = loc.transpose(2, 0, 1)
         if bilinear:
@@ -278,7 +354,8 @@ def _assemble_integral(integral, quad_degree):
     if test is not None:
         # each dof's values summed in cell-major order from zero
         return np.bincount(test.space.dofmap.ravel(), vals, minlength=test.space.dim)
-    return scalar
+    # the per-cell values summed once, whatever the chunks
+    return float(vals.sum())
 
 
 def _drop_residue(A, cell_max, test_dofmap, trial_dofmap):

@@ -173,6 +173,9 @@ def run_krylov(cfg: CaseConfig) -> StudyRecord:
         x, rep = sys["solver"](sys["A"], B, np.concatenate(sys["b"]), tol=cfg.tol,
                                seed=cfg.seed)
         rec.ok = rec.ok and rep.converged
+        # the factorizations are dead after the solve; freed, they leave
+        # room for the error norms' chunks below the process's peak memory
+        del B
         errors = sys["errors"](x)
         if level == 0:
             rec.err_columns = list(errors)

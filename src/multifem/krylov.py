@@ -427,9 +427,8 @@ def mass_matrix(space):
 def h1_pencil(space):
     """(mass, stiffness + mass) pair discretizing (I, -Laplace + I)."""
     p, q = TrialFunction(space), TestFunction(space)
-    M = mass_matrix(space)
-    # bitwise the one form with the mass integral second: ``assemble`` sums in order
-    return M, assemble(inner(grad(p), grad(q)) * Measure(space.mesh)) + M
+    dx = Measure(space.mesh)
+    return mass_matrix(space), assemble(inner(grad(p), grad(q)) * dx + inner(p, q) * dx)
 
 
 def fd_dual_pencil(space):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 
 import numpy as np
@@ -11,10 +12,10 @@ from multifem.assemble import (
     load_matrix_market, save_matrix_market,
 )
 from multifem.forms import (
-    Analytic, Coefficient, Constant, FormError, Measure, Trace, div, grad, inner, sym,
+    Analytic, Coefficient, Constant, Form, FormError, Measure, Trace, div, grad, inner, sym,
     TestFunction, TrialFunction,
 )
-from multifem import bench, mesh as mesh_module
+from multifem import bench, mesh as mesh_module, quadrature
 from multifem.bench import _ds_meshes, assemble_babuska
 from multifem.mesh import (
     EmptySelectionError, Mesh, facet_submesh, near, polyline_mesh, unit_cube_mesh,
@@ -224,16 +225,21 @@ class TestMeshGeometryReuse:
             cold = assemble(_geometry_forms(self.mesh())[k])
             assert _same_bits(assemble(form), cold), k
 
-    @pytest.mark.parametrize("chunk", [7, 1199])    # 1199: a last chunk of one cell
-    def test_chunk_size_does_not_change_bits(self, chunk, monkeypatch):
+    # a budget of 7 entries gives every form one-cell chunks; 1199 gives
+    # P1 forms chunks of a few dozen cells, the last one partial
+    @pytest.mark.parametrize("budget", [7, 1199])
+    def test_chunk_size_does_not_change_bits(self, budget, monkeypatch):
         mesh = self.mesh()
         fh = Coefficient(interpolate(build_space(mesh, lagrange(2)),
                                      lambda p: p[:, 0] * p[:, 1] ** 2))
         v = TestFunction(build_space(mesh, lagrange(1)))
+        e = fh - Analytic(lambda p: np.sin(3 * p[:, 0]) * p[:, 1], degree=2)
         forms = _geometry_forms(mesh) + [
-            inner(fh, v) * Measure(mesh) + inner(grad(fh), grad(v)) * Measure(mesh)]
+            inner(fh, v) * Measure(mesh) + inner(grad(fh), grad(v)) * Measure(mesh),
+            inner(e, e) * Measure(mesh) + inner(grad(fh), grad(fh)) * Measure(mesh)]
         ref = [assemble(form) for form in forms]
-        monkeypatch.setattr(assemble_module, "_CHUNK", chunk)
+        assert assemble_module._chunk_cells(forms[-1].integrals) >= mesh.num_cells
+        monkeypatch.setattr(assemble_module, "_CHUNK_ENTRIES", budget)
         for k, form in enumerate(forms):
             assert _same_bits(assemble(form), ref[k]), k
 
@@ -249,6 +255,110 @@ class TestMeshGeometryReuse:
             G = mesh.gradient_transform if G is None else G
             assert mesh.gradient_transform is G
         assert calls == [(2, 2, mesh.num_cells)]
+
+
+def _digest(a):
+    h = hashlib.sha256()
+    for x in (a.indptr, a.indices, a.data) if hasattr(a, "indptr") else (a,):
+        h.update(np.ascontiguousarray(x, dtype=np.int64 if x.dtype.kind == "i" else float)
+                 .tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestFusedGroups:
+    @staticmethod
+    def mesh():
+        return TestMeshGeometryReuse.mesh()
+
+    def test_one_coo_to_csr_per_group(self, monkeypatch):
+        # groups: (m1, V, V), (m1, W, V) and (m2, X, X), two integrals each
+        m1, m2 = unit_square_mesh(4, 3), unit_square_mesh(4, 3, offset=(2.0, 0.0))
+        V, W, X = (build_space(m, lagrange(1)) for m in (m1, m1, m2))
+        u, v, w = TrialFunction(V), TestFunction(V), TestFunction(W)
+        x, y = TrialFunction(X), TestFunction(X)
+        dx1, dx2 = Measure(m1), Measure(m2)
+        form = (inner(grad(u), grad(v)) * dx1 + inner(u, w) * dx1 + inner(x, y) * dx2
+                + inner(u, v) * dx1 + inner(grad(x), grad(y)) * dx2
+                + inner(grad(u), grad(w)) * dx1)
+        separate = [assemble(Form([i])) for i in form]
+        calls = []
+        tocsr = sp.coo_matrix.tocsr
+        monkeypatch.setattr(sp.coo_matrix, "tocsr",
+                            lambda self, *a, **k: calls.append(self.shape) or tocsr(self, *a, **k))
+        fused = assemble(form)
+        assert calls == [(V.dim, V.dim)] * 3
+        assert abs(fused - sum(separate[1:], separate[0])).max() <= 4e-16 * abs(fused).max()
+
+    # P1 stiffness + mass (babuska's H1 block), RT0 mass + div-div
+    # (ds-mixed's H(div) block), vector-P2 sym-grad + mass
+    @pytest.mark.parametrize("k", [1, 3, 2])
+    def test_fused_matrix_is_the_sum_of_its_integrals(self, k):
+        form = _geometry_forms(self.mesh())[k]
+        fused = assemble(form)
+        separate = [assemble(Form([i])) for i in form]
+        summed = sum(separate[1:], separate[0])
+        assert np.array_equal(fused.indptr, summed.indptr)
+        assert np.array_equal(fused.indices, summed.indices)
+        gap = np.abs(fused.data - summed.data)
+        eps = np.finfo(float).eps
+        if k != 2:
+            assert np.all(gap <= 4 * eps * np.abs(summed.data))
+        else:
+            # vector-P2 sym-grad entries cancel across cells down to 1e-5 of
+            # their row; each summand's rounding is bounded by the row
+            row_max = np.maximum.reduceat(np.abs(summed.data), summed.indptr[:-1])
+            assert np.all(gap <= 4 * eps * np.repeat(row_max, np.diff(summed.indptr)))
+
+    def test_single_integrals_bitwise_the_per_integral_assembler(self):
+        # digests of what the assembler gave when it assembled, scattered and
+        # summed each integral on its own, in chunks of 512 cells: a group of
+        # one integral is assembled as one integral was
+        mesh = self.mesh()
+        dx = Measure(mesh)
+        V1, V2, R = (build_space(mesh, e) for e in (lagrange(1), vector_lagrange(2), rt0()))
+        u, v = TrialFunction(V1), TestFunction(V1)
+        w, z = TrialFunction(V2), TestFunction(V2)
+        s, t = TrialFunction(R), TestFunction(R)
+        load = Analytic(lambda p: p[:, 0] ** 2 * p[:, 1] - p[:, 1], degree=3)
+        forms = {
+            "886c110faae5c84e": inner(u, v) * dx,
+            "a96b8657a425a0f1": inner(grad(u), grad(v)) * dx,
+            "512b2eb1bd7e605c": inner(sym(grad(w)), sym(grad(z))) * dx,
+            "d51d76a5d0afb094": inner(s, t) * dx,
+            "f565770481f2bd96": inner(div(s), div(t)) * dx,
+            "d375a7c154507054": inner(load, v) * dx,
+            "e9bc6a0abf3f22cf": inner(load, div(t)) * dx,
+        }
+        assert [_digest(assemble(f)) for f in forms.values()] == list(forms)
+
+
+class TestChunkRule:
+    # The bounds that keep peak memory where it was measured (see
+    # ``_CHUNK_ENTRIES``): the vector-P2 Stokes form no larger than 512
+    # cells, P1 forms and error functionals in chunks of thousands, up to
+    # 8192 cells, well below a whole benchmark mesh (32768 cells).
+    def test_vector_p2_sym_grad_at_most_512_cells(self):
+        V = build_space(unit_square_mesh(2), vector_lagrange(2))
+        form = inner(sym(grad(TrialFunction(V))), sym(grad(TestFunction(V)))) * Measure(V.mesh)
+        assert assemble_module._chunk_cells(form.integrals) <= 512
+
+    # babuska's mass and perfusion's bulk stiffness (162 chunks of 512 cells
+    # at n=24)
+    @pytest.mark.parametrize("mesh,T", [(unit_square_mesh(2), _value), (unit_cube_mesh(1), grad)])
+    def test_p1_forms_at_least_4096_cells(self, mesh, T):
+        V = build_space(mesh, lagrange(1))
+        form = inner(T(TrialFunction(V)), T(TestFunction(V))) * Measure(mesh)
+        assert 4096 <= assemble_module._chunk_cells(form.integrals) <= 8192
+
+    def test_p1_error_functional_between_4096_and_8192_cells(self):
+        # the integrand of ``bench.err_norm`` with a gradient, at its degree
+        mesh = unit_square_mesh(2)
+        fh = Coefficient(Function(build_space(mesh, lagrange(1))))
+        e = fh - Analytic(lambda p: p[:, 0], degree=3)
+        d = grad(fh) - Analytic(lambda p: p, shape=(2,), degree=3)
+        form = (inner(e, e) + inner(d, d)) * Measure(mesh)
+        cells = assemble_module._chunk_cells(form.integrals, quadrature.MAX_DEGREE[2])
+        assert 4096 <= cells <= 8192
 
 
 def _cube_stiffness(n, scale=1.0):

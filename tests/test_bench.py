@@ -187,6 +187,10 @@ class TestPerfusionCase:
                      (pruned.data, full.data)]:
             assert np.array_equal(a, b)
 
+    def test_kuhn_cancellation_leaves_the_collapsed_entries(self):
+        # the couplings that cancel on the Kuhn cube are not stored
+        assert collapse(assemble_perfusion(24)["A"]).nnz == 101_498
+
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_singular_system_raises(self, monkeypatch):
         def singular(n, *args, **kwargs):

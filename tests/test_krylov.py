@@ -167,7 +167,7 @@ def pencil():
 
 
 def test_h1_pencil_is_the_assembled_forms_bitwise(babuska16):
-    # the mass matrix is assembled once and reused in the shifted stiffness
+    # each matrix is the assembly of its one form
     from multifem.assemble import assemble
     from multifem.forms import Measure, TestFunction, TrialFunction, grad, inner
     Q = babuska16["W"][1]
