@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import quadrature
 from .forms import (
     Add, Analytic, Argument, Coefficient, Constant, Div, Dot, Form, FormError,
-    Grad, Inner, Neg, Scale, Sym, _walk, arguments, reduced_terminals,
+    Grad, Inner, Neg, Scale, Sym, _walk, arguments,
 )
 from .mesh import EmptySelectionError, _call_on_points, _facets_where
 from .opalg import BlockMat, Matrix, OpError, Product, Sum, Transpose, Zero, collapse
@@ -247,12 +247,11 @@ def assemble(form, quad_degree=None):
     integrals = form.integrals if isinstance(form, Form) else [form]
     groups = {}
     for integral in integrals:
-        found = reduced_terminals(integral.integrand)
-        if found:
-            raise NotSinglescaleError(f"form still contains reductions: {found[0]!r}")
+        if integral.reduced:
+            raise NotSinglescaleError(
+                f"form still contains reductions: {integral.reduced[0]!r}")
         key = (id(integral.mesh),) + tuple(
-            None if a is None else a.space.uid
-            for a in (integral.test_argument(), integral.trial_argument()))
+            None if a is None else a.space.uid for a in (integral.test, integral.trial))
         groups.setdefault(key, []).append(integral)
     result = None
     for group in groups.values():
@@ -308,8 +307,7 @@ def _assemble_group(integrals, quad_degree):
     their test and trial spaces.  Per chunk, each integral's local tensor
     under its own rule, the tensors summed in order; then one scatter."""
     mesh = integrals[0].mesh
-    test = integrals[0].test_argument()
-    trial = integrals[0].trial_argument()
+    test, trial = integrals[0].test, integrals[0].trial
     nT = test.space.nloc if test is not None else 1
     nU = trial.space.nloc if trial is not None else 1
     degrees, rules = _rules(integrals, quad_degree)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -59,14 +60,17 @@ class CaseConfig:
     n_quad: int = 16
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("resolution n must be >= 2")
-        if self.levels < 1:
-            raise ConfigError("refinement count must be >= 1")
+        _check_case(self.case)
+        if not (_is_count(self.n) and self.n >= 2):
+            raise ConfigError(f"resolution n must be >= 2 and an integer, got {self.n!r}")
+        if not _is_count(self.levels):
+            raise ConfigError(f"refinement count must be an integer >= 1, got {self.levels!r}")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tolerance must lie in (0, 1)")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.seed is not None and not (isinstance(self.seed, numbers.Integral)
+                                          and not isinstance(self.seed, bool)
+                                          and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         try:
             _check_average(self.radius, self.n_quad)
         except FormError as exc:
@@ -207,12 +211,12 @@ def assemble_babuska(n, cache=None, data=None):
     v, q = TestFunctions(W)
     dx, dl = Measure(omega), Measure(gamma)
 
-    a = BlockForm(W, 2)
+    a = BlockForm(W)
     a.add(inner(grad(u), grad(v)) * dx + inner(u, v) * dx)
     a.add(inner(p, Trace(v, gamma)) * dl)
     a.add(inner(Trace(u, gamma), q) * dl)
 
-    L = BlockForm(W, 1)
+    L = BlockForm(W)
     L.add(inner(Analytic(data.f, degree=3), v) * dx)
     L.add(inner(Analytic(data.g, degree=3), q) * dl)
 
@@ -317,11 +321,11 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
         stress = []
         darcy_bc = DirichletBC(V2, data.u2, _horizontal)
 
-    a = BlockForm(W, 2)
+    a = BlockForm(W)
     a.add(inner(sym(grad(u1)), sym(grad(v1))) * dx1 + inner(ut1, vt1) * dl)
     a.add(-1.0 * inner(p1, div(v1)) * dx1)
     a.add(-1.0 * inner(q1, div(u1)) * dx1)
-    L = BlockForm(W, 1)
+    L = BlockForm(W)
     # a block's integrals sum in the order written; the primal stress stays second
     L.add(sum([*stress, -inner(g_t, vt1) * dl, inner(traction, Trace(v1, gn1)) * Measure(gn1)],
               inner(f1, v1) * dx1))
@@ -417,7 +421,7 @@ def assemble_perfusion(n, radius=0.2, n_quad=16, beta=1.0, cache=None,
     v, q = TestFunctions(W)
     dx, dl = Measure(omega), Measure(gamma)
 
-    a = BlockForm(W, 2)
+    a = BlockForm(W)
     a.add(inner(grad(u), grad(v)) * dx
           + beta * inner(Average(u, gamma, radius, n_quad), Trace(v, gamma)) * dl)
     a.add(-beta * inner(p, Trace(v, gamma)) * dl)
@@ -510,9 +514,12 @@ CASES = {
 }
 
 
+def _check_case(case):
+    if case not in CASES:
+        raise ConfigError(f"unknown case {case!r}; the cases are {', '.join(CASES)}")
+
+
 def run_case(cfg: CaseConfig) -> StudyRecord:
-    if cfg.case not in CASES:
-        raise ValueError(f"unknown case {cfg.case!r}")
     return CASES[cfg.case][0](cfg)
 
 
@@ -522,6 +529,7 @@ def export_case(case, n, out_dir):
     """Write every system block, rhs block and reduction matrix of a case
     in Matrix Market format."""
     import os
+    _check_case(case)
     assembler = CASES[case][1]
     if not _is_count(n):
         raise ConfigError(f"resolution n must be an integer >= 1, got {n!r}")

@@ -303,19 +303,12 @@ def _walk(e):
         yield from _walk(c)
 
 
-def arguments(obj):
-    """Distinct Arguments in an expression, integral or form (pre-order)."""
-    if isinstance(obj, Form):
-        exprs = [i.integrand for i in obj.integrals]
-    elif isinstance(obj, Integral):
-        exprs = [obj.integrand]
-    else:
-        exprs = [obj]
+def arguments(e):
+    """Distinct Arguments in an expression (pre-order)."""
     out = []
-    for e in exprs:
-        for node in _walk(e):
-            if isinstance(node, Argument) and node not in out:
-                out.append(node)
+    for node in _walk(e):
+        if isinstance(node, Argument) and node not in out:
+            out.append(node)
     return out
 
 
@@ -366,54 +359,49 @@ def _rebuild(node, children):
 
 class Integral:
     """Integrand over a measure mesh.  Arity <= 2; non-reduced arguments
-    must live on the measure mesh, reductions must target it."""
+    must live on the measure mesh, reductions must target it.
+
+    ``test`` and ``trial`` are the integrand's argument of each role (or
+    None), ``reduced`` its reduced terminals in pre-order."""
 
     def __init__(self, integrand: Expr, mesh: Mesh):
         if integrand.shape != ():
             raise FormError(f"integrand must be scalar, got shape {integrand.shape}")
         self.integrand = integrand
         self.mesh = mesh
-        reduced_ops = {id(r.operand) for r in reduced_terminals(integrand)}
-        for node in _walk(integrand):
-            if isinstance(node, Reduced) and node.target_mesh is not mesh:
+        nodes = list(_walk(integrand))
+        self.reduced = tuple(node for node in nodes if isinstance(node, Reduced))
+        reduced_ops = {id(r.operand) for r in self.reduced}
+        for node in self.reduced:
+            if node.target_mesh is not mesh:
                 raise FormError(
                     f"reduction {node!r} targets a different mesh than the measure")
-            if isinstance(node, Argument) and id(node) not in reduced_ops:
-                if node.space.mesh is not mesh:
-                    raise FormError(
-                        f"argument {node!r} lives off the measure mesh")
-        roles = [a.role for a in arguments(integrand)]
-        if roles.count("test") > 1 or roles.count("trial") > 1:
+        roles = {"test": [], "trial": []}
+        for node in nodes:
+            if isinstance(node, Argument) and node not in roles[node.role]:
+                if id(node) not in reduced_ops and node.space.mesh is not mesh:
+                    raise FormError(f"argument {node!r} lives off the measure mesh")
+                roles[node.role].append(node)
+        if len(roles["test"]) > 1 or len(roles["trial"]) > 1:
             raise FormError("integrand has more than one test/trial lineage")
+        self.test = roles["test"][0] if roles["test"] else None
+        self.trial = roles["trial"][0] if roles["trial"] else None
 
     @property
     def arity(self):
-        return len(arguments(self.integrand))
-
-    def test_argument(self):
-        for a in arguments(self.integrand):
-            if a.role == "test":
-                return a
-        return None
-
-    def trial_argument(self):
-        for a in arguments(self.integrand):
-            if a.role == "trial":
-                return a
-        return None
+        return (self.test is not None) + (self.trial is not None)
 
 
 class Form:
-    """Sum of integrals of one common arity."""
+    """Sum of integrals of one common arity: each has an argument of the
+    same roles."""
 
     def __init__(self, integrals):
         self.integrals = list(integrals)
         if not self.integrals:
             raise FormError("a form needs at least one integral")
-        sig = _arity_signature(self.integrals[0].integrand)
-        for i in self.integrals[1:]:
-            if _arity_signature(i.integrand) != sig:
-                raise FormError("all integrals of a form must share the same arity")
+        if len({(i.test is None, i.trial is None) for i in self.integrals}) > 1:
+            raise FormError("all integrals of a form must share the same arity")
 
     def __add__(self, other):
         if isinstance(other, Form):
@@ -460,40 +448,39 @@ def TestFunctions(spaces):
 
 
 class BlockForm:
-    """Table of forms indexed by the block indices of their arguments.
+    """Forms keyed by the block indices of their arguments: ``(test block,)``
+    for linear forms, ``(test block, trial block)`` for bilinear ones.  The
+    first form added fixes the arity; ``add`` merges contributions integral
+    by integral."""
 
-    ``arity`` 2 keeps a (test, trial)-indexed table, 1 a test-indexed list.
-    ``add`` merges contributions integral by integral.
-    """
-
-    def __init__(self, spaces, arity):
-        if arity not in (1, 2):
-            raise FormError(f"block form arity must be 1 or 2, got {arity}")
+    def __init__(self, spaces):
         self.spaces = list(spaces)
-        self.arity = arity
-        n = len(self.spaces)
-        self.n_blocks = n
-        if arity == 2:
-            self.table = [[None] * n for _ in range(n)]
-        else:
-            self.table = [None] * n
+        self.table = {}
+
+    @property
+    def arity(self):
+        """1 or 2, or None before the first ``add``."""
+        return len(next(iter(self.table))) if self.table else None
 
     def add(self, form: Form):
-        for integral in form:
-            test = integral.test_argument()
-            trial = integral.trial_argument()
-            if test is None:
-                raise FormError("block form contributions need a test function")
-            if self.arity == 2:
-                if trial is None:
-                    raise FormError("bilinear block form got a linear contribution")
-                i, j = test.block, trial.block
-                cur = self.table[i][j]
-                self.table[i][j] = Form([integral]) if cur is None else cur + Form([integral])
-            else:
-                if trial is not None:
-                    raise FormError("linear block form got a bilinear contribution")
-                i = test.block
-                cur = self.table[i]
-                self.table[i] = Form([integral]) if cur is None else cur + Form([integral])
+        keys = [self._key(integral) for integral in form]
+        for key, integral in zip(keys, form):
+            cur = self.table.get(key)
+            self.table[key] = Form([integral]) if cur is None else cur + Form([integral])
         return self
+
+    def _key(self, integral):
+        if integral.test is None:
+            raise FormError("block form contributions need a test function")
+        if self.arity not in (None, integral.arity):
+            raise FormError(f"block form of arity {self.arity} got a contribution "
+                            f"of arity {integral.arity}")
+        args = [a for a in (integral.test, integral.trial) if a is not None]
+        for a in args:
+            if not 0 <= a.block < len(self.spaces):
+                raise FormError(f"argument {a!r} has block index {a.block} outside "
+                                f"the block form's {len(self.spaces)} spaces")
+            if a.space is not self.spaces[a.block]:
+                raise FormError(f"argument {a!r} does not live on the block form's "
+                                f"space {a.block}")
+        return tuple(a.block for a in args)

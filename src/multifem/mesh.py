@@ -10,6 +10,7 @@ Meshes are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -186,13 +187,6 @@ class Mesh:
         _check_finite("vertex", self.vertices)
         self.parent = parent
         self.uid = next(_uid_counter)
-        self._grid = None
-        self._edges = None
-        self._cell_edges = None
-        self._facets = None
-        self._facet_cells = None
-        self._locator = None
-        self._gradient_transform = None
         self.jacobian_measure = _read_only(_jacobian_measure(self._edge_components()))
         vols = self.cell_volumes
         bad = np.flatnonzero(~(vols >= _MIN_MEASURE))     # NaN fails too
@@ -220,15 +214,12 @@ class Mesh:
         v = self.vertices.T[:, self.cells.T]             # (gdim, tdim+1, nc)
         return (v[:, 1:] - v[:, :1]).transpose(1, 0, 2)
 
-    @property
+    @functools.cached_property
     def gradient_transform(self):
         """(nc, gdim, tdim) per-cell map G of reference to physical
         gradients, grad = G @ ref_grad: E^-1, or E^T (E E^T)^-1 on
         manifolds; built on first access and kept."""
-        if self._gradient_transform is None:
-            G = _gradient_transform(self._edge_components())
-            self._gradient_transform = _read_only(G.transpose(2, 0, 1))
-        return self._gradient_transform
+        return _read_only(_gradient_transform(self._edge_components()).transpose(2, 0, 1))
 
     @property
     def cell_centroids(self):
@@ -236,82 +227,67 @@ class Mesh:
 
     # -- derived entities ---------------------------------------------------
 
-    def _build_edges(self):
+    @functools.cached_property
+    def _edge_numbering(self):
         if self.tdim == 1:
-            self._edges = self.cells.copy()
-            self._cell_edges = np.arange(self.num_cells, dtype=np.int64)[:, None]
-            return
-        local = _TRI_EDGES if self.tdim == 2 else _TET_EDGES
-        self._edges, self._cell_edges = _number_entities(self.cells, local)
+            return self.cells.copy(), np.arange(self.num_cells, dtype=np.int64)[:, None]
+        return _number_entities(self.cells, _TRI_EDGES if self.tdim == 2 else _TET_EDGES)
 
     @property
     def edges(self):
         """(ne, 2) vertex pairs, each sorted ascending; for tdim=1 the cells."""
-        if self._edges is None:
-            self._build_edges()
-        return self._edges
+        return self._edge_numbering[0]
 
     @property
     def cell_edges(self):
         """(nc, edges per cell) map into the global edge numbering."""
-        if self._cell_edges is None:
-            self._build_edges()
-        return self._cell_edges
+        return self._edge_numbering[1]
 
-    def _build_facets(self):
+    @functools.cached_property
+    def _facet_adjacency(self):
+        """The facets, and their adjacent cells in CSR form: the cells of
+        facet f, ascending, are ``idx[ptr[f]:ptr[f + 1]]``."""
         if self.tdim == 2:
-            facets = self.edges
-            cell_facets = self.cell_edges
+            facets, cell_facets = self.edges, self.cell_edges
         elif self.tdim == 3:
             facets, cell_facets = _number_entities(self.cells, _TET_FACES)
         else:
             raise MeshError("facets are not defined for tdim=1 meshes")
-        # CSR adjacency: the cells of facet f, ascending, are
-        # _facet_cell_idx[_facet_cell_ptr[f]:_facet_cell_ptr[f + 1]].
         flat = cell_facets.ravel()
         order = np.argsort(flat, kind="stable")
         ptr = np.zeros(len(facets) + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=len(facets)), out=ptr[1:])
-        self._facets = facets
-        self._facet_cell_ptr = ptr
-        self._facet_cell_idx = order // cell_facets.shape[1]
+        return facets, ptr, order // cell_facets.shape[1]
 
     @property
     def facets(self):
         """(nf, tdim) codimension-1 entities as sorted vertex tuples."""
-        if self._facets is None:
-            self._build_facets()
-        return self._facets
+        return self._facet_adjacency[0]
+
+    @functools.cached_property
+    def _facet_cell_lists(self):
+        _, ptr, idx = self._facet_adjacency
+        idx, ptr = idx.tolist(), ptr.tolist()
+        return [idx[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     @property
     def facet_cells(self):
         """List of adjacent cell indices per facet (1 on the boundary, else
         2), ascending."""
-        if self._facet_cells is None:
-            if self._facets is None:
-                self._build_facets()
-            idx = self._facet_cell_idx.tolist()
-            ptr = self._facet_cell_ptr.tolist()
-            self._facet_cells = [idx[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
-        return self._facet_cells
+        return self._facet_cell_lists
 
     def _lowest_facet_cell(self, facets):
         """Lowest-index adjacent cell of each listed facet."""
-        if self._facets is None:
-            self._build_facets()
-        return self._facet_cell_idx[self._facet_cell_ptr[facets]]
+        _, ptr, idx = self._facet_adjacency
+        return idx[ptr[facets]]
 
-    @property
-    def grid(self):
-        """The structured grid the square and cube generators record (see
-        ``CellLocator``), or None: no other mesh carries one."""
-        return self._grid
+    # The structured grid the square and cube generators record (see
+    # ``CellLocator``); no other mesh carries one.
+    grid = None
 
-    @property
+    @functools.cached_property
     def locator(self):
-        if self._locator is None:
-            self._locator = CellLocator(self)
-        return self._locator
+        return CellLocator(self)
 
     def barycentric_many(self, cells, x):
         """Barycentric coordinates (N, tdim+1) of the points ``x`` (N, gdim)
@@ -624,9 +600,9 @@ def _grid_mesh(vertices, cells, offset, extent, counts, nsplit):
     """The generated mesh with its grid recorded; only the generators call
     this, with a finite offset and extent."""
     mesh = Mesh(vertices, cells)
-    mesh._grid = _Grid(_read_only(np.array(offset, dtype=float)),
-                       _read_only(np.array(extent, dtype=float)),
-                       _read_only(np.array(counts, dtype=np.int64)), nsplit)
+    mesh.grid = _Grid(_read_only(np.array(offset, dtype=float)),
+                      _read_only(np.array(extent, dtype=float)),
+                      _read_only(np.array(counts, dtype=np.int64)), nsplit)
     return mesh
 
 

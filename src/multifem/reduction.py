@@ -20,7 +20,7 @@ from .mesh import Mesh, OutOfDomainError
 from .space import Element, FunctionSpace, basis_rows, build_space
 
 __all__ = [
-    "ReductionMatrix", "ReductionCache", "UnsupportedReductionError",
+    "ReductionMatrix", "ReductionCache", "UnsupportedReductionError", "reduction_key",
     "deduce_reduced_space", "trace_matrix", "average_matrix",
     "circle_frames", "circle_points", "curve_dof_tangents",
 ]
@@ -165,8 +165,14 @@ def average_matrix(source: FunctionSpace, target: FunctionSpace,
 
 # -- cache ----------------------------------------------------------------------
 
+def reduction_key(source: FunctionSpace, target_mesh: Mesh, kind: ReductionKind):
+    """(source space uid, target mesh uid, kind, parameters): the key of a
+    reduction in ``ReductionCache``, orderable and computed without a build."""
+    return (source.uid, target_mesh.uid, kind.name, kind.params())
+
+
 class ReductionCache:
-    """Build-once map keyed by (source space, target mesh, kind, params)."""
+    """Build-once map keyed by ``reduction_key``."""
 
     def __init__(self):
         self._store = {}
@@ -175,7 +181,7 @@ class ReductionCache:
 
     def get_or_build(self, source: FunctionSpace, target_mesh: Mesh,
                      kind: ReductionKind) -> ReductionMatrix:
-        key = (source.uid, target_mesh.uid, kind.name, kind.params())
+        key = reduction_key(source, target_mesh, kind)
         with self._lock:
             hit = self._store.get(key)
             if hit is not None:

@@ -24,21 +24,24 @@ class TestArguments:
     def test_bilinear(self, setup):
         mesh, gamma, V, Q = setup
         u, v = TrialFunction(V), TestFunction(V)
-        form = inner(grad(u), grad(v)) * Measure(mesh)
-        args = arguments(form)
-        assert {a.role for a in args} == {"trial", "test"}
+        [itg] = inner(grad(u), grad(v)) * Measure(mesh)
+        assert {a.role for a in arguments(itg.integrand)} == {"trial", "test"}
+        assert (itg.test, itg.trial, itg.arity) == (v, u, 2)
 
     def test_functional_has_none(self, setup):
         mesh, *_ = setup
-        form = Constant(1.0) * Measure(mesh)
-        assert arguments(form) == []
+        [itg] = Constant(1.0) * Measure(mesh)
+        assert arguments(itg.integrand) == []
+        assert (itg.test, itg.trial, itg.arity) == (None, None, 0)
 
     def test_trace_coupling(self, setup):
         mesh, gamma, V, Q = setup
         u, q = TrialFunction(V), TestFunction(Q, block=1)
-        form = inner(Trace(u, gamma), q) * Measure(gamma)
-        roles = {a.role for a in arguments(form)}
-        assert roles == {"trial", "test"}
+        node = Trace(u, gamma)
+        [itg] = inner(node, q) * Measure(gamma)
+        assert {a.role for a in arguments(itg.integrand)} == {"trial", "test"}
+        assert (itg.test, itg.trial) == (q, u)
+        assert itg.reduced == (node,)
 
 
 class TestReducedTerminals:
@@ -188,12 +191,11 @@ class TestBlockForm:
         u, p = TrialFunctions(W)
         v, q = TestFunctions(W)
         dx, dl = Measure(mesh), Measure(gamma)
-        a = BlockForm(W, 2)
+        a = BlockForm(W)
         a.add(inner(grad(u), grad(v)) * dx)
         a.add(inner(p, Trace(v, gamma)) * dl)
-        assert a.table[0][0] is not None
-        assert a.table[0][1] is not None
-        assert a.table[1][0] is None
+        assert sorted(a.table) == [(0, 0), (0, 1)]
+        assert a.arity == 2
 
     def test_disjoint_adds_commute(self, setup):
         mesh, gamma, V, Q = setup
@@ -203,22 +205,48 @@ class TestBlockForm:
         dx, dl = Measure(mesh), Measure(gamma)
         f1 = inner(u, v) * dx
         f2 = inner(Trace(u, gamma), q) * dl
-        a = BlockForm(W, 2).add(f1).add(f2)
-        b = BlockForm(W, 2).add(f2).add(f1)
-        for i in range(2):
-            for j in range(2):
-                lhs, rhs = a.table[i][j], b.table[i][j]
-                assert (lhs is None) == (rhs is None)
-                if lhs is not None:
-                    assert [id(x) for x in lhs.integrals] == [id(x) for x in rhs.integrals]
+        a = BlockForm(W).add(f1).add(f2)
+        b = BlockForm(W).add(f2).add(f1)
+        assert a.table.keys() == b.table.keys()
+        for key, lhs in a.table.items():
+            assert [id(x) for x in lhs.integrals] == [id(x) for x in b.table[key].integrals]
 
     def test_arity_mismatch_rejected(self, setup):
+        # the first form added fixes the arity
         mesh, gamma, V, Q = setup
         W = [V, Q]
         v = TestFunctions(W)[0]
-        L = BlockForm(W, 1)
-        with pytest.raises(FormError):
+        L = BlockForm(W).add(inner(Constant(1.0), v) * Measure(mesh))
+        with pytest.raises(FormError, match="arity 1 got a contribution of arity 2"):
             L.add(inner(TrialFunctions(W)[0], v) * Measure(mesh))
+        assert list(L.table) == [(0,)] and L.arity == 1
+
+    def test_linear_contribution_needs_a_test_function(self, setup):
+        mesh, gamma, V, Q = setup
+        W = [V, Q]
+        with pytest.raises(FormError, match="need a test function"):
+            BlockForm(W).add(inner(Constant(1.0), TrialFunctions(W)[0]) * Measure(mesh))
+
+    def test_block_index_outside_spaces_rejected(self, setup):
+        mesh, gamma, V, Q = setup
+        a = BlockForm([V, Q])
+        u, v = TrialFunction(V, block=2), TestFunction(V)
+        with pytest.raises(FormError, match="block index 2 outside"):
+            a.add(inner(u, v) * Measure(mesh))
+        with pytest.raises(FormError, match="block index -1 outside"):
+            a.add(inner(TrialFunction(V), TestFunction(V, block=-1)) * Measure(mesh))
+        assert a.table == {}
+
+    def test_space_other_than_the_blocks_rejected(self, setup):
+        mesh, gamma, V, Q = setup
+        a = BlockForm([V, Q])
+        other = build_space(mesh, lagrange(1))         # equal, but not V
+        u, v = TrialFunction(other), TestFunction(V)
+        with pytest.raises(FormError, match="space 0"):
+            a.add(inner(u, v) * Measure(mesh))
+        with pytest.raises(FormError, match="space 1"):
+            a.add(inner(TrialFunction(V), TestFunction(V, block=1)) * Measure(mesh))
+        assert a.table == {}
 
 
 def test_coefficient_expressions(setup):

@@ -4,11 +4,11 @@ import weakref
 import numpy as np
 import pytest
 
-from multifem import reduction
+from multifem import bench, interpreter, reduction
 
 from multifem.assemble import assemble
 from multifem.forms import (
-    Average, BlockForm, Coefficient, Constant, FormError, Measure, ReductionKind,
+    Average, BlockForm, Coefficient, Constant, Form, FormError, Measure, ReductionKind,
     Restrict, TestFunction, TestFunctions, Trace, TrialFunction,
     TrialFunctions, dot, grad, inner,
 )
@@ -67,7 +67,7 @@ class TestBabuskaLowering:
         u, p = TrialFunctions(W)
         v, q = TestFunctions(W)
         dx, dl = Measure(mesh), Measure(gamma)
-        a = BlockForm(W, 2)
+        a = BlockForm(W)
         a.add(inner(grad(u), grad(v)) * dx + inner(u, v) * dx)
         a.add(inner(p, Trace(v, gamma)) * dl)
         a.add(inner(Trace(u, gamma), q) * dl)
@@ -223,8 +223,8 @@ class TestAverageLowering:
 
 
 class TestOnePassLowering:
-    """Each integral is lowered once into ``R_test^T o A o R_trial``; the
-    oracles take their factors from the reduction builders directly,
+    """A reduced integral is lowered once into ``R_test^T o A o R_trial``;
+    the oracles take their factors from the reduction builders directly,
     not from the lowering's cache."""
 
     def test_average_trial_trace_test_is_one_flat_product(self, three_d):
@@ -333,7 +333,7 @@ class TestPerCallCache:
         u, p = TrialFunctions(W)
         v, q = TestFunctions(W)
         dl = Measure(gamma)
-        a = BlockForm(W, 2)
+        a = BlockForm(W)
         a.add(inner(p, Trace(v, gamma)) * dl)
         a.add(inner(Trace(u, gamma), q) * dl)
         builds = []
@@ -351,7 +351,7 @@ class TestBlockShapes:
         W = [V, Q]
         u, p = TrialFunctions(W)
         v, q = TestFunctions(W)
-        a = BlockForm(W, 2)
+        a = BlockForm(W)
         a.add(inner(u, v) * Measure(mesh))
         A = multi_assemble(a, ReductionCache())
         assert A[0, 1].shape == (V.dim, Q.dim)
@@ -362,8 +362,103 @@ class TestBlockShapes:
         mesh, gamma, V, Q = babuska_setup
         W = [V, Q]
         v, q = TestFunctions(W)
-        L = BlockForm(W, 1)
+        L = BlockForm(W)
         L.add(inner(Constant(1.0), v) * Measure(mesh))
         b = multi_assemble(L, ReductionCache())
         assert isinstance(b, list) and len(b) == 2
         assert b[0].shape == (V.dim,) and np.abs(b[1]).max() == 0.0
+
+
+class TestGroupedLowering:
+    """A form's integrals lower in groups that share their reduction pair:
+    one substitution pass, one ``assemble`` call and one composition each."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Log the lowering's ``assemble`` calls (mesh cells, integral count)
+        and the reduction builds, in order."""
+        events = []
+        original = interpreter.assemble
+        monkeypatch.setattr(interpreter, "assemble", lambda form: events.append(
+            ("assemble", form.integrals[0].mesh.num_cells, len(form.integrals)))
+            or original(form))
+        for name in ("trace_matrix", "average_matrix"):
+            build = getattr(reduction, name)
+            monkeypatch.setattr(reduction, name, lambda *a, _b=build, _n=name:
+                                events.append((_n,)) or _b(*a))
+        return events
+
+    def test_shared_pair_is_one_product(self, babuska_setup):
+        mesh, gamma, *_ = babuska_setup
+        V = build_space(mesh, vector_lagrange(1))
+        u, v = TrialFunction(V), TestFunction(V)
+        c = Constant((1.0, 2.0))
+        dl = Measure(gamma)
+        tu, tv = Trace(u, gamma), Trace(v, gamma)
+        form = inner(tu, tv) * dl + inner(dot(tu, c), dot(tv, c)) * dl
+        cache = ReductionCache()
+        op = multi_assemble(form, cache)
+        assert isinstance(op, Product)
+        assert [type(f) for f in op.factors] == [Transpose, Matrix, Matrix]
+        # the middle matrix against the integral-by-integral sum
+        Vbar = cache.get_or_build(V, gamma, TRACE).target_space
+        ubar, vbar = TrialFunction(Vbar), TestFunction(Vbar)
+        ref = (assemble(inner(ubar, vbar) * dl)
+               + assemble(inner(dot(ubar, c), dot(vbar, c)) * dl)).tocsr()
+        mid = op.factors[1].a.tocsr()
+        ref.sort_indices()
+        mid.sort_indices()
+        assert np.array_equal(mid.indptr, ref.indptr)
+        assert np.array_equal(mid.indices, ref.indices)
+        assert np.all(np.abs(mid.data - ref.data) <= 4 * np.finfo(float).eps * np.abs(ref.data))
+
+    def test_ds_primal_stokes_load_fuses_its_interface_terms(self, monkeypatch):
+        # g_n and g_t both test the trace of the Stokes velocity on the
+        # interface: 4 integrals, 3 groups
+        built = []
+        lower = bench.multi_assemble
+        monkeypatch.setattr(bench, "multi_assemble",
+                            lambda obj, cache=None: built.append(obj) or lower(obj, cache))
+        bench.assemble_darcy_stokes(2, "primal", apply_bcs=False)
+        [L] = [bf for bf in built if bf.arity == 1]
+        load = L.table[(0,)]
+        assert len(load.integrals) == 4
+        events = self.record(monkeypatch)
+        fused = multi_assemble(load)
+        assert [e[2] for e in events if e[0] == "assemble"] == [1, 2, 1]
+        separate = sum(multi_assemble(Form([i])) for i in load)
+        assert np.abs(fused - separate).max() <= 4 * np.finfo(float).eps * np.abs(separate).max()
+
+    def test_blocks_lower_in_row_major_order(self, babuska_setup, monkeypatch):
+        mesh, gamma, V, Q = babuska_setup
+        W = [V, Q]
+        u, p = TrialFunctions(W)
+        v, q = TestFunctions(W)
+        dx, dl = Measure(mesh), Measure(gamma)
+        forms = [inner(Trace(u, gamma), q) * dl, inner(p, Trace(v, gamma)) * dl,
+                 inner(u, v) * dx]                     # (1, 0), (0, 1), (0, 0)
+        events = self.record(monkeypatch)
+        ordered = multi_assemble(BlockForm(W).add(forms[2]).add(forms[1]).add(forms[0]))
+        first = list(events)
+        events.clear()
+        reversed_ = multi_assemble(BlockForm(W).add(forms[0]).add(forms[1]).add(forms[2]))
+        assert events == first == [("assemble", mesh.num_cells, 1), ("trace_matrix",),
+                                   ("assemble", gamma.num_cells, 1),
+                                   ("assemble", gamma.num_cells, 1)]
+        for i in range(2):
+            for j in range(2):
+                assert type(ordered[i, j]) is type(reversed_[i, j])
+
+    def test_perfusion_stiffness_before_its_reductions(self, monkeypatch):
+        # A[0, 0] = stiffness + average-trace exchange: the bulk stiffness
+        # is assembled before the circle average and the trace are built
+        events = self.record(monkeypatch)
+        sys = bench.assemble_perfusion(2, apply_bcs=False)
+        omega, gamma = sys["omega"], sys["gamma"]
+        assert events[:4] == [("assemble", omega.num_cells, 1), ("average_matrix",),
+                              ("trace_matrix",), ("assemble", gamma.num_cells, 1)]
+
+    def test_empty_block_form_rejected(self, babuska_setup):
+        mesh, gamma, V, Q = babuska_setup
+        with pytest.raises(FormError, match="no forms"):
+            multi_assemble(BlockForm([V, Q]))
