@@ -17,7 +17,7 @@ from .forms import (
     Argument, Coefficient, Constant, Analytic, Trace, Average, Restrict,
     Measure, Form, Integral, BlockForm, TrialFunction, TestFunction,
     TrialFunctions, TestFunctions, grad, div, sym, inner, dot,
-    arguments, reduced_terminals, replace, FormError,
+    arguments, replace, FormError,
 )
 from .assemble import (
     assemble, DirichletBC, apply_bc, apply_bc_block, NotSinglescaleError,

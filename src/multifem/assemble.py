@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .forms import (
-    Add, Analytic, Argument, Coefficient, Constant, Div, Dot, Form, FormError,
+    Add, Analytic, Argument, Coefficient, Constant, Div, Dot, FormError,
     Grad, Inner, Neg, Scale, Sym, _walk, arguments,
 )
 from .mesh import EmptySelectionError, _call_on_points, _facets_where
@@ -58,7 +58,7 @@ class NotSinglescaleError(FormError):
 
 def estimate_degree(e):
     if isinstance(e, (Argument, Coefficient)):
-        return _element_degree(e.space)
+        return e.space.element.degree
     if isinstance(e, Constant):
         return 0
     if isinstance(e, Analytic):
@@ -72,12 +72,6 @@ def estimate_degree(e):
     if isinstance(e, Add):
         return max(estimate_degree(c) for c in e.children)
     raise FormError(f"cannot estimate degree of {e!r}")
-
-
-def _element_degree(space):
-    if space.element.family == "RaviartThomas":
-        return 1
-    return space.element.degree
 
 
 # -- expression evaluation ------------------------------------------------------
@@ -244,9 +238,8 @@ def assemble(form, quad_degree=None):
     integrals on one mesh and one (test, trial) space pair form a group,
     assembled in one pass over the cells; the groups' results add in the
     order of their first integrals."""
-    integrals = form.integrals if isinstance(form, Form) else [form]
     groups = {}
-    for integral in integrals:
+    for integral in form:
         if integral.reduced:
             raise NotSinglescaleError(
                 f"form still contains reductions: {integral.reduced[0]!r}")

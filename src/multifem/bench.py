@@ -223,7 +223,7 @@ def assemble_babuska(n, cache=None, data=None):
     cache = cache if cache is not None else ReductionCache()
     A = multi_assemble(a, cache)
     b = multi_assemble(L, cache)
-    riesz = {"H1": A[0, 0], "multiplier": hs_norm(*pencil(Q), -0.5).inverse_op()}
+    riesz = {"H1": A[0, 0], "multiplier": hs_norm(*pencil(Q), -0.5).inverse}
     return {"A": A, "b": b, "riesz": riesz, "W": W, "omega": omega, "gamma": gamma,
             "cache": cache, "solver": minres,
             "errors": functools.partial(_babuska_errors, W, data)}
@@ -350,7 +350,7 @@ def assemble_darcy_stokes(n, formulation, cache=None, apply_bcs=True):
         M, S = pencil(Q)
         hhalf = hs_norm(M, S, 0.5)
         riesz.update({"hdiv": hdiv, "darcy-pressure": mass_matrix(Q2),
-                      "multiplier": hhalf.inverse_op()})
+                      "multiplier": hhalf.inverse})
         solver, errors = minres, functools.partial(_ds_mixed_errors, hhalf, S)
     return {"A": A, "b": b, "riesz": riesz, "W": W, "meshes": (m1, m2, gamma),
             "cache": cache, "solver": solver, "errors": functools.partial(errors, W, data)}
@@ -363,7 +363,7 @@ def _multiplier_errors(ph, data, hhalf, S):
     ``KrylovError``; a smaller negative value, rounding, reads as 0."""
     exact = interpolate(ph.space, data.multiplier)
     e = ph.coefficients - exact.coefficients
-    form = e @ hhalf.forward_op().matvec(e)
+    form = e @ hhalf.forward.matvec(e)
     if form < -1e-12 * (e @ (S @ e)):
         raise KrylovError(f"discrete H^1/2 form of the multiplier error is {form:.3e} < 0")
     return err_norm(ph, data.multiplier), math.sqrt(max(form, 0.0))

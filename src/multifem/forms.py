@@ -21,7 +21,7 @@ __all__ = [
     "grad", "div", "sym", "inner", "dot",
     "Integral", "Form", "Measure", "BlockForm",
     "TrialFunction", "TestFunction", "TrialFunctions", "TestFunctions",
-    "arguments", "reduced_terminals", "replace",
+    "arguments", "replace",
 ]
 
 
@@ -312,11 +312,6 @@ def arguments(e):
     return out
 
 
-def reduced_terminals(e):
-    """Reduced nodes in pre-order."""
-    return [node for node in _walk(e) if isinstance(node, Reduced)]
-
-
 def _same_reduced(a, b):
     return (isinstance(a, Reduced) and isinstance(b, Reduced)
             and a.kind == b.kind and a.operand is b.operand
@@ -358,8 +353,9 @@ def _rebuild(node, children):
 # -- integrals, forms, block forms ---------------------------------------------
 
 class Integral:
-    """Integrand over a measure mesh.  Arity <= 2; non-reduced arguments
-    must live on the measure mesh, reductions must target it.
+    """Integrand over a measure mesh.  Arity <= 2, and a trial function
+    comes with a test function; non-reduced arguments must live on the
+    measure mesh, reductions must target it.
 
     ``test`` and ``trial`` are the integrand's argument of each role (or
     None), ``reduced`` its reduced terminals in pre-order."""
@@ -384,6 +380,8 @@ class Integral:
                 roles[node.role].append(node)
         if len(roles["test"]) > 1 or len(roles["trial"]) > 1:
             raise FormError("integrand has more than one test/trial lineage")
+        if roles["trial"] and not roles["test"]:
+            raise FormError("integrands with a trial function need a test function")
         self.test = roles["test"][0] if roles["test"] else None
         self.trial = roles["trial"][0] if roles["trial"] else None
 
@@ -418,10 +416,6 @@ class Form:
 
     def __iter__(self):
         return iter(self.integrals)
-
-    @property
-    def arity(self):
-        return self.integrals[0].arity
 
 
 class Measure:

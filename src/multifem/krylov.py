@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +31,7 @@ import scipy.sparse.linalg as spla
 from .assemble import assemble
 from .forms import Measure, grad, inner, TestFunction, TrialFunction
 from .opalg import (
-    Identity, InverseHandle, Matrix, Product, as_op, block_diag_mat, collapse,
+    Identity, InverseHandle, Matrix, OpExpr, Product, as_op, block_diag_mat, collapse,
 )
 
 __all__ = [
@@ -354,18 +355,11 @@ def rational_inverse_sqrt(b):
     return c0, -odd, c0 * np.prod(ratios, axis=1)
 
 
-class HsNorm:
-    """The H^s norm of a pencil as two lazy operators: ``forward_op()``, the
-    norm's matrix, and ``inverse_op()``, its inverse (a Riesz-map block)."""
-
-    def __init__(self, forward, inverse):
-        self._forward, self._inverse = forward, inverse
-
-    def forward_op(self):
-        return self._forward
-
-    def inverse_op(self):
-        return self._inverse
+class HsNorm(NamedTuple):
+    """The H^s norm of a pencil as two lazy operators: ``forward``, the
+    norm's matrix, and ``inverse``, its inverse (a Riesz-map block)."""
+    forward: OpExpr
+    inverse: InverseHandle
 
 
 def hs_norm(M, S, s):
@@ -504,7 +498,7 @@ def inverse_handle(block, label="block"):
 def build_preconditioner(blocks):
     """Block-diagonal preconditioner diag(R_1, ..., R_k)^-1 from a case's
     Riesz-map entries ``blocks``, a dict label -> entry in block order.  An
-    ``InverseHandle`` already is the inverse (an H^s norm's ``inverse_op()``)
+    ``InverseHandle`` already is the inverse (an H^s norm's ``inverse``)
     and is used as it is; any other entry, sparse or lazy, is a block
     factorized in that order by ``inverse_handle(block, label)``."""
     return block_diag_mat([block if isinstance(block, InverseHandle)

@@ -3,8 +3,8 @@ facet/cell submeshes with parent maps, and point location.
 
 The square and cube generators record their structured grid
 (``Mesh.grid``), and their locators take each point's candidate cells from
-it in closed form; every other mesh (submeshes, polylines, ``Mesh(v, c)``,
-``read_mesh_ascii``) is located through background bins.
+it in closed form; every other mesh (submeshes, polylines, ``Mesh(v, c)``)
+is located through background bins.
 
 Meshes are immutable after construction and safe to share across threads.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "Mesh", "CellLocator", "ParentLink", "MeshError", "OutOfDomainError",
     "EmptySelectionError", "unit_square_mesh", "unit_cube_mesh",
     "polyline_mesh", "facet_submesh", "cell_submesh", "near",
-    "write_mesh_ascii", "read_mesh_ascii",
 ]
 
 _MIN_MEASURE = 1e-14
@@ -162,8 +161,8 @@ class Mesh:
     """Simplicial mesh of topological dimension ``tdim`` embedded in
     ``gdim``-space (tdim <= gdim <= 3).
 
-    ``vertices`` is (nv, gdim) float64, ``cells`` is (nc, tdim+1) int64.
-    Derived entities (edges, facets) are numbered deterministically by
+    ``vertices`` is (nv, gdim) float64, ``cells`` is (nc, tdim+1) int64
+    with indices in [0, nv) (given as an integer array).  Derived entities (edges, facets) are numbered deterministically by
     first appearance in cell order, so regenerating a mesh from equal
     inputs reproduces identical arrays.
 
@@ -177,9 +176,17 @@ class Mesh:
     def __init__(self, vertices, cells, parent: ParentLink | None = None):
         # Own read-only copies: the geometry below must not go stale.
         self.vertices = _read_only(np.array(vertices, dtype=np.float64, order="C"))
+        cells = np.asarray(cells)
+        if cells.dtype.kind not in "iu":
+            raise MeshError(f"cells must hold integer vertex indices, got dtype {cells.dtype}")
         self.cells = _read_only(np.array(cells, dtype=np.int64, order="C"))
         if self.vertices.ndim != 2 or self.cells.ndim != 2:
             raise MeshError("vertices must be (nv, gdim), cells (nc, tdim+1)")
+        nv = len(self.vertices)
+        if self.cells.size and not (self.cells.min() >= 0 and self.cells.max() < nv):
+            bad = np.flatnonzero(((self.cells < 0) | (self.cells >= nv)).any(axis=1))[0]
+            raise MeshError(f"cell {bad} has vertex indices {self.cells[bad].tolist()} "
+                            f"outside [0, {nv})")
         self.gdim = self.vertices.shape[1]
         self.tdim = self.cells.shape[1] - 1
         if not 1 <= self.tdim <= self.gdim <= 3:
@@ -719,26 +726,3 @@ def cell_submesh(parent: Mesh, predicate):
     if not len(keep):
         raise EmptySelectionError("predicate selects no cells")
     return _submesh(parent, parent.cells[keep], keep, keep)
-
-
-# -- debugging dump ----------------------------------------------------------
-
-def write_mesh_ascii(mesh: Mesh, path):
-    """ASCII dump: 'tdim gdim nv nc', nv coordinate lines (17 significant
-    digits), nc cell lines.  Debug/golden-file format only."""
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.tdim} {mesh.gdim} {mesh.num_vertices} {mesh.num_cells}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
-        for c in mesh.cells:
-            fh.write(" ".join(str(int(i)) for i in c) + "\n")
-
-
-def read_mesh_ascii(path):
-    with open(path) as fh:
-        tdim, gdim, nv, nc = (int(t) for t in fh.readline().split())
-        vertices = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
-        cells = np.array([[int(t) for t in fh.readline().split()] for _ in range(nc)])
-    if vertices.shape != (nv, gdim) or cells.shape != (nc, tdim + 1):
-        raise MeshError(f"malformed mesh file {path}")
-    return Mesh(vertices, cells)

@@ -58,9 +58,6 @@ class OpExpr:
             return self.matvec(other)
         return NotImplemented
 
-    def __mul__(self, other):
-        return self.__matmul__(other)
-
     def __rmul__(self, alpha):
         if np.isscalar(alpha):
             return Scaled(float(alpha), self)

@@ -141,6 +141,9 @@ class FunctionSpace:
 
         fam, deg = element.family, element.degree
         if fam == "RaviartThomas":
+            if deg != 1 or element.vector:
+                raise UnsupportedElementError(
+                    f"Raviart-Thomas only at degree 1 (RT0, vector=False), got {element}")
             if tdim != 2:
                 raise UnsupportedElementError("RT0 requires a triangle mesh")
             self._init_rt0()

@@ -280,15 +280,15 @@ def test_criterion_4_hs_norm_identities():
     for M, S in pencils:
         Md, Sd = M.toarray(), S.toarray()
         worst_f = max(worst_f,
-                      np.linalg.norm(matrix(hs_norm(M, S, 1.0).forward_op()) - Sd)
+                      np.linalg.norm(matrix(hs_norm(M, S, 1.0).forward) - Sd)
                       / np.linalg.norm(Sd),
-                      np.linalg.norm(matrix(hs_norm(M, S, 0.0).forward_op()) - Md)
+                      np.linalg.norm(matrix(hs_norm(M, S, 0.0).forward) - Md)
                       / np.linalg.norm(Md))
         for s in (0.0, 1.0, 0.5, -0.5):
             op = hs_norm(M, S, s)
             for _ in range(5):
                 x = rng.standard_normal(M.shape[0])
-                y = op.inverse_op().matvec(op.forward_op().matvec(x))
+                y = op.inverse.matvec(op.forward.matvec(x))
                 worst_inv = max(worst_inv,
                                 np.linalg.norm(y - x) / np.linalg.norm(x))
     check(4, "fractional norm identities",

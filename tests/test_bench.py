@@ -241,8 +241,7 @@ class TestDarcyStokesCase:
 
         def negated(M, S, s):
             norm = hs_norm(M, S, s)
-            return SimpleNamespace(forward_op=lambda: Scaled(-1.0, norm.forward_op()),
-                                   inverse_op=norm.inverse_op)
+            return SimpleNamespace(forward=Scaled(-1.0, norm.forward), inverse=norm.inverse)
         monkeypatch.setattr(bench, "hs_norm", negated)
         sys = bench.assemble_darcy_stokes(4, "mixed")
         with pytest.raises(KrylovError, match="H\\^1/2 form"):

@@ -4,7 +4,7 @@ import pytest
 from multifem.forms import (
     Analytic, Average, BlockForm, Coefficient, Constant, FormError,
     Integral, Measure, Trace, arguments, div, dot, grad, inner,
-    reduced_terminals, replace, sym, TestFunction, TestFunctions,
+    replace, sym, TestFunction, TestFunctions,
     TrialFunction, TrialFunctions,
 )
 from multifem.mesh import facet_submesh, near, polyline_mesh, unit_cube_mesh, unit_square_mesh
@@ -49,7 +49,7 @@ class TestReducedTerminals:
         mesh, gamma, V, Q = setup
         u, q = TrialFunction(V), TestFunction(Q)
         e = inner(Trace(u, gamma), q)
-        assert len(reduced_terminals(e)) == 1
+        assert len(Integral(e, gamma).reduced) == 1
 
     def test_two_in_preorder(self, setup):
         mesh, gamma, V, Q = setup
@@ -57,14 +57,14 @@ class TestReducedTerminals:
         u, v = TrialFunction(Vv), TestFunction(Vv)
         tau = Constant((0.0, 1.0))
         e = inner(dot(Trace(u, gamma), tau), dot(Trace(v, gamma), tau))
-        terms = reduced_terminals(e)
+        terms = Integral(e, gamma).reduced
         assert len(terms) == 2
         assert terms[0].operand is u and terms[1].operand is v
 
     def test_none_in_plain_form(self, setup):
         mesh, gamma, V, Q = setup
         u, v = TrialFunction(V), TestFunction(V)
-        assert reduced_terminals(inner(grad(u), grad(v))) == []
+        assert Integral(inner(grad(u), grad(v)), mesh).reduced == ()
 
 
 class TestReplace:
@@ -74,7 +74,7 @@ class TestReplace:
         node = Trace(u, gamma)
         ubar = TrialFunction(build_space(gamma, lagrange(1)))
         out = replace(inner(node, q), node, ubar)
-        assert reduced_terminals(out) == []
+        assert Integral(out, gamma).reduced == ()
         assert ubar in arguments(out)
 
     def test_absent_terminal_is_identity(self, setup):
@@ -95,7 +95,7 @@ class TestReplace:
         e = inner(dot(tu, tau), dot(tv, tau))
         e = replace(e, tu, TrialFunction(Vb))
         e = replace(e, tv, TestFunction(Vb))
-        assert reduced_terminals(e) == []
+        assert Integral(e, gamma).reduced == ()
 
     def test_shape_mismatch_rejected(self, setup):
         mesh, gamma, V, Q = setup
@@ -159,6 +159,16 @@ class TestWellFormedness:
         u, q = TrialFunction(V), TestFunction(Q)
         with pytest.raises(FormError):
             Integral(inner(u, q), gamma)     # u unreduced off the measure mesh
+
+    def test_trial_only_integrand_rejected(self, setup):
+        mesh, gamma, V, Q = setup
+        u = TrialFunction(V)
+        for integrand, measure in ((inner(Constant(1.0), u), mesh),
+                                   (inner(Constant(1.0), Trace(u, gamma)), gamma)):
+            with pytest.raises(FormError, match="need a test function"):
+                integrand * Measure(measure)
+            with pytest.raises(FormError, match="need a test function"):
+                Integral(integrand, measure)
 
     def test_number_times_measure_rejected(self, setup):
         mesh, gamma, V, Q = setup
@@ -253,7 +263,7 @@ def test_coefficient_expressions(setup):
     mesh, gamma, V, Q = setup
     f = interpolate(V, lambda p: p[:, 0])
     v = TestFunction(V)
-    form = inner(Coefficient(f), v) * Measure(mesh)
-    assert form.arity == 1
+    [itg] = inner(Coefficient(f), v) * Measure(mesh)
+    assert itg.arity == 1
     assert Coefficient(f).shape == ()
     assert Analytic(lambda p: 1.0).shape == ()

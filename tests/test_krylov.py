@@ -200,19 +200,20 @@ class TestHsNorm:
     def test_s1_reconstructs_shifted_stiffness(self, pencil):
         M, S = pencil
         op = hs_norm(M, S, 1.0)
-        gap = np.linalg.norm(as_dense(op.forward_op()) - S.toarray()) / np.linalg.norm(S.toarray())
+        assert tuple(op) == (op.forward, op.inverse)
+        gap = np.linalg.norm(as_dense(op.forward) - S.toarray()) / np.linalg.norm(S.toarray())
         assert gap <= 1e-10
         x = np.random.default_rng(12).standard_normal(M.shape[0])
-        y = op.inverse_op().matvec(op.forward_op().matvec(x))
+        y = op.inverse.matvec(op.forward.matvec(x))
         assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_s0_reconstructs_mass(self, pencil):
         M, S = pencil
         op = hs_norm(M, S, 0.0)
-        gap = np.linalg.norm(as_dense(op.forward_op()) - M.toarray()) / np.linalg.norm(M.toarray())
+        gap = np.linalg.norm(as_dense(op.forward) - M.toarray()) / np.linalg.norm(M.toarray())
         assert gap <= 1e-10
         x = np.random.default_rng(12).standard_normal(M.shape[0])
-        y = op.inverse_op().matvec(op.forward_op().matvec(x))
+        y = op.inverse.matvec(op.forward.matvec(x))
         assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_half_power_cauchy_schwarz(self, pencil):
@@ -221,7 +222,7 @@ class TestHsNorm:
         M, S = pencil
         op = hs_norm(M, S, 0.5)
         rng = np.random.default_rng(13)
-        H = as_dense(op.forward_op())
+        H = as_dense(op.forward)
         Md, Sd = M.toarray(), S.toarray()
         for _ in range(100):
             x = rng.standard_normal(H.shape[0])
@@ -235,14 +236,14 @@ class TestHsNorm:
         rng = np.random.default_rng(14)
         for _ in range(10):
             x = rng.standard_normal(M.shape[0])
-            y = op.inverse_op().matvec(op.forward_op().matvec(x))
+            y = op.inverse.matvec(op.forward.matvec(x))
             assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_negative_exponent_inverse(self, pencil):
         M, S = pencil
         op = hs_norm(M, S, -0.5)
         x = np.random.default_rng(15).standard_normal(M.shape[0])
-        y = op.inverse_op().matvec(op.forward_op().matvec(x))
+        y = op.inverse.matvec(op.forward.matvec(x))
         assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_preconditioner_factors_once(self, monkeypatch):
@@ -253,7 +254,7 @@ class TestHsNorm:
         monkeypatch.setattr(krylov.spla, "splu",
                             lambda A, **kw: factored.append(A.shape) or splu(A, **kw))
         Q = build_space(polyline_mesh([(0.0, 0.0), (1.0, 0.0)], 16), lagrange(1))
-        B = build_preconditioner({"multiplier": hs_norm(*krylov.pencil(Q), -0.5).inverse_op()})
+        B = build_preconditioner({"multiplier": hs_norm(*krylov.pencil(Q), -0.5).inverse})
         poles = krylov.rational_inverse_sqrt(krylov.spectral_bound(*krylov.pencil(Q)))[1]
         assert poles.size > 1
         assert factored == [(17, 17), (17, 17), (17 * poles.size, 17 * poles.size)]
@@ -275,7 +276,7 @@ class TestHsNorm:
         # 1e-10 would allow
         Q = boundary_space(512)
         assert Q.dim == 2048
-        B = build_preconditioner({"multiplier": hs_norm(*krylov.pencil(Q), -0.5).inverse_op()})
+        B = build_preconditioner({"multiplier": hs_norm(*krylov.pencil(Q), -0.5).inverse})
         assert B.shape == (2048, 2048)
 
     def test_pencil_beyond_the_old_dense_limit(self):
@@ -287,7 +288,7 @@ class TestHsNorm:
         for s in (0.5, -0.5):
             op = hs_norm(M, S, s)
             x = rng.standard_normal(M.shape[0])
-            y = op.inverse_op().matvec(op.forward_op().matvec(x))
+            y = op.inverse.matvec(op.forward.matvec(x))
             assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("s", [0.25, 0.3, 2.0 / 3.0, -1.0, 2.0])
@@ -326,8 +327,8 @@ def test_rational_hs_norm_matches_the_eigen_realization(name):
     X = np.random.default_rng(25).standard_normal((M.shape[0], 6))
     for s in (0.5, -0.5):
         op = hs_norm(M, S, s)
-        for got, want in ((op.forward_op(), dense.forward(s)),
-                          (op.inverse_op(), dense.inverse(s))):
+        for got, want in ((op.forward, dense.forward(s)),
+                          (op.inverse, dense.inverse(s))):
             ref = want @ X
             gap = np.column_stack([got.matvec(x) for x in X.T]) - ref
             assert np.linalg.norm(gap) <= 2 * krylov.RATIONAL_TOL * np.linalg.norm(ref)

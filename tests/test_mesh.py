@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from multifem.mesh import (
     EmptySelectionError, Mesh, MeshError, OutOfDomainError, cell_submesh,
-    facet_submesh, near, polyline_mesh, read_mesh_ascii, unit_cube_mesh,
-    unit_square_mesh, write_mesh_ascii,
+    facet_submesh, near, polyline_mesh, unit_cube_mesh, unit_square_mesh,
 )
 
 
@@ -112,6 +111,17 @@ class TestGenerators:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(MeshError, match="cell 0 has measure nan"):
                 Mesh(verts, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("cells, match", [
+        ([[0, 1, -1]], r"cell 0 has vertex indices \[0, 1, -1\] outside \[0, 4\)"),
+        ([[0, 1, 2], [0, 1, 7]], r"cell 1 has vertex indices \[0, 1, 7\] outside \[0, 4\)"),
+        ([[0, 1, 1.5]], "integer vertex indices, got dtype float64"),
+        (np.array([[0, 1, 2]], dtype=float), "integer vertex indices, got dtype float64"),
+    ])
+    def test_bad_cell_indices_rejected(self, cells, match):
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(MeshError, match=match):
+            Mesh(verts, cells)
 
     def test_degenerate_cell_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -327,15 +337,13 @@ class TestGrid:
             lo = g.offset + g.extent * corner / g.counts
             assert np.abs(mesh.vertices[mesh.cells].min(axis=1) - lo).max() < 1e-15
 
-    def test_only_the_generators_record_a_grid(self, tmp_path):
+    def test_only_the_generators_record_a_grid(self):
         square, cube = unit_square_mesh(3), unit_cube_mesh(2)
-        write_mesh_ascii(square, tmp_path / "mesh.txt")
         for mesh in (Mesh(square.vertices, square.cells), Mesh(cube.vertices, cube.cells),
                      facet_submesh(cube, lambda p: near(p[:, 2], 0)),
                      cell_submesh(square, lambda c: c[:, 0] <= 0.5),
                      cell_submesh(cube, lambda c: c[:, 0] <= 2.0),
-                     polyline_mesh([(0, 0, 0), (1, 1, 1)], 3),
-                     read_mesh_ascii(tmp_path / "mesh.txt")):
+                     polyline_mesh([(0, 0, 0), (1, 1, 1)], 3)):
             assert mesh.grid is None
             assert len(mesh.locator.bin_cells) == mesh.num_cells
 
@@ -388,12 +396,3 @@ class TestSubmeshes:
         sub = cell_submesh(mesh, lambda c: c[:, 0] <= 0.5)
         assert sub.num_cells == mesh.num_cells // 2
         assert abs(sub.cell_volumes.sum() - 0.5) < 1e-12
-
-
-def test_ascii_roundtrip(tmp_path):
-    mesh = unit_square_mesh(2, 3)
-    path = tmp_path / "mesh.txt"
-    write_mesh_ascii(mesh, path)
-    back = read_mesh_ascii(path)
-    assert np.array_equal(back.cells, mesh.cells)
-    assert np.abs(back.vertices - mesh.vertices).max() == 0.0

@@ -3,8 +3,9 @@ import pytest
 
 from multifem.mesh import unit_cube_mesh, unit_square_mesh, polyline_mesh
 from multifem.space import (
-    Function, UnsupportedElementError, basis_row, build_space, dg0, evaluate,
-    interpolate, lagrange, rt0, vector_dg0, vector_lagrange,
+    Element, Function, FunctionSpace, UnsupportedElementError, basis_row,
+    build_space, dg0, evaluate, interpolate, lagrange, rt0, vector_dg0,
+    vector_lagrange,
 )
 
 
@@ -50,6 +51,12 @@ class TestDofCounts:
             build_space(cube, lagrange(2))
         with pytest.raises(UnsupportedElementError):
             build_space(cube, vector_lagrange(1))
+
+    @pytest.mark.parametrize("element", [Element("RaviartThomas", 2),
+                                         Element("RaviartThomas", 1, vector=True)])
+    def test_raviart_thomas_only_as_rt0(self, square, element):
+        with pytest.raises(UnsupportedElementError, match="Raviart-Thomas only at degree 1"):
+            FunctionSpace(square, element)
 
 
 class TestInterpolationEvaluation:
