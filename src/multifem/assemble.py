@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import quadrature
 from .forms import (
     Add, Analytic, Argument, Coefficient, Constant, Div, Dot, FormError,
-    Grad, Inner, Neg, Scale, Sym, _walk, arguments,
+    Grad, Inner, Scale, Sym, _walk, arguments,
 )
 from .mesh import EmptySelectionError, _call_on_points, _facets_where
 from .opalg import BlockMat, Matrix, OpError, Product, Sum, Transpose, Zero, collapse
@@ -65,7 +65,7 @@ def estimate_degree(e):
         return e.degree
     if isinstance(e, (Grad, Div)):
         return max(estimate_degree(e.children[0]) - 1, 0)
-    if isinstance(e, (Sym, Neg, Scale)):
+    if isinstance(e, (Sym, Scale)):
         return estimate_degree(e.children[0])
     if isinstance(e, (Inner, Dot)):
         return sum(estimate_degree(c) for c in e.children)
@@ -154,8 +154,6 @@ class _Evaluator:
             return 0.5 * (a + np.swapaxes(a, -2, -3))
         if isinstance(e, Add):
             return self.eval(e.children[0]) + self.eval(e.children[1])
-        if isinstance(e, Neg):
-            return -self.eval(e.children[0])
         if isinstance(e, Scale):
             return e.alpha * self.eval(e.children[0])
         raise FormError(f"cannot evaluate {e!r}")

@@ -26,7 +26,8 @@ from .forms import (
 )
 from .interpreter import multi_assemble
 from .krylov import (
-    KrylovError, build_preconditioner, gmres, hs_norm, mass_matrix, minres, pencil,
+    _SUPERLU, KrylovError, build_preconditioner, gmres, hs_norm, mass_matrix, minres,
+    pencil,
 )
 from .manufactured import babuska_data, darcy_stokes_data
 from .mesh import (
@@ -75,6 +76,11 @@ class CaseConfig:
             _check_average(self.radius, self.n_quad)
         except FormError as exc:
             raise ConfigError(str(exc)) from None
+        if self.case == "perfusion":
+            if self.radius >= 0.45 - 0.05:
+                raise ConfigError("circle radius reaches the bulk boundary")
+            if self.levels < 2:
+                raise ConfigError("a study of differences between levels needs levels >= 2")
 
 
 @dataclass
@@ -453,7 +459,7 @@ def _solve_perfusion(n, radius, n_quad):
     b = np.concatenate(sys["b"])
     A = collapse(sys.pop("A")).tocsc()
     del sys
-    x = spla.spsolve(A, b, permc_spec="MMD_AT_PLUS_A")
+    x = spla.spsolve(A, b, permc_spec=_SUPERLU["permc_spec"])
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError(
             f"perfusion direct solve at n={n} ({x.size} dofs) gave non-finite "
@@ -477,10 +483,6 @@ def _l2_norm(*fns):
 def run_perfusion(cfg: CaseConfig) -> StudyRecord:
     rec = StudyRecord("perfusion", ["diff"],
                       meta={"n0": cfg.n, "radius": cfg.radius, "n_quad": cfg.n_quad})
-    if cfg.radius >= 0.45 - 0.05:
-        raise ConfigError("circle radius reaches the bulk boundary")
-    if cfg.levels < 2:
-        raise ConfigError("a study of differences between levels needs levels >= 2")
     n = cfg.n
     solutions = []
     sizes = []

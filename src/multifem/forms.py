@@ -17,7 +17,7 @@ from .space import Function, FunctionSpace
 __all__ = [
     "FormError", "Expr", "Argument", "Coefficient", "Constant", "Analytic",
     "ReductionKind", "Reduced", "Trace", "Average", "Restrict",
-    "Grad", "Div", "Sym", "Inner", "Dot", "Add", "Neg", "Scale",
+    "Grad", "Div", "Sym", "Inner", "Dot", "Add", "Scale",
     "grad", "div", "sym", "inner", "dot",
     "Integral", "Form", "Measure", "BlockForm",
     "TrialFunction", "TestFunction", "TrialFunctions", "TestFunctions",
@@ -38,10 +38,10 @@ class Expr:
         return Add(self, other)
 
     def __sub__(self, other):
-        return Add(self, Neg(other))
+        return Add(self, -other)
 
     def __neg__(self):
-        return Neg(self)
+        return Scale(-1.0, self)
 
     def __rmul__(self, alpha):
         if isinstance(alpha, numbers.Number):
@@ -54,16 +54,6 @@ class Expr:
         if isinstance(other, numbers.Number):
             return Scale(float(other), self)
         return NotImplemented
-
-
-def _arity_signature(e):
-    has_test = has_trial = False
-    for a in arguments(e):
-        if a.role == "test":
-            has_test = True
-        else:
-            has_trial = True
-    return has_test, has_trial
 
 
 class Argument(Expr):
@@ -247,22 +237,13 @@ class Add(Expr):
     def __init__(self, a, b):
         if a.shape != b.shape:
             raise FormError(f"add shape mismatch: {a.shape} vs {b.shape}")
-        if _arity_signature(a) != _arity_signature(b):
+        if {x.role for x in arguments(a)} != {x.role for x in arguments(b)}:
             raise FormError("cannot add expressions of different arity")
         self.shape = a.shape
         self.children = (a, b)
 
     def __repr__(self):
         return f"({self.children[0]!r} + {self.children[1]!r})"
-
-
-class Neg(Expr):
-    def __init__(self, e):
-        self.shape = e.shape
-        self.children = (e,)
-
-    def __repr__(self):
-        return f"-{self.children[0]!r}"
 
 
 class Scale(Expr):
@@ -407,7 +388,7 @@ class Form:
         return NotImplemented
 
     def __neg__(self):
-        return Form([Integral(Neg(i.integrand), i.mesh) for i in self.integrals])
+        return Form([Integral(-i.integrand, i.mesh) for i in self.integrals])
 
     def __sub__(self, other):
         if isinstance(other, Form):

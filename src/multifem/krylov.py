@@ -8,7 +8,9 @@ one.  By default (``seed=None``) the solve starts from zero, so ``tol`` is
 relative to the preconditioned norm of ``b``; an integer ``seed`` starts
 from a uniform random vector and is recorded in the report.  A right-hand
 side that is not a finite vector of the operator's size, or a residual
-that is not finite, raises ``KrylovError``.
+that is not finite, raises ``KrylovError``.  Every check is relative, with
+no absolute floor: from a zero start, a solve with ``s A`` takes the
+iterations of one with ``A`` at any scale ``s``.
 
 A seeded start is uniform per dof, whatever the dof measures.  For RT0
 edge-flux dofs that is a field of size ~1/h, so the initial residual, and
@@ -70,20 +72,30 @@ def _check_residual(norm, itn):
         raise KrylovError(f"preconditioned residual is not finite at iteration {itn}")
 
 
-def _initial_guess(n, seed):
+def _start(A, B, b, seed):
+    """The operator, the preconditioner (``B=None`` is the identity), the
+    initial guess and its residual ``b - A x``, after checking ``b``.  The
+    guess is zero for ``seed=None``, else uniform in [-1, 1] per dof."""
+    A = as_op(A)
+    B = as_op(B) if B is not None else Identity(A.rows)
+    b = _check_rhs(b, A.shape)
     if seed is None:
-        return np.zeros(n)
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        x = np.zeros(A.rows)
+    else:
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, A.rows)
+    return A, B, x, b - A.matvec(x)
 
 
 def _check_symmetric(A, n, tol=1e-10, npairs=5, seed=1234):
+    """Probe x.Ay = y.Ax on random pairs, relative to |Ax||y| and |Ay||x|:
+    the test has no absolute floor, so it holds at any scale of A."""
     rng = np.random.default_rng(seed)
     for _ in range(npairs):
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         ax, ay = A.matvec(x), A.matvec(y)
         gap = abs(ax @ y - x @ ay)
-        scale = max(1.0, np.linalg.norm(ax) * np.linalg.norm(y),
+        scale = max(np.linalg.norm(ax) * np.linalg.norm(y),
                     np.linalg.norm(ay) * np.linalg.norm(x))
         if gap > tol * scale:
             raise KrylovError(f"operator is not symmetric in action (gap {gap:.3e})")
@@ -96,18 +108,15 @@ def minres(A, B, b, tol=1e-10, maxiter=500, seed=None):
     when it drops below ``tol`` relative to the initial one.  By default
     (``seed=None``) the start is zero and the initial residual is ``b``; a
     seeded start is uniform per dof (see the module docstring for its
-    effect on RT0 fluxes).  Non-convergence is reported, not raised; a
-    right-hand side that is not a finite vector of length ``A.rows``, or a
-    non-finite residual, raises ``KrylovError``.
+    effect on RT0 fluxes).  Non-convergence is reported, not raised, and a
+    breakdown (gamma exactly 0: A singular on the Krylov space) ends the
+    iteration unconverged; a right-hand side that is not a finite vector of
+    length ``A.rows``, or a non-finite residual, raises ``KrylovError``.
     """
-    A = as_op(A)
-    B = as_op(B) if B is not None else Identity(A.rows)
+    A, B, x, r1 = _start(A, B, b, seed)
     n = A.rows
-    b = _check_rhs(b, A.shape)
     _check_symmetric(A, n)
-    x = _initial_guess(n, seed)
 
-    r1 = b - A.matvec(x)
     y = B.matvec(r1)
     beta1 = r1 @ y
     _check_residual(beta1, 0)
@@ -151,7 +160,9 @@ def minres(A, B, b, tol=1e-10, maxiter=500, seed=None):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.sqrt(gbar * gbar + beta * beta), np.finfo(float).eps)
+        gamma = np.sqrt(gbar * gbar + beta * beta)
+        if gamma == 0.0:                # A is singular on the Krylov space
+            break
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
@@ -174,16 +185,13 @@ def gmres(A, B, b, tol=1e-10, maxiter=500, seed=None):
     2-norm of the preconditioned residual.  Stops when it drops below
     ``tol`` relative to the initial one: the 2-norm of ``B b`` from the
     default zero start (``seed=None``), else that of the seeded
-    uniform-per-dof start.  Breakdown triggers a final convergence check;
-    a right-hand side that is not a finite vector of length ``A.rows``, or
-    a non-finite residual, raises ``KrylovError``."""
-    A = as_op(A)
-    B = as_op(B) if B is not None else Identity(A.rows)
-    n = A.rows
-    b = _check_rhs(b, A.shape)
-    x = _initial_guess(n, seed)
-
-    r = b - A.matvec(x)
+    uniform-per-dof start.  Breakdown, the new Arnoldi vector falling to
+    1e-14 of its norm before orthogonalization, triggers a final
+    convergence check, and a Hessenberg column that rotates to zero (A
+    singular on the Krylov space) ends the iteration unconverged; a
+    right-hand side that is not a finite vector of length ``A.rows``, or a
+    non-finite residual, raises ``KrylovError``."""
+    A, B, x, r = _start(A, B, b, seed)
     z = B.matvec(r)
     beta = np.linalg.norm(z)
     _check_residual(beta, 0)
@@ -200,17 +208,20 @@ def gmres(A, B, b, tol=1e-10, maxiter=500, seed=None):
     for j in range(maxiter):
         itn = j + 1
         w = B.matvec(A.matvec(V[j]))
+        wnorm = np.linalg.norm(w)
         h = np.zeros(j + 2)
         for i in range(j + 1):
             h[i] = V[i] @ w
             w = w - h[i] * V[i]
         hj1 = np.linalg.norm(w)
         h[j + 1] = hj1
-        breakdown = hj1 < 1e-14 * max(1.0, beta)
+        breakdown = hj1 <= 1e-14 * wnorm
         for i, (c, s) in enumerate(givens):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], -s * h[i] + c * h[i + 1]
         denom = np.hypot(h[j], h[j + 1])
-        c, s = (1.0, 0.0) if denom == 0 else (h[j] / denom, h[j + 1] / denom)
+        if denom == 0.0:                # A is singular on the Krylov space
+            break
+        c, s = h[j] / denom, h[j + 1] / denom
         givens.append((c, s))
         h[j] = denom
         h[j + 1] = 0.0

@@ -125,9 +125,10 @@ def _call_on_points(fn, points, shape=None, error=ValueError):
 
 
 # Local sub-entity numbering. Edge/facet k is opposite local vertex k where
-# that convention exists (triangle edges, tet faces).
-_TRI_EDGES = ((1, 2), (0, 2), (0, 1))
-_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# that convention exists (triangle edges, tet faces).  The edges, keyed by
+# tdim, also order the P2 edge functions of ``space.tabulate_lagrange``.
+_LOCAL_EDGES = {1: ((0, 1),), 2: ((1, 2), (0, 2), (0, 1)),
+                3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
@@ -238,7 +239,7 @@ class Mesh:
     def _edge_numbering(self):
         if self.tdim == 1:
             return self.cells.copy(), np.arange(self.num_cells, dtype=np.int64)[:, None]
-        return _number_entities(self.cells, _TRI_EDGES if self.tdim == 2 else _TET_EDGES)
+        return _number_entities(self.cells, _LOCAL_EDGES[self.tdim])
 
     @property
     def edges(self):

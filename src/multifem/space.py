@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, _call_on_points
+from .mesh import _LOCAL_EDGES, Mesh, MeshError, _call_on_points
 
 __all__ = [
     "Element", "FunctionSpace", "Function", "UnsupportedElementError",
@@ -67,47 +67,30 @@ def rt0():
 def tabulate_lagrange(tdim, degree, points):
     """Values and reference gradients of the scalar Lagrange basis.
 
-    Returns (vals, grads) of shapes (Q, nloc) and (Q, nloc, tdim).  Local
-    ordering: vertices then edge midpoints (P2); edge k is opposite vertex
-    k on triangles, the cell midpoint on intervals.
+    Returns (vals, grads) of shapes (Q, nloc) and (Q, nloc, tdim), built
+    from the barycentric coordinates lam = (1 - x - y - z, x, y, z): P1 is
+    lam; P2 is lam_i (2 lam_i - 1) at the vertices, then 4 lam_a lam_b on
+    the local edges (a, b) of the mesh's edge table (edge k is opposite
+    vertex k on triangles, the cell itself on intervals).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     q = len(pts)
     if degree == 0:
         return np.ones((q, 1)), np.zeros((q, 1, tdim))
-    if tdim == 1:
-        x = pts[:, 0]
-        if degree == 1:
-            vals = np.column_stack([1 - x, x])
-            grads = np.tile(np.array([[-1.0], [1.0]]), (q, 1, 1))
-            return vals, grads.reshape(q, 2, 1)
-        if degree == 2:
-            vals = np.column_stack([(1 - x) * (1 - 2 * x), x * (2 * x - 1), 4 * x * (1 - x)])
-            grads = np.stack([4 * x - 3, 4 * x - 1, 4 - 8 * x], axis=1)
-            return vals, grads.reshape(q, 3, 1)
-    elif tdim == 2:
-        x, y = pts[:, 0], pts[:, 1]
-        lam = np.stack([1 - x - y, x, y], axis=1)                 # (Q, 3)
-        dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # (3, tdim)
-        if degree == 1:
-            return lam, np.tile(dlam, (q, 1, 1))
-        if degree == 2:
-            vals = np.empty((q, 6))
-            grads = np.empty((q, 6, 2))
-            for i in range(3):
-                vals[:, i] = lam[:, i] * (2 * lam[:, i] - 1)
-                grads[:, i, :] = (4 * lam[:, i] - 1)[:, None] * dlam[i]
-            edges = ((1, 2), (0, 2), (0, 1))
-            for k, (a, b) in enumerate(edges):
-                vals[:, 3 + k] = 4 * lam[:, a] * lam[:, b]
-                grads[:, 3 + k, :] = 4 * (lam[:, a, None] * dlam[b] + lam[:, b, None] * dlam[a])
-            return vals, grads
-    elif tdim == 3 and degree == 1:
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        vals = np.stack([1 - x - y - z, x, y, z], axis=1)
-        dlam = np.array([[-1.0, -1.0, -1.0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        return vals, np.tile(dlam, (q, 1, 1))
-    raise UnsupportedElementError(f"Lagrange degree {degree} on tdim={tdim}")
+    if degree not in (1, 2) or tdim not in _LOCAL_EDGES or (tdim, degree) == (3, 2):
+        raise UnsupportedElementError(f"Lagrange degree {degree} on tdim={tdim}")
+    lam0 = 1 - pts[:, 0]
+    for t in range(1, tdim):
+        lam0 = lam0 - pts[:, t]
+    lam = np.column_stack([lam0, pts[:, :tdim]])                  # (Q, tdim+1)
+    dlam = np.vstack([-np.ones(tdim), np.eye(tdim)])              # (tdim+1, tdim)
+    if degree == 1:
+        return lam, np.tile(dlam, (q, 1, 1))
+    a, b = np.array(_LOCAL_EDGES[tdim]).T
+    vals = np.hstack([lam * (2 * lam - 1), 4 * lam[:, a] * lam[:, b]])
+    grads = np.concatenate([(4 * lam - 1)[:, :, None] * dlam,
+                            4 * (lam[:, a, None] * dlam[b] + lam[:, b, None] * dlam[a])], axis=1)
+    return vals, grads
 
 
 def vector_basis(scalar, nc):

@@ -48,6 +48,15 @@ class TestCaseConfig:
         cfg = CaseConfig(case="perfusion", n=np.int64(2), levels=np.int64(2), seed=0)
         assert (cfg.n, cfg.levels, cfg.seed) == (2, 2, 0)
 
+    def test_perfusion_rules_at_construction(self):
+        # once accepted here and refused only when the study ran
+        for bad, message in [({"levels": 1}, "levels >= 2"),
+                             ({"radius": 0.4}, "radius reaches")]:
+            with pytest.raises(bench.ConfigError, match=message):
+                CaseConfig(case="perfusion", **bad)
+        # the rules are perfusion's own
+        assert CaseConfig(case="babuska", levels=1, radius=0.4).levels == 1
+
 
 class TestBabuskaCase:
     def test_zero_data_zero_solution_zero_iterations(self):

@@ -4,7 +4,7 @@ import pytest
 from multifem.forms import (
     Analytic, Average, BlockForm, Coefficient, Constant, FormError,
     Integral, Measure, Trace, arguments, div, dot, grad, inner,
-    replace, sym, TestFunction, TestFunctions,
+    Scale, replace, sym, TestFunction, TestFunctions,
     TrialFunction, TrialFunctions,
 )
 from multifem.mesh import facet_submesh, near, polyline_mesh, unit_cube_mesh, unit_square_mesh
@@ -153,6 +153,17 @@ class TestWellFormedness:
         u, v = TrialFunction(V), TestFunction(V)
         with pytest.raises(FormError):
             inner(u, v) + inner(Constant(1.0), v)
+
+    def test_negation_is_a_scaling(self, setup):
+        mesh, gamma, V, Q = setup
+        u, v = TrialFunction(V), TestFunction(V)
+        a, b = inner(u, v), inner(grad(u), grad(v))
+        for neg in ((-a), (a - b).children[1]):
+            assert isinstance(neg, Scale) and neg.alpha == -1.0
+        (integral,) = -(a * Measure(mesh))
+        assert isinstance(integral.integrand, Scale) and integral.integrand.children == (a,)
+        with pytest.raises(FormError, match="arity"):
+            a - inner(Constant(1.0), v)
 
     def test_off_mesh_argument_rejected(self, setup):
         mesh, gamma, V, Q = setup

@@ -57,10 +57,30 @@ class TestMinres:
         assert rep.converged and rep.iterations == 0
         assert np.abs(x).max() == 0.0
 
-    def test_nonsymmetric_operator_rejected(self):
-        A = Matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # the probe is relative to |Ax||y|: at 1e-12 an absolute floor of 1
+    # once let the operator through
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+    def test_nonsymmetric_operator_rejected(self, scale):
+        A = Matrix(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(KrylovError, match="symmetric"):
             minres(A, None, np.ones(2))
+
+    # every quantity of the recurrence scales with the operator; a floor of
+    # eps on gamma once reported convergence at a relative residual of 0.99
+    # (scale 1e-17) and 1.0 (scale 1e-20)
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-17, 1e-20])
+    def test_iterations_independent_of_operator_scale(self, scale):
+        n = 50
+        T = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+        A = (scale * T).tocsr()
+        b = np.random.default_rng(0).standard_normal(n)
+        x, rep = minres(Matrix(A), None, b)
+        assert rep.converged and rep.iterations == 33
+        assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
+
+    def test_zero_operator_is_not_converged(self):
+        x, rep = minres(Matrix(sp.csr_matrix((4, 4))), None, np.ones(4))
+        assert not rep.converged and np.abs(x).max() == 0.0
 
     def test_seed_stability_iteration_counts(self, babuska16):
         B = build_preconditioner(babuska16["riesz"])
@@ -86,6 +106,27 @@ class TestGmres:
         b = np.ones(6)
         x, rep = gmres(Identity(6), None, b, seed=0)
         assert rep.converged and rep.iterations <= 1
+
+    # breakdown compares the orthogonalized vector with its norm before
+    # orthogonalization; against max(1, |Bb|) it once stopped at 1e-16
+    # after one iteration with a relative residual of 0.34
+    @pytest.mark.parametrize("scale", [1.0, 1e-16])
+    def test_breakdown_independent_of_operator_scale(self, scale):
+        n = 30
+        N = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -2.0 * np.ones(n - 1)], [-1, 0, 1])
+        A = (scale * N).tocsr()
+        b = np.ones(n)
+        x, rep = gmres(Matrix(A), None, b)
+        assert rep.converged and rep.iterations == 30
+        assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
+
+    # a zero rotation once read as a zero residual: converged, with an
+    # x of infinities
+    @pytest.mark.parametrize("diagonal", [[0.0, 0.0, 0.0], [1.0, 0.0]])
+    def test_singular_krylov_space_is_not_converged(self, diagonal):
+        b = np.ones(len(diagonal))
+        x, rep = gmres(Matrix(np.diag(diagonal)), None, b)
+        assert not rep.converged and np.isfinite(x).all()
 
     def test_nonsymmetric_2x2_two_iterations(self):
         A = Matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from multifem.mesh import unit_cube_mesh, unit_square_mesh, polyline_mesh
+from multifem.mesh import _LOCAL_EDGES, unit_cube_mesh, unit_square_mesh, polyline_mesh
 from multifem.space import (
     Element, Function, FunctionSpace, UnsupportedElementError, basis_row,
     build_space, dg0, evaluate, interpolate, lagrange, rt0, vector_dg0,
-    vector_lagrange,
+    tabulate_lagrange, vector_lagrange,
 )
 
 
@@ -155,6 +155,25 @@ class TestRT0:
         _, divs = V.rt0_cell_basis(np.arange(square.num_cells), offsets)
         cell_div = np.einsum("kc,ck->c", divs, f.coefficients[V.dofmap])
         assert np.abs(cell_div).max() < 1e-12
+
+
+class TestReferenceBasis:
+    # the nodes: reference vertices, then the midpoints of the mesh's local
+    # edges, in the order that numbers a cell's edge dofs
+    @pytest.mark.parametrize("tdim, degree", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+    def test_nodal_with_exact_gradient_sums(self, tdim, degree):
+        verts = np.vstack([np.zeros(tdim), np.eye(tdim)])
+        nodes = verts if degree == 1 else np.vstack(
+            [verts, [0.5 * (verts[a] + verts[b]) for a, b in _LOCAL_EDGES[tdim]]])
+        vals, grads = tabulate_lagrange(tdim, degree, nodes)
+        assert np.array_equal(vals, np.eye(len(nodes)))
+        assert grads.shape == (len(nodes), len(nodes), tdim)
+        assert np.abs(grads.sum(axis=1)).max() == 0.0
+
+    @pytest.mark.parametrize("tdim, degree", [(1, 3), (2, 3), (3, 2), (4, 1)])
+    def test_unsupported_pairs_raise(self, tdim, degree):
+        with pytest.raises(UnsupportedElementError):
+            tabulate_lagrange(tdim, degree, np.zeros((1, tdim)))
 
 
 class TestBasisRow:
