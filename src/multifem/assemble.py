@@ -309,11 +309,6 @@ def _assemble_group(integrals, quad_degree):
     # and trial dof u of cell c (a single entry per cell for a functional)
     vals = np.empty(mesh.num_cells * nT * nU)
     if bilinear:
-        # made before the chunks' tables: made after them, they changed the
-        # heap's layout so that perfusion's n=24 spsolve took 8.7k page
-        # faults per unit, not 1.6k
-        rows = np.repeat(test.space.dofmap.ravel(), nU)
-        cols = np.tile(trial.space.dofmap, nT).ravel()
         cell_max = np.empty(mesh.num_cells)
     tabs = {d: {} for d in rules}       # shared by the chunks of one rule
 
@@ -337,14 +332,37 @@ def _assemble_group(integrals, quad_degree):
             cell_max[cells] = np.abs(loc.reshape(-1, C)).max(axis=0)
 
     if bilinear:
-        A = sp.coo_matrix((vals, (rows, cols)),
-                          shape=(test.space.dim, trial.space.dim)).tocsr()
+        # where these are made does not move the heap layout perfusion's
+        # n=24 spsolve sees: 3.3k page faults per unit, made before the
+        # chunks' tables or after them
+        shape = (test.space.dim, trial.space.dim)
+        rows, cols = _triplet_indices(test.space.dofmap, trial.space.dofmap, shape)
+        A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
         return _drop_residue(A, cell_max, test.space.dofmap, trial.space.dofmap)
     if test is not None:
         # each dof's values summed in cell-major order from zero
         return np.bincount(test.space.dofmap.ravel(), vals, minlength=test.space.dim)
     # the per-cell values summed once, whatever the chunks
     return float(vals.sum())
+
+
+def _index_dtype(shape):
+    """The index width of a sparse matrix of ``shape``: int32 when every row
+    and column index fits, else int64, as scipy picks for the matrices it
+    builds.  Triplet indices of this width are taken as they are; wider
+    ones are scanned and copied down to it."""
+    return np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+
+
+def _triplet_indices(test_dofmap, trial_dofmap, shape):
+    """Row and column index of each entry (c, t, u) of the cell-major local
+    tensors of a matrix of ``shape``, in its index width: each dofmap is
+    cast once, before it is repeated, and a shared one once in all."""
+    idx = _index_dtype(shape)
+    rdm = test_dofmap.astype(idx)
+    cdm = rdm if trial_dofmap is test_dofmap else trial_dofmap.astype(idx)
+    nT, nU = rdm.shape[1], cdm.shape[1]
+    return np.repeat(rdm.ravel(), nU), np.tile(cdm, nT).ravel()
 
 
 def _drop_residue(A, cell_max, test_dofmap, trial_dofmap):
@@ -354,14 +372,16 @@ def _drop_residue(A, cell_max, test_dofmap, trial_dofmap):
         return np.bincount(dofmap.ravel(), np.repeat(cell_max, dofmap.shape[1]),
                            minlength=dim)
     r = dof_scale(test_dofmap, A.shape[0])
-    c = dof_scale(trial_dofmap, A.shape[1])
+    c = r if trial_dofmap is test_dofmap else dof_scale(trial_dofmap, A.shape[1])
     bound = np.minimum(np.repeat(r, np.diff(A.indptr)), c[A.indices])
     bound *= _RESIDUE_ULPS * np.finfo(float).eps
     keep = np.abs(A.data) > bound
     if keep.all():
         return A
-    indptr = np.concatenate([[0], np.cumsum(keep)])[A.indptr]
-    return sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+    # kept entries before each position, in the width scipy gave A
+    kept = np.zeros(len(keep) + 1, dtype=A.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return sp.csr_matrix((A.data[keep], A.indices[keep], kept[A.indptr]), shape=A.shape)
 
 
 # -- Dirichlet boundary conditions ----------------------------------------------

@@ -6,7 +6,9 @@ The square and cube generators record their structured grid
 it in closed form; every other mesh (submeshes, polylines, ``Mesh(v, c)``)
 is located through background bins.
 
-Meshes are immutable after construction and safe to share across threads.
+Meshes are immutable after construction and safe to share across threads:
+their cell geometry is computed at construction, and the entity tables and
+locator built on first use depend only on the mesh's arrays.
 """
 from __future__ import annotations
 
@@ -163,15 +165,17 @@ class Mesh:
     ``gdim``-space (tdim <= gdim <= 3).
 
     ``vertices`` is (nv, gdim) float64, ``cells`` is (nc, tdim+1) int64
-    with indices in [0, nv) (given as an integer array).  Derived entities (edges, facets) are numbered deterministically by
-    first appearance in cell order, so regenerating a mesh from equal
-    inputs reproduces identical arrays.
+    with indices in [0, nv) (given as an integer array).  Derived entities
+    (edges, facets) are numbered deterministically by first appearance in
+    cell order, so regenerating a mesh from equal inputs reproduces
+    identical arrays.
 
     The mesh keeps read-only copies of its arrays and owns the geometry of
-    its cells' affine maps x = v0 + xi @ E, both in closed form:
+    its cells' affine maps x = v0 + xi @ E, both in closed form and both
+    computed at construction from one gather of the edge vectors E:
     ``jacobian_measure`` (nc,), |det E| or sqrt|det(E E^T)| on manifolds,
-    computed at construction, and ``gradient_transform`` (nc, gdim, tdim),
-    computed on first use.
+    and ``gradient_transform`` (nc, gdim, tdim), E^-1 or E^T (E E^T)^-1.
+    Neither is built lazily, on first use.
     """
 
     def __init__(self, vertices, cells, parent: ParentLink | None = None):
@@ -195,11 +199,15 @@ class Mesh:
         _check_finite("vertex", self.vertices)
         self.parent = parent
         self.uid = next(_uid_counter)
-        self.jacobian_measure = _read_only(_jacobian_measure(self._edge_components()))
+        E = self._edge_components()
+        self.jacobian_measure = _read_only(_jacobian_measure(E))
         vols = self.cell_volumes
         bad = np.flatnonzero(~(vols >= _MIN_MEASURE))     # NaN fails too
         if len(bad):
             raise MeshError(f"cell {bad[0]} has measure {vols[bad[0]]:.3e} < {_MIN_MEASURE}")
+        # the per-cell map of reference to physical gradients,
+        # grad = G @ ref_grad; it divides by det E, checked nonzero above
+        self.gradient_transform = _read_only(_gradient_transform(E).transpose(2, 0, 1))
 
     # -- basic quantities ---------------------------------------------------
 
@@ -221,13 +229,6 @@ class Mesh:
         component-major: ``E[t][g]`` is one contiguous array over the cells."""
         v = self.vertices.T[:, self.cells.T]             # (gdim, tdim+1, nc)
         return (v[:, 1:] - v[:, :1]).transpose(1, 0, 2)
-
-    @functools.cached_property
-    def gradient_transform(self):
-        """(nc, gdim, tdim) per-cell map G of reference to physical
-        gradients, grad = G @ ref_grad: E^-1, or E^T (E E^T)^-1 on
-        manifolds; built on first access and kept."""
-        return _read_only(_gradient_transform(self._edge_components()).transpose(2, 0, 1))
 
     @property
     def cell_centroids(self):

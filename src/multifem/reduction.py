@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .assemble import _index_dtype
 from .forms import ReductionKind, _check_average
 from .mesh import Mesh, OutOfDomainError
 from .space import Element, FunctionSpace, basis_rows, build_space
@@ -80,14 +81,19 @@ def trace_matrix(source: FunctionSpace, target: FunctionSpace):
         vals = vals[np.arange(len(dofs)), target.dof_component[dofs]]
     else:
         vals = vals[:, 0]
-    return _csr(np.repeat(dofs, cols.shape[1]), cols, vals, (target.dim, source.dim))
+    return _csr(dofs, cols.shape[1], cols, vals, (target.dim, source.dim))
 
 
-def _csr(rows, cols, vals, shape):
+def _csr(rows, repeats, cols, vals, shape):
     """CSR from COO triplets in the given order, duplicates summed and
-    exact zeros (basis functions that vanish at a point) not stored.  The
-    conversion sums duplicates and sorts the column indices itself."""
-    m = sp.coo_matrix((vals.ravel(), (rows, cols.ravel())), shape=shape).tocsr()
+    exact zeros (basis functions that vanish at a point) not stored: each
+    row index in ``rows`` holds the next ``repeats`` entries of ``cols``
+    and ``vals``.  The indices are cast to the matrix's index width before
+    the rows are repeated; the conversion sums duplicates and sorts the
+    column indices itself."""
+    idx = _index_dtype(shape)
+    rows = np.repeat(rows.astype(idx), repeats)
+    m = sp.coo_matrix((vals.ravel(), (rows, cols.astype(idx).ravel())), shape=shape).tocsr()
     m.eliminate_zeros()
     return m
 
@@ -159,8 +165,8 @@ def average_matrix(source: FunctionSpace, target: FunctionSpace,
     except OutOfDomainError as err:
         raise OutOfDomainError(pts[err.index], detail=f"circle point of curve dof "
                                f"{err.index // n_quad}", index=err.index) from None
-    rows = np.repeat(np.arange(target.dim), n_quad * cols.shape[1])
-    return _csr(rows, cols, vals[:, 0] / n_quad, (target.dim, source.dim))
+    return _csr(np.arange(target.dim), n_quad * cols.shape[1], cols, vals[:, 0] / n_quad,
+                (target.dim, source.dim))
 
 
 # -- cache ----------------------------------------------------------------------

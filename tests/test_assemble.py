@@ -24,7 +24,7 @@ from multifem.mesh import (
 from multifem.opalg import (
     BlockMat, InverseHandle, Matrix, OpError, Product, Sum, Transpose, Zero, collapse,
 )
-from multifem.reduction import ReductionCache
+from multifem.reduction import ReductionCache, average_matrix, trace_matrix
 from multifem.space import (
     Function, build_space, dg0, interpolate, lagrange, rt0, vector_dg0, vector_lagrange,
 )
@@ -244,17 +244,23 @@ class TestMeshGeometryReuse:
             assert _same_bits(assemble(form), ref[k]), k
 
     def test_geometry_built_once_per_mesh(self, monkeypatch):
-        mesh = self.mesh()
-        calls = []
+        # the geometry is built at construction, from one gather of the
+        # edge vectors; assembling and locating build none of it again
+        gathers, transforms = [], []
+        gather = mesh_module.Mesh._edge_components
         build = mesh_module._gradient_transform
+        monkeypatch.setattr(mesh_module.Mesh, "_edge_components",
+                            lambda self: gathers.append(self.uid) or gather(self))
         monkeypatch.setattr(mesh_module, "_gradient_transform",
-                            lambda E: calls.append(E.shape) or build(E))
-        G = None
+                            lambda E: transforms.append(E.shape) or build(E))
+        mesh = self.mesh()
+        assert gathers == [mesh.uid] and transforms == [(2, 2, mesh.num_cells)]
+        G = mesh.gradient_transform
         for form in _geometry_forms(mesh) * 2:
             assemble(form)
-            G = mesh.gradient_transform if G is None else G
             assert mesh.gradient_transform is G
-        assert calls == [(2, 2, mesh.num_cells)]
+        mesh.locator.locate_many(mesh.cell_centroids)
+        assert gathers == [mesh.uid] and transforms == [(2, 2, mesh.num_cells)]
 
 
 def _digest(a):
@@ -263,6 +269,106 @@ def _digest(a):
         h.update(np.ascontiguousarray(x, dtype=np.int64 if x.dtype.kind == "i" else float)
                  .tobytes())
     return h.hexdigest()[:16]
+
+
+class TestThirtyTwoBitScatter:
+    """Triplet indices go to scipy in the matrix's index width (int32 when
+    the dimensions fit); every matrix is bitwise the one that int64
+    triplets in the same order give."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the triplets and shape of every ``sp.coo_matrix`` built, and
+        the per-cell scale of every residue drop."""
+        triplets, drops = [], []
+        coo, drop = sp.coo_matrix, assemble_module._drop_residue
+
+        def spy_coo(arg, shape=None, **kw):
+            vals, (rows, cols) = arg
+            triplets.append((vals, rows, cols, shape))
+            return coo(arg, shape=shape, **kw)
+
+        def spy_drop(A, cell_max, *dofmaps):
+            drops.append(cell_max)
+            return drop(A, cell_max, *dofmaps)
+        monkeypatch.setattr(sp, "coo_matrix", spy_coo)
+        monkeypatch.setattr(assemble_module, "_drop_residue", spy_drop)
+        return triplets, drops, coo
+
+    @staticmethod
+    def dropped(full, cell_max, test_dm, trial_dm):
+        """``full`` less its residue, by the rule at ``_RESIDUE_ULPS`` with
+        int64 row pointers: the reference for the assembler's drop."""
+        def scale(dm, n):
+            return np.bincount(dm.ravel(), np.repeat(cell_max, dm.shape[1]), minlength=n)
+        bound = np.minimum(np.repeat(scale(test_dm, full.shape[0]), np.diff(full.indptr)),
+                           scale(trial_dm, full.shape[1])[full.indices])
+        keep = np.abs(full.data) > bound * (assemble_module._RESIDUE_ULPS * np.finfo(float).eps)
+        indptr = np.concatenate([[0], np.cumsum(keep)])[full.indptr]
+        return sp.csr_matrix((full.data[keep], full.indices[keep], indptr), shape=full.shape)
+
+    @staticmethod
+    def cube_stiffness():
+        # perfusion's bulk block at n=6: the Kuhn cube stores exact zeros,
+        # which the residue drop removes
+        V = build_space(unit_cube_mesh(6), lagrange(1))
+        return inner(grad(TrialFunction(V)), grad(TestFunction(V))) * Measure(V.mesh)
+
+    @staticmethod
+    def rectangular():
+        # P1 trial, P2 test: two dofmaps, two dof scales
+        mesh = TestMeshGeometryReuse.mesh()
+        V, W = (build_space(mesh, lagrange(d)) for d in (1, 2))
+        u, w = TrialFunction(V), TestFunction(W)
+        return inner(grad(u), grad(w)) * Measure(mesh) + inner(u, w) * Measure(mesh)
+
+    @pytest.mark.parametrize("k", ["cube", 1, 2, 3, "rectangular"])
+    def test_assembled_matrix_is_the_int64_one(self, k, monkeypatch):
+        # cube P1 stiffness, P1 stiffness + mass (babuska's H1 block),
+        # vector-P2 sym-grad + mass, RT0 mass + div-div, P2 x P1
+        if isinstance(k, str):
+            form = {"cube": self.cube_stiffness, "rectangular": self.rectangular}[k]()
+        else:
+            form = _geometry_forms(TestMeshGeometryReuse.mesh())[k]
+        integral = form.integrals[0]
+        test_dm, trial_dm = integral.test.space.dofmap, integral.trial.space.dofmap
+        triplets, drops, coo = self.spy(monkeypatch)
+        A = assemble(form)
+        ((vals, rows, cols, shape),), (cell_max,) = triplets, drops
+        assert rows.dtype == cols.dtype == np.int32
+        # the int64 triplets of the cell-major local tensors, in their order
+        rows64 = np.repeat(test_dm.ravel(), trial_dm.shape[1])
+        cols64 = np.tile(trial_dm, test_dm.shape[1]).ravel()
+        assert rows64.dtype == np.int64
+        assert np.array_equal(rows, rows64) and np.array_equal(cols, cols64)
+        full = coo((vals, (rows64, cols64)), shape=shape).tocsr()
+        assert _same_bits(A, self.dropped(full, cell_max, test_dm, trial_dm))
+        if k == "cube":
+            assert A.nnz < full.nnz        # the rebuilt CSR is compared too
+
+    @pytest.mark.parametrize("kind", ["trace", "average"])
+    def test_reduction_matrix_is_the_int64_one(self, kind, monkeypatch):
+        V = build_space(unit_cube_mesh(6), lagrange(1))
+        Q = build_space(bench._gamma_line(6), lagrange(1))
+        triplets, _, coo = self.spy(monkeypatch)
+        R = trace_matrix(V, Q) if kind == "trace" else average_matrix(V, Q, 0.2, 16)
+        ((vals, rows, cols, shape),) = triplets
+        assert rows.dtype == cols.dtype == np.int32
+        ref = coo((vals, (rows.astype(np.int64), cols.astype(np.int64))), shape=shape).tocsr()
+        ref.eliminate_zeros()
+        assert _same_bits(R, ref)
+
+    def test_width_rule(self):
+        # decided from the dimensions alone: no array of 2**31 entries
+        index_dtype = assemble_module._index_dtype
+        assert index_dtype((2**31 - 1, 3)) is np.int32
+        assert index_dtype((2**31, 3)) is index_dtype((3, 2**31)) is np.int64
+        dofmap = np.array([[0, 1], [1, 2]])
+        for dim, width in [(3, np.int32), (2**31, np.int64)]:
+            rows, cols = assemble_module._triplet_indices(dofmap, dofmap, (dim, dim))
+            assert rows.dtype == cols.dtype == width
+            assert rows.tolist() == [0, 0, 1, 1, 1, 1, 2, 2]
+            assert cols.tolist() == [0, 1, 0, 1, 1, 2, 1, 2]
 
 
 class TestFusedGroups:

@@ -57,6 +57,18 @@ class TestCaseConfig:
         # the rules are perfusion's own
         assert CaseConfig(case="babuska", levels=1, radius=0.4).levels == 1
 
+    def test_radius_limit_follows_the_vessel(self, monkeypatch):
+        # the vessel axis lies 0.45 from the nearest face; the circles keep
+        # 0.05 off it
+        assert CaseConfig(case="perfusion", radius=0.39).radius == 0.39
+        with pytest.raises(bench.ConfigError,
+                           match=r"radius 0\.42 is not below the limit 0\.4, .* distance "
+                                 r"0\.45 .* margin of 0\.05"):
+            CaseConfig(case="perfusion", radius=0.42)
+        monkeypatch.setattr(bench, "_VESSEL_XY", 0.5)
+        assert CaseConfig(case="perfusion", radius=0.42).radius == 0.42
+        assert np.all(bench._gamma_line(2).vertices[:, :2] == 0.5)
+
 
 class TestBabuskaCase:
     def test_zero_data_zero_solution_zero_iterations(self):
