@@ -30,18 +30,25 @@ SHAPES = {
 
 
 def darcy_stokes_u1(x, y):
+    x0 = pi*x
+    x1 = pi*y
     return (
-        2*x**3*y + pi*sin(pi*x)*cos(pi*y),
-        -3*x**2*y**2 - pi*sin(pi*y)*cos(pi*x),
+        2*x**3*y + pi*sin(x0)*cos(x1),
+        -3*x**2*y**2 - pi*sin(x1)*cos(x0),
     )
 
 
 def darcy_stokes_grad_u1(x, y):
+    x0 = pi**2
+    x1 = pi*x
+    x2 = pi*y
+    x3 = 6*x**2*y + x0*cos(x1)*cos(x2)
+    x4 = -x0*sin(x1)*sin(x2)
     return (
-        6*x**2*y + pi**2*cos(pi*x)*cos(pi*y),
-        2*x**3 - pi**2*sin(pi*x)*sin(pi*y),
-        -6*x*y**2 + pi**2*sin(pi*x)*sin(pi*y),
-        -6*x**2*y - pi**2*cos(pi*x)*cos(pi*y),
+        x3,
+        2*x**3 + x4,
+        -6*x*y**2 - x4,
+        -x3,
     )
 
 
@@ -58,16 +65,25 @@ def darcy_stokes_p2(x, y):
 
 
 def darcy_stokes_u2(x, y):
+    x0 = pi*x
+    x1 = pi*y
     return (
-        -y + pi*sin(pi*x)*cos(pi*y),
-        -x + pi*sin(pi*y)*cos(pi*x) + 1/2,
+        -y + pi*sin(x0)*cos(x1),
+        -x + pi*sin(x1)*cos(x0) + 1/2,
     )
 
 
 def darcy_stokes_f1(x, y):
+    x0 = pi*x
+    x1 = cos(x0)
+    x2 = pi*y
+    x3 = cos(x2)
+    x4 = pi**3
+    x5 = sin(x0)
+    x6 = sin(x2)
     return (
-        -6*x*y + pi**3*sin(pi*x)*cos(pi*y) + pi*cos(pi*x)*cos(pi*y),
-        3*x**2 + 3*y**2 - pi*sin(pi*x)*sin(pi*y) - pi**3*sin(pi*y)*cos(pi*x),
+        -6*x*y + pi*x1*x3 + x3*x4*x5,
+        3*x**2 - x1*x4*x6 - pi*x5*x6 + 3*y**2,
     )
 
 
@@ -84,27 +100,36 @@ def darcy_stokes_g_mass(x, y):
 
 
 def darcy_stokes_g_stress(x, y):
+    x0 = pi*x
+    x1 = cos(pi*y)
+    x2 = x1*cos(x0)
     return (
-        6*x**2*y + y*(x - 1/2) - sin(pi*x)*cos(pi*y) + cos(pi*x)*cos(pi*y) + pi**2*cos(pi*x)*cos(pi*y),
+        6*x**2*y - x1*sin(x0) + x2 + pi**2*x2 + y*(x - 1/2),
     )
 
 
 def darcy_stokes_g_bjs(x, y):
+    x0 = 3*y**2
     return (
-        -x**3 + 3*x**2*y**2 + 3*x*y**2 + pi*sin(pi*y)*cos(pi*x),
+        -x**3 + x**2*x0 + x*x0 + pi*sin(pi*y)*cos(pi*x),
     )
 
 
 def darcy_stokes_multiplier(x, y):
+    x0 = pi*x
+    x1 = cos(pi*y)
     return (
-        -6*x**2*y + sin(pi*x)*cos(pi*y) - pi**2*cos(pi*x)*cos(pi*y),
+        -6*x**2*y + x1*sin(x0) - pi**2*x1*cos(x0),
     )
 
 
 def darcy_stokes_traction_horizontal(x, y):
+    x0 = sign(y - 1/2)
+    x1 = pi*x
+    x2 = cos(pi*y)
     return (
-        (x**3 - 3*x*y**2)*sign(y - 1/2),
-        (-6*x**2*y - sin(pi*x)*cos(pi*y) - pi**2*cos(pi*x)*cos(pi*y))*sign(y - 1/2),
+        x0*(x**3 - 3*x*y**2),
+        x0*(-6*x**2*y - x2*sin(x1) - pi**2*x2*cos(x1)),
     )
 
 
@@ -121,15 +146,18 @@ def babuska_u(x, y):
 
 
 def babuska_grad_u(x, y):
+    x0 = pi*x
+    x1 = pi*y
     return (
-        -pi*sin(pi*x)*cos(pi*y),
-        -pi*sin(pi*y)*cos(pi*x),
+        -pi*sin(x0)*cos(x1),
+        -pi*sin(x1)*cos(x0),
     )
 
 
 def babuska_f(x, y):
+    x0 = cos(pi*x)*cos(pi*y)
     return (
-        cos(pi*x)*cos(pi*y) + 2*pi**2*cos(pi*x)*cos(pi*y),
+        x0 + 2*pi**2*x0,
     )
 
 

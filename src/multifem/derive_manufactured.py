@@ -9,14 +9,20 @@ time; after changing a derivation, regenerate the committed module with
     python -m multifem.derive_manufactured
 
 which rewrites ``multifem/_manufactured_fields.py``.  The test suite
-regenerates the text in memory and compares it with the committed file.
+regenerates the text in memory and compares it with the committed file;
+the committed text is the output of sympy 1.14.0 (the version the
+``test`` extra pins), since another version may print or eliminate
+subexpressions differently.
 
-Each component is printed by ``NumPyPrinter`` with the settings
+A field's components go through one joint ``sympy.cse``, and the common
+subexpressions are printed as local assignments ahead of the components.
+Everything is printed by ``NumPyPrinter`` with the settings
 ``lambdify(..., modules="numpy")`` uses, into a namespace of the same
 numpy names, so a generated function computes each component bitwise as
-the lambdified expression does.  A data set lists its coordinate symbols,
-which become the arguments of its functions: (x, y) for the planar cases,
-and a field in (x, y, z) goes through unchanged.
+``lambdify(coords, components, modules="numpy", cse=True)`` does.  A data
+set lists its coordinate symbols, which become the arguments of its
+functions: (x, y) for the planar cases, and a field in (x, y, z) goes
+through unchanged.
 """
 from __future__ import annotations
 
@@ -118,8 +124,10 @@ def render():
         for name, field in fields.items():
             shape, comps = components(field)
             shapes.append(f'    "{prefix}_{name}": {shape!r},')
+            subexprs, comps = sym.cse(comps, list=False)
+            local = "".join(f"    {v} = {printer.doprint(e)}\n" for v, e in subexprs)
             body = "".join(f"        {printer.doprint(c)},\n" for c in comps)
-            functions.append(f"def {prefix}_{name}({args}):\n    return (\n{body}    )\n")
+            functions.append(f"def {prefix}_{name}({args}):\n{local}    return (\n{body}    )\n")
     imports = "".join(f"from {module} import {', '.join(sorted(names))}\n"
                       for module, names in sorted(printer.module_imports.items()))
     return (

@@ -132,23 +132,38 @@ def _call_on_points(fn, points, shape=None, error=ValueError):
 _LOCAL_EDGES = {1: ((0, 1),), 2: ((1, 2), (0, 2), (0, 1)),
                 3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
 _TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# compare-exchanges that sort k <= 3 columns, keyed by k
+_SORTING_NETWORK = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
 
 
 def _number_entities(cells, local):
     """Number the sub-entities of every cell, given as tuples ``local`` of
-    local vertex indices, by first appearance in cell order.  Returns the
-    entities as ascending vertex tuples (ne, k) and the (nc, len(local))
-    map from cells into that numbering."""
-    keys = np.sort(cells[:, np.asarray(local)], axis=2).reshape(-1, len(local[0]))
-    order = np.lexsort(keys.T[::-1])        # stable: equal keys stay in cell order
-    sk = keys[order]
-    new = np.r_[True, np.any(sk[1:] != sk[:-1], axis=1)]
-    first = order[new]                      # first appearance of each distinct key
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = rank[np.cumsum(new) - 1]
-    return keys[np.sort(first)], inverse.reshape(len(cells), len(local))
+    local vertex indices (k <= 3 each), by first appearance in cell order.
+    Returns the entities as ascending vertex tuples (ne, k) and the
+    (nc, len(local)) map from cells into that numbering.
+
+    One sort: each tuple's vertex columns are put in ascending order by
+    compare-exchange, one stable ``lexsort`` groups equal keys, and the
+    groups are ranked by first appearance with a mark array and a
+    ``cumsum`` over the N = nc * len(local) tuples."""
+    cols = [cells[:, j].ravel() for j in np.asarray(local).T]
+    for i, j in _SORTING_NETWORK[len(cols)]:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    order = np.lexsort(cols[::-1])          # stable: equal keys stay in cell order
+    new = np.zeros(len(order), dtype=bool)  # where a group of equal keys starts
+    new[0] = True
+    for c in cols:
+        s = c[order]
+        new[1:] |= s[1:] != s[:-1]
+    first = order[new]                      # first appearance of each group
+    mark = np.zeros(len(order), dtype=bool)
+    mark[first] = True
+    rank = np.cumsum(mark) - 1              # at a first appearance, its rank
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = rank[first][np.cumsum(new) - 1]
+    kept = np.flatnonzero(mark)
+    return (np.stack([c[kept] for c in cols], axis=1),
+            inverse.reshape(len(cells), len(local)))
 
 
 @dataclass(frozen=True)
@@ -165,10 +180,13 @@ class Mesh:
     ``gdim``-space (tdim <= gdim <= 3).
 
     ``vertices`` is (nv, gdim) float64, ``cells`` is (nc, tdim+1) int64
-    with indices in [0, nv) (given as an integer array).  Derived entities
-    (edges, facets) are numbered deterministically by first appearance in
-    cell order, so regenerating a mesh from equal inputs reproduces
-    identical arrays.
+    with nc >= 1 and indices in [0, nv) (given as an integer array).
+    Derived entities (edges, facets) are numbered deterministically by
+    first appearance in cell order, each kind with one sort on first
+    access, so regenerating a mesh from equal inputs reproduces identical
+    arrays.  A facet's lowest adjacent cell is where it first appears;
+    the full facet -> cell table ``facet_cells`` is built on first access
+    only.
 
     The mesh keeps read-only copies of its arrays and owns the geometry of
     its cells' affine maps x = v0 + xi @ E, both in closed form and both
@@ -187,15 +205,17 @@ class Mesh:
         self.cells = _read_only(np.array(cells, dtype=np.int64, order="C"))
         if self.vertices.ndim != 2 or self.cells.ndim != 2:
             raise MeshError("vertices must be (nv, gdim), cells (nc, tdim+1)")
-        nv = len(self.vertices)
-        if self.cells.size and not (self.cells.min() >= 0 and self.cells.max() < nv):
-            bad = np.flatnonzero(((self.cells < 0) | (self.cells >= nv)).any(axis=1))[0]
-            raise MeshError(f"cell {bad} has vertex indices {self.cells[bad].tolist()} "
-                            f"outside [0, {nv})")
+        if not len(self.cells):
+            raise MeshError(f"the mesh has no cells (cells of shape {self.cells.shape})")
         self.gdim = self.vertices.shape[1]
         self.tdim = self.cells.shape[1] - 1
         if not 1 <= self.tdim <= self.gdim <= 3:
             raise MeshError(f"unsupported dimensions tdim={self.tdim}, gdim={self.gdim}")
+        nv = len(self.vertices)
+        if not (self.cells.min() >= 0 and self.cells.max() < nv):
+            bad = np.flatnonzero(((self.cells < 0) | (self.cells >= nv)).any(axis=1))[0]
+            raise MeshError(f"cell {bad} has vertex indices {self.cells[bad].tolist()} "
+                            f"outside [0, {nv})")
         _check_finite("vertex", self.vertices)
         self.parent = parent
         self.uid = next(_uid_counter)
@@ -253,42 +273,43 @@ class Mesh:
         return self._edge_numbering[1]
 
     @functools.cached_property
-    def _facet_adjacency(self):
-        """The facets, and their adjacent cells in CSR form: the cells of
-        facet f, ascending, are ``idx[ptr[f]:ptr[f + 1]]``."""
+    def _facet_numbering(self):
         if self.tdim == 2:
-            facets, cell_facets = self.edges, self.cell_edges
-        elif self.tdim == 3:
-            facets, cell_facets = _number_entities(self.cells, _TET_FACES)
-        else:
-            raise MeshError("facets are not defined for tdim=1 meshes")
-        flat = cell_facets.ravel()
-        order = np.argsort(flat, kind="stable")
-        ptr = np.zeros(len(facets) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=len(facets)), out=ptr[1:])
-        return facets, ptr, order // cell_facets.shape[1]
+            return self.edges, self.cell_edges
+        if self.tdim == 3:
+            return _number_entities(self.cells, _TET_FACES)
+        raise MeshError("facets are not defined for tdim=1 meshes")
 
     @property
     def facets(self):
         """(nf, tdim) codimension-1 entities as sorted vertex tuples."""
-        return self._facet_adjacency[0]
+        return self._facet_numbering[0]
 
     @functools.cached_property
-    def _facet_cell_lists(self):
-        _, ptr, idx = self._facet_adjacency
-        idx, ptr = idx.tolist(), ptr.tolist()
+    def _facet_adjacency(self):
+        cell_facets = self._facet_numbering[1]
+        flat = cell_facets.ravel()
+        # CSR: the cells of facet f, ascending, are idx[ptr[f]:ptr[f + 1]]
+        idx = (np.argsort(flat, kind="stable") // cell_facets.shape[1]).tolist()
+        ptr = np.r_[0, np.cumsum(np.bincount(flat, minlength=len(self.facets)))].tolist()
         return [idx[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     @property
     def facet_cells(self):
         """List of adjacent cell indices per facet (1 on the boundary, else
-        2), ascending."""
-        return self._facet_cell_lists
+        2), ascending; built on first access only."""
+        return self._facet_adjacency
 
-    def _lowest_facet_cell(self, facets):
-        """Lowest-index adjacent cell of each listed facet."""
-        _, ptr, idx = self._facet_adjacency
-        return idx[ptr[facets]]
+    def _lowest_facet_cell(self, selected):
+        """Lowest-index adjacent cell of each facet in ``selected``, without
+        the ``facet_cells`` table.  Facets are numbered by first appearance
+        in cell order, so that cell is the one where a facet first appears:
+        a position where the flattened cell -> facet map exceeds its running
+        maximum, divided by the facets per cell."""
+        self.facets                 # the numbering, built through its property
+        flat = self._facet_numbering[1].ravel()
+        first = np.flatnonzero(np.r_[True, flat[1:] > np.maximum.accumulate(flat)[:-1]])
+        return first[selected] // (self.tdim + 1)
 
     # The structured grid the square and cube generators record (see
     # ``CellLocator``); no other mesh carries one.

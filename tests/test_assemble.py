@@ -12,8 +12,8 @@ from multifem.assemble import (
     load_matrix_market, save_matrix_market,
 )
 from multifem.forms import (
-    Analytic, Coefficient, Constant, Form, FormError, Measure, Trace, div, grad, inner, sym,
-    TestFunction, TrialFunction,
+    Analytic, Coefficient, Constant, Form, FormError, Measure, Trace, div, dot, grad, inner,
+    sym, TestFunction, TrialFunction,
 )
 from multifem import bench, mesh as mesh_module, quadrature
 from multifem.bench import _ds_meshes, assemble_babuska
@@ -322,12 +322,26 @@ class TestThirtyTwoBitScatter:
         u, w = TrialFunction(V), TestFunction(W)
         return inner(grad(u), grad(w)) * Measure(mesh) + inner(u, w) * Measure(mesh)
 
-    @pytest.mark.parametrize("k", ["cube", 1, 2, 3, "rectangular"])
+    @staticmethod
+    def layered():
+        # P1 trial, RT0 test: grad(u) . t integrates to zero over the two
+        # cells of an edge at each of its endpoints, leaving residue, and a
+        # coefficient of 1e-3 below y = 1/3 scales the cells there; vertex j
+        # (trial dof j) lies above edge j (test dof j), so only the trial
+        # side's scale drops the residue
+        mesh = unit_square_mesh(3)
+        V, R = build_space(mesh, lagrange(1)), build_space(mesh, rt0())
+        W = Analytic(lambda p: np.where(p[:, 1] < 1 / 3, 1e-3, 1.0)[:, None, None] * np.eye(2),
+                     shape=(2, 2), degree=0)
+        return inner(dot(W, grad(TrialFunction(V))), TestFunction(R)) * Measure(mesh)
+
+    @pytest.mark.parametrize("k", ["cube", 1, 2, 3, "rectangular", "layered"])
     def test_assembled_matrix_is_the_int64_one(self, k, monkeypatch):
         # cube P1 stiffness, P1 stiffness + mass (babuska's H1 block),
-        # vector-P2 sym-grad + mass, RT0 mass + div-div, P2 x P1
+        # vector-P2 sym-grad + mass, RT0 mass + div-div, P2 x P1, RT0 x P1
         if isinstance(k, str):
-            form = {"cube": self.cube_stiffness, "rectangular": self.rectangular}[k]()
+            form = {"cube": self.cube_stiffness, "rectangular": self.rectangular,
+                    "layered": self.layered}[k]()
         else:
             form = _geometry_forms(TestMeshGeometryReuse.mesh())[k]
         integral = form.integrals[0]
@@ -345,6 +359,9 @@ class TestThirtyTwoBitScatter:
         assert _same_bits(A, self.dropped(full, cell_max, test_dm, trial_dm))
         if k == "cube":
             assert A.nnz < full.nnz        # the rebuilt CSR is compared too
+        if k == "layered":
+            # the test side's scale in place of the trial side's keeps residue
+            assert A.nnz < self.dropped(full, cell_max, test_dm, test_dm).nnz
 
     @pytest.mark.parametrize("kind", ["trace", "average"])
     def test_reduction_matrix_is_the_int64_one(self, kind, monkeypatch):

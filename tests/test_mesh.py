@@ -9,6 +9,8 @@ from multifem.mesh import (
     EmptySelectionError, Mesh, MeshError, OutOfDomainError, cell_submesh,
     facet_submesh, near, polyline_mesh, unit_cube_mesh, unit_square_mesh,
 )
+from multifem.mesh import _LOCAL_EDGES, _TET_FACES, _number_entities
+from topology_oracle import number_entities
 
 
 def boundary_of_unit_square(p):
@@ -121,6 +123,13 @@ class TestGenerators:
     def test_bad_cell_indices_rejected(self, cells, match):
         verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         with pytest.raises(MeshError, match=match):
+            Mesh(verts, cells)
+
+    @pytest.mark.parametrize("cells", [np.empty((0, 3), np.int64), np.empty((0, 2), np.int32)],
+                             ids=["triangles", "intervals"])
+    def test_mesh_without_cells_rejected(self, cells):
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(MeshError, match="no cells"):
             Mesh(verts, cells)
 
     def test_degenerate_cell_rejected(self):
@@ -400,3 +409,108 @@ class TestSubmeshes:
         sub = cell_submesh(mesh, lambda c: c[:, 0] <= 0.5)
         assert sub.num_cells == mesh.num_cells // 2
         assert abs(sub.cell_volumes.sum() - 0.5) < 1e-12
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _local_tuples(tdim):
+    """Edges, facets and vertices of a cell, as tuples of local indices."""
+    facets = {2: _LOCAL_EDGES[2], 3: _TET_FACES}.get(tdim)
+    vertices = tuple((k,) for k in range(tdim + 1))
+    return [t for t in (_LOCAL_EDGES[tdim], facets, vertices) if t is not None]
+
+
+def _reordered(mesh, seed):
+    """``mesh`` with its cells shuffled and each cell's vertices permuted."""
+    rng = np.random.default_rng(seed)
+    cells = mesh.cells[rng.permutation(mesh.num_cells)]
+    cells = np.take_along_axis(cells, rng.permuted(np.tile(np.arange(cells.shape[1]),
+                                                           (len(cells), 1)), axis=1), axis=1)
+    return Mesh(mesh.vertices, cells)
+
+
+class TestEntityNumbering:
+    """The one-sort numbering against the sort-per-tuple reference in
+    ``topology_oracle``: entities and cell maps bitwise equal."""
+
+    def check(self, mesh):
+        edges, cell_edges = number_entities(mesh.cells, _LOCAL_EDGES[mesh.tdim])
+        assert _same_bits(mesh.edges, edges)
+        assert _same_bits(mesh.cell_edges, cell_edges)
+        if mesh.tdim == 2:
+            assert _same_bits(mesh.facets, edges)
+        if mesh.tdim == 3:
+            assert _same_bits(mesh.facets, number_entities(mesh.cells, _TET_FACES)[0])
+
+    @pytest.mark.parametrize("make, size", [(unit_square_mesh, (1,)), (unit_square_mesh, (5, 3)),
+                                            (unit_square_mesh, (2, 7)), (unit_cube_mesh, (1,)),
+                                            (unit_cube_mesh, (3,))])
+    def test_generator_meshes(self, make, size):
+        mesh = make(*size)
+        self.check(mesh)
+        for local in _local_tuples(mesh.tdim):
+            for got, want in zip(_number_entities(mesh.cells, local),
+                                 number_entities(mesh.cells, local)):
+                assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("cells", [[[0, 1, 2]], [[3, 0, 2, 1]]], ids=["triangle", "tet"])
+    def test_one_cell(self, cells):
+        cells = np.array(cells)
+        mesh = Mesh(np.eye(len(cells[0]), len(cells[0]) - 1), cells)
+        self.check(mesh)
+        assert mesh.cell_edges.tolist() == [list(range(len(mesh.edges)))]
+        assert mesh.facet_cells == [[0]] * (mesh.tdim + 1)
+
+    @given(kind=st.sampled_from(["square", "cube"]), n=st.integers(1, 4),
+           m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_reordered_meshes(self, kind, n, m, seed):
+        base = unit_square_mesh(n, m) if kind == "square" else unit_cube_mesh(min(n, 2))
+        mesh = _reordered(base, seed)
+        self.check(mesh)
+        nf = len(mesh.facets)
+        lowest = mesh._lowest_facet_cell(np.arange(nf))
+        assert lowest.tolist() == [min(cells) for cells in mesh.facet_cells]
+
+    @given(data=st.data(), k=st.integers(1, 3))
+    def test_integer_tuples(self, data, k):
+        # any integers, repeats within a tuple included
+        cells = data.draw(arrays(np.int64, st.tuples(st.integers(1, 12), st.just(4)),
+                                 elements=st.integers(0, 5)))
+        local = data.draw(st.lists(st.permutations(range(4)).map(lambda p: tuple(p[:k])),
+                                   min_size=1, max_size=6))
+        for got, want in zip(_number_entities(cells, local), number_entities(cells, local)):
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("tdim", [2, 3])
+    def test_lowest_facet_cell_is_the_lowest_adjacent_cell(self, tdim):
+        mesh = unit_square_mesh(4, 3) if tdim == 2 else unit_cube_mesh(2)
+        facets = np.arange(len(mesh.facets))
+        lowest = mesh._lowest_facet_cell(facets)
+        assert lowest.dtype == np.int64
+        assert lowest.tolist() == [min(cells) for cells in mesh.facet_cells]
+        assert mesh._lowest_facet_cell(facets[::-3]).tolist() == lowest[::-3].tolist()
+
+    @pytest.mark.parametrize("make, where", [
+        (lambda: unit_square_mesh(4, 3), lambda p: near(p[:, 1], 0) | near(p[:, 0], 1)),
+        (lambda: unit_cube_mesh(2), lambda p: near(p[:, 2], 1) | near(p[:, 0], 0)),
+    ], ids=["square", "cube"])
+    def test_submesh_vertex_renumbering(self, make, where):
+        parent = make()
+        sub = facet_submesh(parent, where)
+        # the run path takes the lowest adjacent cell without the CSR table
+        assert "_facet_adjacency" not in vars(parent)
+        link = sub.parent
+        vertex_map, cells = number_entities(parent.facets[link.cell_to_parent_entity],
+                                            [(k,) for k in range(parent.tdim)])
+        assert _same_bits(link.vertex_map, vertex_map[:, 0])
+        assert _same_bits(sub.cells, cells)
+        assert link.cell_to_parent_cell.tolist() == [
+            min(parent.facet_cells[f]) for f in link.cell_to_parent_entity]
+
+        inside = cell_submesh(parent, lambda c: c[:, 0] < 0.5)
+        vertex_map, cells = number_entities(parent.cells[inside.parent.cell_to_parent_cell],
+                                            [(k,) for k in range(parent.tdim + 1)])
+        assert _same_bits(inside.parent.vertex_map, vertex_map[:, 0])
+        assert _same_bits(inside.cells, cells)
