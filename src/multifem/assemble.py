@@ -185,8 +185,8 @@ class _Evaluator:
         if key in self._basis:
             return self._basis[key]
         if space.element.family == "RaviartThomas":
-            vals, divs = space.rt0_cell_basis(self.cells, self.offsets)
-            self._basis[space.uid, None], self._basis[space.uid, Div] = vals, divs[None]
+            self._basis[key] = (space.cell_divs[self.cells].T[None] if op is Div
+                                else space.rt0_cell_basis(self.cells, self.offsets))
             return self._basis[key]
         vals, ref_grads = self.tab(space)               # (Q, nloc_s), (Q, nloc_s, t)
         if op is Grad:
@@ -449,6 +449,9 @@ def apply_bc_block(block_op, rhs_blocks, bcs_by_block, *, symmetric):
     form, and perfusion's direct solve is faster with rows alone (symmetric
     elimination slowed its n=24 ``spsolve``, though the fill fell)."""
     rows = block_op.blocks
+    for i in bcs_by_block:
+        if not 0 <= i < len(rows):
+            raise ValueError(f"boundary conditions on block {i}; the system has {len(rows)} blocks")
     vectors = {i: _bc_vectors(block_op, i, bcs) for i, bcs in bcs_by_block.items()}
     rhs = [np.array(b, dtype=float, copy=True) for b in rhs_blocks]
     if symmetric:

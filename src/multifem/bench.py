@@ -36,7 +36,7 @@ from .mesh import (
 from .opalg import Zero, collapse
 from .reduction import ReductionCache
 from .space import (
-    Function, basis_rows, build_space, dg0, interpolate, lagrange, rt0, vector_lagrange,
+    Function, build_space, dg0, interpolate, lagrange, rt0, vector_lagrange,
 )
 
 __all__ = [
@@ -143,23 +143,22 @@ class StudyRecord:
 
 # -- error norms -----------------------------------------------------------------
 
-def err_norm(fn, exact, grad_exact=None, div_exact=None):
-    """L2 norm of ``fn - exact``; with ``grad_exact`` or ``div_exact`` the
-    H1 or H(div) norm, adding the L2 norm of ``grad(fn) - grad_exact`` or
-    ``div(fn) - div_exact``.  The rule at ``MAX_DEGREE`` has positive
-    weights, so the integral of squares is >= 0 and a negative one raises."""
-    mesh = fn.space.mesh
-    shape = fn.space.value_shape
-    e = Coefficient(fn) - Analytic(exact, shape=shape, degree=3)
-    integrand = inner(e, e)
-    if grad_exact is not None:
-        d = grad(Coefficient(fn)) - Analytic(grad_exact, shape=shape + (mesh.gdim,), degree=3)
-        integrand = integrand + inner(d, d)
-    elif div_exact is not None:
-        d = div(Coefficient(fn)) - Analytic(div_exact, shape=(), degree=3)
-        integrand = integrand + inner(d, d)
-    val = assemble(integrand * Measure(mesh), quad_degree=quadrature.MAX_DEGREE[mesh.tdim])
-    return math.sqrt(val)
+def err_norm(fn, exact=None, deriv_exact=None):
+    """The pair (L2 norm, full norm) of ``fn - exact``, or of ``fn`` when
+    ``exact`` is None.  With ``deriv_exact`` the full norm adds the L2 norm
+    of the element's derivative of ``fn`` less it: div for Raviart-Thomas
+    (H(div)), grad for Lagrange (H1).  Each term is one integral at
+    ``MAX_DEGREE``, whose rule has positive weights; a negative one raises."""
+    V, c = fn.space, Coefficient(fn)
+    dx, q = Measure(V.mesh), quadrature.MAX_DEGREE[V.mesh.tdim]
+    e = c if exact is None else c - Analytic(exact, shape=V.value_shape, degree=3)
+    value = full = assemble(inner(e, e) * dx, quad_degree=q)
+    if deriv_exact is not None:
+        D, shape = ((div, ()) if V.element.family == "RaviartThomas"
+                    else (grad, V.value_shape + (V.mesh.gdim,)))
+        d = D(c) - Analytic(deriv_exact, shape=shape, degree=3)
+        full = value + assemble(inner(d, d) * dx, quad_degree=q)
+    return math.sqrt(value), math.sqrt(full)
 
 
 def _functions(x, spaces):
@@ -242,8 +241,8 @@ def assemble_babuska(n, cache=None, data=None):
 
 def _babuska_errors(W, data, x):
     uh, ph = _functions(x, W)
-    return {"u_h1": err_norm(uh, data.u, grad_exact=data.grad_u),
-            "u_l2": err_norm(uh, data.u), "p_l2": err_norm(ph, data.multiplier)}
+    u_l2, u_h1 = err_norm(uh, data.u, data.grad_u)
+    return {"u_h1": u_h1, "u_l2": u_l2, "p_l2": err_norm(ph, data.multiplier)[0]}
 
 
 # -- Darcy-Stokes ------------------------------------------------------------------
@@ -377,23 +376,23 @@ def _multiplier_errors(ph, data, hhalf, S):
     form = e @ hhalf.forward.matvec(e)
     if form < -1e-12 * (e @ (S @ e)):
         raise KrylovError(f"discrete H^1/2 form of the multiplier error is {form:.3e} < 0")
-    return err_norm(ph, data.multiplier), math.sqrt(max(form, 0.0))
+    return err_norm(ph, data.multiplier)[0], math.sqrt(max(form, 0.0))
 
 
 def _ds_primal_errors(W, data, x):
     u1h, p1h, p2h = _functions(x, W)
-    return {"u1_h1": err_norm(u1h, data.u1, grad_exact=data.grad_u1),
-            "p1_l2": err_norm(p1h, data.p1), "p2_l2": err_norm(p2h, data.p2)}
+    return {"u1_h1": err_norm(u1h, data.u1, data.grad_u1)[1],
+            "p1_l2": err_norm(p1h, data.p1)[0], "p2_l2": err_norm(p2h, data.p2)[0]}
 
 
 def _ds_mixed_errors(hhalf, S, W, data, x):
     """Per-field errors and their composite, with the multiplier in the
     discrete H^1/2 norm (see ``_multiplier_errors``)."""
     u1h, p1h, u2h, p2h, ph = _functions(x, W)
-    errors = {"u1_h1": err_norm(u1h, data.u1, grad_exact=data.grad_u1),
-              "p1_l2": err_norm(p1h, data.p1),
-              "u2_hdiv": err_norm(u2h, data.u2, div_exact=data.f2),
-              "p2_l2": err_norm(p2h, data.p2)}
+    errors = {"u1_h1": err_norm(u1h, data.u1, data.grad_u1)[1],
+              "p1_l2": err_norm(p1h, data.p1)[0],
+              "u2_hdiv": err_norm(u2h, data.u2, data.f2)[1],
+              "p2_l2": err_norm(p2h, data.p2)[0]}
     errors["p_l2"], p_hhalf = _multiplier_errors(ph, data, hhalf, S)
     errors["composite"] = math.sqrt(
         errors["u1_h1"] ** 2 + errors["p1_l2"] ** 2
@@ -481,42 +480,25 @@ def _solve_perfusion(n, radius, n_quad):
     return _functions(x, [V, Q])
 
 
-def _interp_onto(fn, target_space):
-    """Nodal interpolation of the scalar function ``fn`` into ``target_space``."""
-    cols, rows = basis_rows(fn.space, target_space.dof_coords)
-    vals = np.matmul(rows, fn.coefficients[cols][:, :, None])[:, 0, 0]
-    return Function(target_space, vals)
-
-
-def _l2_norm(*fns):
-    """Square root of the summed squared L2 norms of the functions."""
-    return math.sqrt(sum(assemble(inner(Coefficient(f), Coefficient(f)) * Measure(f.space.mesh))
-                         for f in fns))
-
-
 def run_perfusion(cfg: CaseConfig) -> StudyRecord:
+    """Direct solves; a level reports the L2 norm of its fields less the
+    previous level's interpolant, relative to its own, and then drops it."""
     rec = StudyRecord("perfusion", ["diff"],
                       meta={"n0": cfg.n, "radius": cfg.radius, "n_quad": cfg.n_quad})
-    n = cfg.n
-    solutions = []
-    sizes = []
-    times = []
+    n, coarse = cfg.n, None
     for level in range(cfg.levels):
         t0 = time.perf_counter()
-        solutions.append(_solve_perfusion(n, cfg.radius, cfg.n_quad))
-        times.append(time.perf_counter() - t0)
-        sizes.append(n)
+        fine = _solve_perfusion(n, cfg.radius, cfg.n_quad)
+        seconds = time.perf_counter() - t0
+        if coarse is not None:
+            diffs = [err_norm(Function(f.space, f.coefficients
+                                       - interpolate(f.space, c).coefficients))[0]
+                     for c, f in zip(coarse, fine)]
+            norms = [err_norm(f)[0] for f in fine]
+            rec.add_row(level, 1.0 / n, sum(f.space.dim for f in fine), 0,
+                        {"diff": math.hypot(*diffs) / math.hypot(*norms)}, seconds)
+        coarse = fine
         n *= 2
-    for level in range(1, len(solutions)):
-        u_c, p_c = solutions[level - 1]
-        u_f, p_f = solutions[level]
-        Vf, Qf = u_f.space, p_f.space
-        du = u_f.coefficients - _interp_onto(u_c, Vf).coefficients
-        dp = p_f.coefficients - _interp_onto(p_c, Qf).coefficients
-        num = _l2_norm(Function(Vf, du), Function(Qf, dp))
-        den = _l2_norm(u_f, p_f)
-        rec.add_row(level, 1.0 / sizes[level], Vf.dim + Qf.dim, 0,
-                    {"diff": num / den}, times[level])
     return rec
 
 

@@ -439,15 +439,20 @@ def h1_pencil(space):
 def fd_dual_pencil(space):
     """Pencil for cellwise-constant multiplier spaces on a curve: mass plus
     a two-point finite-difference Laplacian on the dual grid of cell
-    centers (spacing weights, natural ends), mass-shifted."""
+    centers (spacing weights, natural ends), mass-shifted.  A branch point,
+    a vertex of more than two cells, raises."""
     mesh = space.mesh
     if mesh.tdim != 1 or space.element.degree != 0 or space.ncomp != 1:
         raise ValueError("dual-grid pencil expects a scalar P0 space on a curve")
+    flat = mesh.cells.ravel()
+    count = np.bincount(flat, minlength=mesh.num_vertices)
+    if count.max() > 2:
+        v = np.argmax(count > 2)
+        raise ValueError(f"dual-grid pencil needs an unbranched curve; vertex {v} joins "
+                         f"{count[v]} cells")
     M = mass_matrix(space)
     # the two cells of each vertex that joins exactly two, lower index first
-    flat = mesh.cells.ravel()
     order = np.argsort(flat, kind="stable")
-    count = np.bincount(flat, minlength=mesh.num_vertices)
     start = np.cumsum(count) - count
     joints = start[count == 2]
     a = order[joints] // 2

@@ -111,7 +111,8 @@ class FunctionSpace:
 
     Point-evaluation spaces carry ``dof_coords`` (and ``dof_component`` for
     vector elements).  RT0 carries edge-flux functionals: per-edge global
-    normals/lengths and per-cell orientation signs.
+    normals/lengths, and per cell the orientation signs and the basis
+    divergences (constant on each cell), both (C, 3).
     """
 
     def __init__(self, mesh: Mesh, element: Element):
@@ -186,6 +187,7 @@ class FunctionSpace:
         out = self.edge_midpoints[self.dofmap] - centroids[:, None, :]
         dots = np.einsum("ckg,ckg->ck", out, self.edge_normals[self.dofmap])
         self.cell_signs = np.where(dots > 0, 1.0, -1.0)
+        self.cell_divs = self.cell_signs * (2.0 / mesh.jacobian_measure)[:, None]
         self.dim = len(edges)
         self.dof_coords = self.edge_midpoints  # functional location, not point evaluation
         self.dof_component = None
@@ -199,9 +201,9 @@ class FunctionSpace:
         return self.element.family != "RaviartThomas"
 
     def rt0_cell_basis(self, cells, offsets):
-        """Physical RT0 basis on the given cells (C,), cells last: values
-        (Q, 3, gdim, C) and divergences (3, C) at the points ``offsets``
-        (Q, gdim, C), given relative to each cell's first vertex.  Relative
+        """Physical RT0 basis values on the given cells (C,), cells last:
+        (Q, 3, gdim, C) at the points ``offsets`` (Q, gdim, C), given
+        relative to each cell's first vertex.  Relative
         coordinates keep the basis exact where it vanishes: absolute ones
         would carry the rounding of the cells' position into every value."""
         mesh = self.mesh
@@ -209,9 +211,7 @@ class FunctionSpace:
         twice_area = mesh.jacobian_measure[cells]       # (C,)
         signs = self.cell_signs[cells].T                # (3, C)
         diff = offsets[:, None] - (v - v[:, :1]).transpose(1, 0, 2)
-        vals = (signs / twice_area)[:, None] * diff
-        divs = signs * (2.0 / twice_area)
-        return vals, divs
+        return (signs / twice_area)[:, None] * diff
 
 
 def build_space(mesh, element):
@@ -220,7 +220,8 @@ def build_space(mesh, element):
 
 
 class Function:
-    """A finite element function: a space plus a coefficient vector."""
+    """A finite element function: a space plus a coefficient vector, and a
+    point field that goes wherever a callable field does (``__call__``)."""
 
     def __init__(self, space: FunctionSpace, coefficients=None):
         self.space = space
@@ -230,6 +231,13 @@ class Function:
         if self.coefficients.shape != (space.dim,):
             raise ValueError(
                 f"coefficient length {self.coefficients.shape} != space dim {space.dim}")
+
+    def __call__(self, points):
+        """Values (N,) + value shape at the points (N, gdim): per point, one
+        stacked matmul of its ``basis_rows`` with its local coefficients."""
+        cols, rows = basis_rows(self.space, points)
+        vals = np.matmul(rows, self.coefficients[cols][:, :, None])[:, :, 0]
+        return vals if self.space.value_shape else vals[:, 0]
 
 
 def _field_values(f, points, value_shape):
@@ -297,7 +305,7 @@ def basis_rows(space: FunctionSpace, points, cells=None):
     cols = space.dofmap[cells]
     if space.element.family == "RaviartThomas":
         v0 = space.mesh.vertices[space.mesh.cells[cells, 0]]
-        vals, _ = space.rt0_cell_basis(cells, (points - v0).T[None])
+        vals = space.rt0_cell_basis(cells, (points - v0).T[None])
         return cols, vals[0].transpose(2, 1, 0)        # (N, gdim, 3)
     vals, _ = tabulate_lagrange(space.mesh.tdim, space.element.degree, lam[:, 1:])
     return cols, vector_basis(vals, space.ncomp).transpose(0, 2, 1)
@@ -317,6 +325,5 @@ def basis_row(space: FunctionSpace, x, cell=None):
 
 def evaluate(fn: Function, x):
     """Point evaluation of a finite element function (scalar or vector)."""
-    cols, rows = basis_row(fn.space, x)
-    val = rows @ fn.coefficients[cols]
-    return float(val[0]) if not fn.space.value_shape else val
+    val = fn(np.asarray(x, dtype=float)[None, :])[0]
+    return float(val) if not fn.space.value_shape else val

@@ -474,14 +474,16 @@ class TestChunkRule:
         assert 4096 <= assemble_module._chunk_cells(form.integrals) <= 8192
 
     def test_p1_error_functional_between_4096_and_8192_cells(self):
-        # the integrand of ``bench.err_norm`` with a gradient, at its degree
+        # the two integrands of ``bench.err_norm`` with a gradient, its
+        # value term and its gradient term, each at its degree
         mesh = unit_square_mesh(2)
         fh = Coefficient(Function(build_space(mesh, lagrange(1))))
         e = fh - Analytic(lambda p: p[:, 0], degree=3)
         d = grad(fh) - Analytic(lambda p: p, shape=(2,), degree=3)
-        form = (inner(e, e) + inner(d, d)) * Measure(mesh)
-        cells = assemble_module._chunk_cells(form.integrals, quadrature.MAX_DEGREE[2])
-        assert 4096 <= cells <= 8192
+        for term in (inner(e, e), inner(d, d)):
+            cells = assemble_module._chunk_cells((term * Measure(mesh)).integrals,
+                                                 quadrature.MAX_DEGREE[2])
+            assert 4096 <= cells <= 8192
 
 
 def _cube_stiffness(n, scale=1.0):
@@ -649,6 +651,14 @@ class TestDirichletBC:
             apply_bc_block(sys["A"], sys["b"], {0: [bc]}, symmetric=True)
         with pytest.raises(ValueError, match="block 0"):
             apply_bc(collapse(sys["A"][0, 0]), np.zeros(V.dim), [bc], symmetric=False)
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_block_index_outside_the_system_rejected(self, index):
+        # -1 once constrained the last block, 5 raised a bare IndexError
+        sys = assemble_babuska(4)
+        bc = DirichletBC(sys["W"][1], 0.0, lambda p: np.ones(len(p), dtype=bool))
+        with pytest.raises(ValueError, match=rf"block {index}; the system has 2 blocks"):
+            apply_bc_block(sys["A"], sys["b"], {index: [bc]}, symmetric=True)
 
 
 def _mask_products(block_op, rhs_blocks, bcs_by_block, symmetric):

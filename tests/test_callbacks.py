@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from multifem.assemble import DirichletBC
+from multifem.assemble import DirichletBC, assemble
+from multifem.forms import Analytic, Coefficient, Measure, inner
 from multifem.mesh import (
     EmptySelectionError, MeshError, cell_submesh, facet_submesh, near,
     unit_cube_mesh, unit_square_mesh,
 )
-from multifem.space import build_space, interpolate, lagrange, rt0, vector_lagrange
+from multifem.space import Function, build_space, interpolate, lagrange, rt0, vector_lagrange
 
 
 # Fields written on p[..., k] with +, -, *, sin, cos and exp, which round a
@@ -293,3 +294,27 @@ def test_call_counts_do_not_grow_with_the_mesh(n):
         DirichletBC(V, counted, _boundary)
         interpolate(V, counted)
         assert counted.calls == 2, element
+
+
+# -- a Function is a field ------------------------------------------------------------
+
+@pytest.mark.parametrize("element", [lagrange(1), lagrange(2), vector_lagrange(2), rt0()],
+                         ids=["P1", "P2", "vector-P2", "RT0"])
+def test_function_is_a_field_of_every_callback(element):
+    # a coarse function goes where a callable does: its interpolant and
+    # boundary values on a finer mesh are its point values there, and as
+    # analytic data it integrates as its own coefficient does
+    coarse, fine = unit_square_mesh(3, 3), unit_square_mesh(6, 6)
+    Vc, Vf = build_space(coarse, element), build_space(fine, element)
+    fc = Function(Vc, np.random.default_rng(11).standard_normal(Vc.dim))
+    ref = interpolate(Vf, lambda p: fc(p))
+    assert np.array_equal(interpolate(Vf, fc).coefficients, ref.coefficients)
+    bc = DirichletBC(Vf, fc, _boundary)
+    assert np.array_equal(bc.values, DirichletBC(Vf, lambda p: fc(p), _boundary).values)
+    if Vf.is_point_evaluation:
+        assert np.array_equal(bc.values, ref.coefficients[bc.dofs])
+    dx = Measure(coarse)
+    as_field = assemble(inner(Analytic(fc, shape=Vc.value_shape), Coefficient(fc)) * dx,
+                        quad_degree=4)
+    as_coefficient = assemble(inner(Coefficient(fc), Coefficient(fc)) * dx, quad_degree=4)
+    assert abs(as_field - as_coefficient) <= 1e-13 * as_coefficient

@@ -415,7 +415,7 @@ def test_rational_degree_is_the_least_within_tolerance(b, degree):
 
 def loop_dual_laplacian(mesh):
     """The dual-grid Laplacian of ``fd_dual_pencil`` by a loop over the
-    vertices joining exactly two cells."""
+    vertices joining two cells."""
     centers = mesh.cell_centroids
     touching = {}
     for c in range(mesh.num_cells):
@@ -437,13 +437,24 @@ def loop_dual_laplacian(mesh):
 @pytest.mark.parametrize("mesh", [
     _ds_meshes(8)[2],                                            # ds-mixed interface
     polyline_mesh([(0, 0, 0), (1, 0.2, 0), (1.3, 1, 0.5)], 5),   # one joint, two ends
-    Mesh(np.array([[0, 0], [1, 0], [2, 0.5], [2, -0.5], [3, 1]]),   # three cells
-         np.array([[0, 1], [1, 2], [3, 1], [2, 4]])),                # at vertex 1
-], ids=["interface", "polyline", "branch"])
+], ids=["interface", "polyline"])
 def test_fd_dual_pencil_matches_loop(mesh):
     M, S = fd_dual_pencil(build_space(mesh, dg0()))
     ref = (loop_dual_laplacian(mesh) + M).toarray()
     assert np.abs(S.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mesh,vertex,cells", [
+    (Mesh(np.array([[0, 0], [1, 0], [0, 1], [-1, -1]]),          # a 3-arm star
+          np.array([[0, 1], [0, 2], [0, 3]])), 0, 3),
+    (Mesh(np.array([[0, 0], [1, 0], [2, 0.5], [2, -0.5], [3, 1]]),   # three cells
+          np.array([[0, 1], [1, 2], [3, 1], [2, 4]])), 1, 3),          # at vertex 1
+], ids=["star", "branch"])
+def test_fd_dual_pencil_refuses_branched_curves(mesh, vertex, cells):
+    # a branch point has no two-point stencil; the star once gave K = 0,
+    # a pencil (M, M) whose H^{1/2} block is the mass
+    with pytest.raises(ValueError, match=f"vertex {vertex} joins {cells} cells"):
+        fd_dual_pencil(build_space(mesh, dg0()))
 
 
 class TestInverseHandle:

@@ -58,9 +58,10 @@ def test_rules_exact_to_stated_degree(tdim):
 
 @pytest.mark.parametrize("tdim", [1, 2, 3])
 def test_weights_positive_at_the_maximum_degree(tdim):
-    # bench.err_norm integrates a sum of squares at MAX_DEGREE and takes its
-    # square root unguarded; not every rule is positive (the degree-3
-    # triangle rule weighs its centroid -27/48), so this names the degree
+    # bench.err_norm integrates two squares, its value term and its
+    # derivative term, at MAX_DEGREE and takes the square root of their sum
+    # unguarded; not every rule is positive (the degree-3 triangle rule
+    # weighs its centroid -27/48), so this names the degree
     _, wts = rule(tdim, MAX_DEGREE[tdim])
     assert (wts > 0).all()
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from multifem.mesh import _LOCAL_EDGES, unit_cube_mesh, unit_square_mesh, polyline_mesh
+from multifem.mesh import (
+    _LOCAL_EDGES, OutOfDomainError, unit_cube_mesh, unit_square_mesh, polyline_mesh,
+)
 from multifem.space import (
     Element, Function, FunctionSpace, UnsupportedElementError, basis_row,
     build_space, dg0, evaluate, interpolate, lagrange, rt0, vector_dg0,
@@ -123,6 +125,43 @@ class TestInterpolationEvaluation:
         assert abs(evaluate(g, np.array([0.25, 0.25, 0.25])) - 0.0625) < 1e-12
 
 
+class TestPointField:
+    """``Function.__call__`` evaluates a batch of points as ``evaluate``
+    does one, each the contraction of its ``basis_row`` with the local
+    coefficients."""
+
+    @pytest.mark.parametrize("mesh,element", [
+        (unit_square_mesh(4, 3), lagrange(1)), (unit_square_mesh(4, 3), lagrange(2)),
+        (unit_square_mesh(4, 3), vector_lagrange(2)), (unit_square_mesh(4, 3), rt0()),
+        (unit_square_mesh(4, 3), dg0()), (unit_square_mesh(4, 3), vector_dg0()),
+        (unit_cube_mesh(2), lagrange(1)),
+        (polyline_mesh([(0, 0, 0), (1, 0.5, 0.25)], 5), lagrange(2)),
+    ], ids=["P1", "P2", "vector-P2", "RT0", "P0", "vector-P0", "3d-P1", "curve-P2"])
+    def test_call_is_evaluate_bitwise(self, mesh, element):
+        V = build_space(mesh, element)
+        rng = np.random.default_rng(8)
+        f = Function(V, rng.standard_normal(V.dim))
+        if mesh.tdim == 1:
+            a, b = mesh.vertices[0], mesh.vertices[-1]
+            points = a + rng.random((200, 1)) * (b - a)
+        else:
+            points = rng.random((200, mesh.gdim))
+        vals = f(points)
+        assert vals.shape == (200,) + V.value_shape
+        assert np.array_equal(vals, np.array([evaluate(f, x) for x in points]))
+        rows = [basis_row(V, x) for x in points]
+        assert np.array_equal(vals.reshape(200, -1),
+                              np.array([r @ f.coefficients[c] for c, r in rows]))
+
+    def test_point_outside_raises(self, square):
+        f = Function(build_space(square, lagrange(2)))
+        with pytest.raises(OutOfDomainError) as info:
+            f(np.array([[0.5, 0.5], [0.5, 1.25], [2.0, 0.0]]))
+        assert info.value.index == 1
+        with pytest.raises(ValueError, match="OutOfDomainError"):
+            interpolate(build_space(unit_square_mesh(2, 2, extent=(2.0, 1.0)), lagrange(1)), f)
+
+
 class TestRT0:
     def test_constant_field_reproduced(self, square):
         V = build_space(square, rt0())
@@ -150,10 +189,7 @@ class TestRT0:
     def test_divergence_of_constant_interpolant_vanishes(self, square):
         V = build_space(square, rt0())
         f = interpolate(V, lambda p: np.tile([0.7, -0.3], (len(p), 1)))
-        v = square.vertices[square.cells]
-        offsets = (square.cell_centroids - v[:, 0]).T[None]    # (1, 2, C)
-        _, divs = V.rt0_cell_basis(np.arange(square.num_cells), offsets)
-        cell_div = np.einsum("kc,ck->c", divs, f.coefficients[V.dofmap])
+        cell_div = np.einsum("ck,ck->c", V.cell_divs, f.coefficients[V.dofmap])
         assert np.abs(cell_div).max() < 1e-12
 
 
