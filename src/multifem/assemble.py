@@ -5,11 +5,14 @@ conditions (pointwise and block-system variants) and Matrix Market IO.
 A form's integrals are grouped by mesh and (test, trial) space pair, and
 each group is assembled in one pass over chunks of cells: per chunk, every
 integral's local tensor under its own quadrature rule, summed in the order
-the integrals are written, then one scatter per group (one COO->CSR sum of
-a matrix, one ``bincount`` of a vector, one sum of a functional's per-cell
-values).  A chunk's cell count follows from budgets on its largest
-evaluated table, on its callback points and on its cells (see
-``_CHUNK_ENTRIES``); the output is bitwise independent of it.
+the integrals are written, then one scatter per group: one ``bincount`` of
+a vector, one sum of a functional's per-cell values, and for a matrix one
+sparse product D_V^T (W D_U) of the test dofs' incidence D_V with the
+local rows (see ``_product_operands``), which sums each entry's
+contributions in cell order and stores no exact zero.  A chunk's cell
+count follows from budgets on its largest evaluated table, on its
+callback points and on its cells (see ``_CHUNK_ENTRIES``); the output is
+bitwise independent of it.
 Quadrature degree is estimated from the integrand (sum of factor degrees,
 gradients reduce by one, analytic data counts as its declared degree); a
 degree above the available rules raises.
@@ -39,8 +42,8 @@ __all__ = [
 # An assembled entry a_ij is a sum of element contributions, each at most
 # m_K = max|A_K| in size.  Where they cancel in exact arithmetic (the
 # Kuhn-cube P1 stiffness couples some vertex pairs with weight zero), the
-# floating-point sum can leave residue, and it stores an explicit zero
-# where they cancel exactly.  An entry is not stored when
+# floating-point sum can leave residue; where they cancel exactly, the
+# product that sums them stores nothing.  An entry is not stored when
 # |a_ij| <= _RESIDUE_ULPS * eps * min(r_i, c_j), where r_i and c_j sum m_K
 # over the cells of test dof i and of trial dof j.  The rule is scale-free
 # and has no h in it.  Measured, the Kuhn-cube couplings cancel to exact
@@ -296,7 +299,9 @@ def _chunk_cells(integrals, quad_degree=None):
 def _assemble_group(integrals, quad_degree):
     """One pass over the cells for ``integrals``, which share their mesh and
     their test and trial spaces.  Per chunk, each integral's local tensor
-    under its own rule, the tensors summed in order; then one scatter."""
+    under its own rule, the tensors summed in order; then one scatter, for
+    a matrix one sparse product with sorted indices and its residue
+    dropped."""
     mesh = integrals[0].mesh
     test, trial = integrals[0].test, integrals[0].trial
     nT = test.space.nloc if test is not None else 1
@@ -332,12 +337,10 @@ def _assemble_group(integrals, quad_degree):
             cell_max[cells] = np.abs(loc.reshape(-1, C)).max(axis=0)
 
     if bilinear:
-        # where these are made does not move the heap layout perfusion's
-        # n=24 spsolve sees: 3.3k page faults per unit, made before the
-        # chunks' tables or after them
-        shape = (test.space.dim, trial.space.dim)
-        rows, cols = _triplet_indices(test.space.dofmap, trial.space.dofmap, shape)
-        A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        incidence, local = _product_operands(
+            vals, test.space.dofmap, trial.space.dofmap, (test.space.dim, trial.space.dim))
+        A = incidence @ local
+        A.sort_indices()
         return _drop_residue(A, cell_max, test.space.dofmap, trial.space.dofmap)
     if test is not None:
         # each dof's values summed in cell-major order from zero
@@ -346,23 +349,36 @@ def _assemble_group(integrals, quad_degree):
     return float(vals.sum())
 
 
-def _index_dtype(shape):
-    """The index width of a sparse matrix of ``shape``: int32 when every row
-    and column index fits, else int64, as scipy picks for the matrices it
-    builds.  Triplet indices of this width are taken as they are; wider
-    ones are scanned and copied down to it."""
-    return np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+def _index_dtype(sizes):
+    """The index width of a sparse matrix whose indices and pointers are at
+    most ``sizes`` (its shape, and its entries where they may outnumber
+    them): int32 when every one fits, else int64, as scipy picks for the
+    matrices it builds.  Index arrays of this width are taken as they are;
+    wider ones are scanned and copied down to it."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
-def _triplet_indices(test_dofmap, trial_dofmap, shape):
-    """Row and column index of each entry (c, t, u) of the cell-major local
-    tensors of a matrix of ``shape``, in its index width: each dofmap is
-    cast once, before it is repeated, and a shared one once in all."""
-    idx = _index_dtype(shape)
-    rdm = test_dofmap.astype(idx)
-    cdm = rdm if trial_dofmap is test_dofmap else trial_dofmap.astype(idx)
-    nT, nU = rdm.shape[1], cdm.shape[1]
-    return np.repeat(rdm.ravel(), nU), np.tile(cdm, nT).ravel()
+def _product_operands(vals, test_dofmap, trial_dofmap, shape):
+    """The factors of sum_K P_K^T A_K P_K = D_V^T (W D_U), a matrix of
+    ``shape`` from the cell-major local values ``vals`` (c, t, u), both in
+    one index width.  D_V^T (CSR) is the transpose of the incidence with a
+    single 1 in row (c, t), at test dof t of cell c; its rows list their
+    (c, t) in cell order.  Row (c, t) of W D_U (CSR) is that cell's local
+    row: ``vals`` as they are, at the trial dofs of cell c.  scipy's
+    product (Gustavson's, with a dense accumulator) adds each entry's
+    contributions in the order of D_V^T's row, from zero, and stores no
+    entry whose sum is exactly zero."""
+    C, nT = test_dofmap.shape
+    nU = trial_dofmap.shape[1]
+    idx = _index_dtype((*shape, vals.size))
+    n = C * nT
+    incidence = sp.csc_matrix(
+        (np.ones(n), test_dofmap.astype(idx).ravel(), np.arange(n + 1, dtype=idx)),
+        shape=(shape[0], n)).tocsr()
+    cols = np.repeat(trial_dofmap.astype(idx), nT, axis=0).ravel()
+    local = sp.csr_matrix((vals, cols, np.arange(0, vals.size + 1, nU, dtype=idx)),
+                          shape=(n, shape[1]))
+    return incidence, local
 
 
 def _drop_residue(A, cell_max, test_dofmap, trial_dofmap):

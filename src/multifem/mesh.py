@@ -220,14 +220,17 @@ class Mesh:
         self.parent = parent
         self.uid = next(_uid_counter)
         E = self._edge_components()
-        self.jacobian_measure = _read_only(_jacobian_measure(E))
+        G, det = _gradient_transform(E)
+        self.jacobian_measure = _read_only(
+            np.abs(det) if len(E) == len(E[0]) else np.sqrt(np.abs(det)))
         vols = self.cell_volumes
         bad = np.flatnonzero(~(vols >= _MIN_MEASURE))     # NaN fails too
         if len(bad):
             raise MeshError(f"cell {bad[0]} has measure {vols[bad[0]]:.3e} < {_MIN_MEASURE}")
         # the per-cell map of reference to physical gradients,
-        # grad = G @ ref_grad; it divides by det E, checked nonzero above
-        self.gradient_transform = _read_only(_gradient_transform(E).transpose(2, 0, 1))
+        # grad = G @ ref_grad; it divides by det, checked nonzero above
+        G /= det
+        self.gradient_transform = _read_only(G.transpose(2, 0, 1))
 
     # -- basic quantities ---------------------------------------------------
 
@@ -342,11 +345,11 @@ def _adjugate(a, i, j):
     return a[p][r] * a[q][s] - a[p][s] * a[q][r]
 
 
-def _det(a):
-    """det(a), expanded along the first row."""
-    d = a[0][0] * _adjugate(a, 0, 0)
+def _det(a, adj):
+    """det(a), expanded along the first row, from the adjugate ``adj`` of a."""
+    d = a[0][0] * adj[0][0]
     for i in range(1, len(a)):
-        d += a[0][i] * _adjugate(a, i, 0)
+        d += a[0][i] * adj[i][0]
     return d
 
 
@@ -363,35 +366,25 @@ def _gram(E):
     return dot
 
 
-def _jacobian_measure(E):
-    """(nc,) |det E|, or sqrt|det(E E^T)| on manifolds, of the edge vectors
-    ``E`` (tdim, gdim, nc)."""
-    if len(E) == len(E[0]):
-        return np.abs(_det(E))
-    return np.sqrt(np.abs(_det(_gram(E))))
-
-
 def _gradient_transform(E):
-    """(gdim, tdim, nc) G = E^-1, or E^T (E E^T)^-1 on manifolds, of the
-    edge vectors ``E`` (tdim, gdim, nc), from the adjugate."""
+    """G = E^-1, or E^T (E E^T)^-1 on manifolds, of the edge vectors ``E``
+    (tdim, gdim, nc), as G det (gdim, tdim, nc) and det (nc,), where det is
+    det E, or det(E E^T) on manifolds: each entry of the adjugate is
+    computed once, and det from its first column, so the cell measure
+    comes from det and the division by it waits for the measure check."""
     t, g = len(E), len(E[0])
-    G = np.empty((g, t, E.shape[2]))
+    a = E if t == g else _gram(E)
+    adj = [[_adjugate(a, i, j) for j in range(t)] for i in range(t)]
     if t == g:
-        det = _det(E)
-        for i in range(g):
-            for j in range(t):
-                G[i, j] = _adjugate(E, i, j)
+        G = np.array(adj)
     else:
-        gram = _gram(E)
-        det = _det(gram)
-        adj = [[_adjugate(gram, k, j) for j in range(t)] for k in range(t)]
+        G = np.empty((g, t, E.shape[2]))
         for i in range(g):
             for j in range(t):
                 G[i, j] = E[0][i] * adj[0][j]
                 for k in range(1, t):
                     G[i, j] += E[k][i] * adj[k][j]
-    G /= det
-    return G
+    return G, _det(a, adj)
 
 
 class CellLocator:

@@ -1,8 +1,10 @@
 """Quadrature rules on reference simplices.
 
 Reference cells: interval [0,1], triangle {(0,0),(1,0),(0,1)}, tetrahedron
-{0, e1, e2, e3}.  Weights sum to the reference measure.  A degree above
-the supported maximum raises ``ValueError``.
+{0, e1, e2, e3}.  Weights sum to the reference measure.  Every rule up to
+``MAX_DEGREE`` is tabulated once, at import, as read-only arrays, so
+``rule`` is a lookup.  A degree above the supported maximum raises
+``ValueError``.
 """
 from __future__ import annotations
 
@@ -66,15 +68,24 @@ def _tet_rule(degree):
     return pts, wts / 6.0  # 4 points, each weight 1/24
 
 
+def _read_only(arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+_RULES = {
+    (tdim, degree): _read_only(make(degree))
+    for tdim, make in ((1, _interval_rule), (2, _triangle_rule), (3, _tet_rule))
+    for degree in range(1, MAX_DEGREE[tdim] + 1)
+}
+
+
 def rule(tdim, degree):
     """(points, weights) exact for polynomials up to ``degree`` on the
-    reference simplex of dimension ``tdim``."""
+    reference simplex of dimension ``tdim``, read-only and shared."""
     degree = max(1, int(degree))
     if degree > MAX_DEGREE[tdim]:
         raise ValueError(f"no quadrature rule of degree {degree} for tdim={tdim} "
                          f"(maximum {MAX_DEGREE[tdim]})")
-    if tdim == 1:
-        return _interval_rule(degree)
-    if tdim == 2:
-        return _triangle_rule(degree)
-    return _tet_rule(degree)
+    return _RULES[tdim, degree]

@@ -268,14 +268,17 @@ def rt0_edge_flux(space: FunctionSpace, field, edges):
 def _dof_values(space: FunctionSpace, f, dofs):
     """The degrees of freedom ``dofs`` of ``f`` (a constant or a callable
     field, called once): point values at the dof coordinates, of the dof's
-    component for vector elements, or RT0 edge fluxes."""
+    component for vector elements, or RT0 edge fluxes.  A vector element's
+    field is called once on each node its dofs sit at."""
     dofs = np.asarray(dofs, dtype=np.int64)
     if not space.is_point_evaluation:
         return rt0_edge_flux(space, f, dofs)
-    vals = _field_values(f, space.dof_coords[dofs], space.value_shape)
     if space.ncomp == 1:
-        return np.array(vals)
-    return vals[np.arange(len(dofs)), space.dof_component[dofs]]
+        return np.array(_field_values(f, space.dof_coords[dofs], space.value_shape))
+    # dof s * ncomp + c is component c at scalar node s
+    nodes, at = np.unique(dofs // space.ncomp, return_inverse=True)
+    vals = _field_values(f, space.dof_coords[nodes * space.ncomp], space.value_shape)
+    return vals[at, space.dof_component[dofs]]
 
 
 def interpolate(space: FunctionSpace, f) -> Function:

@@ -271,29 +271,49 @@ def _digest(a):
     return h.hexdigest()[:16]
 
 
+def _int64(m):
+    """A copy of the CSR ``m`` with int64 index arrays, set after the
+    constructor, which may narrow them."""
+    m = m.copy()
+    m.indices, m.indptr = m.indices.astype(np.int64), m.indptr.astype(np.int64)
+    return m
+
+
 class TestThirtyTwoBitScatter:
-    """Triplet indices go to scipy in the matrix's index width (int32 when
-    the dimensions fit); every matrix is bitwise the one that int64
-    triplets in the same order give."""
+    """The factors of the product that sums a matrix go to scipy in the
+    matrix's index width (int32 when its dimensions and entries fit), and
+    reduction triplets likewise; every matrix is bitwise the one that int64
+    indices give."""
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the triplets and shape of every ``sp.coo_matrix`` built, and
-        the per-cell scale of every residue drop."""
-        triplets, drops = [], []
-        coo, drop = sp.coo_matrix, assemble_module._drop_residue
+        """Record the factors of every product the assembler builds, and the
+        per-cell scale of every residue drop."""
+        factors, drops = [], []
+        operands, drop = assemble_module._product_operands, assemble_module._drop_residue
+
+        def spy_operands(*args):
+            factors.append(operands(*args))
+            return factors[-1]
+
+        def spy_drop(A, cell_max, *dofmaps):
+            drops.append(cell_max)
+            return drop(A, cell_max, *dofmaps)
+        monkeypatch.setattr(assemble_module, "_product_operands", spy_operands)
+        monkeypatch.setattr(assemble_module, "_drop_residue", spy_drop)
+        return factors, drops
+
+    @staticmethod
+    def spy_coo(monkeypatch):
+        """Record the triplets and shape of every ``sp.coo_matrix`` built."""
+        triplets, coo = [], sp.coo_matrix
 
         def spy_coo(arg, shape=None, **kw):
             vals, (rows, cols) = arg
             triplets.append((vals, rows, cols, shape))
             return coo(arg, shape=shape, **kw)
-
-        def spy_drop(A, cell_max, *dofmaps):
-            drops.append(cell_max)
-            return drop(A, cell_max, *dofmaps)
         monkeypatch.setattr(sp, "coo_matrix", spy_coo)
-        monkeypatch.setattr(assemble_module, "_drop_residue", spy_drop)
-        return triplets, drops, coo
+        return triplets, coo
 
     @staticmethod
     def dropped(full, cell_max, test_dm, trial_dm):
@@ -309,8 +329,8 @@ class TestThirtyTwoBitScatter:
 
     @staticmethod
     def cube_stiffness():
-        # perfusion's bulk block at n=6: the Kuhn cube stores exact zeros,
-        # which the residue drop removes
+        # perfusion's bulk block at n=6: the Kuhn cube's couplings of weight
+        # zero cancel exactly, and the product stores none of them
         V = build_space(unit_cube_mesh(6), lagrange(1))
         return inner(grad(TrialFunction(V)), grad(TestFunction(V))) * Measure(V.mesh)
 
@@ -346,19 +366,29 @@ class TestThirtyTwoBitScatter:
             form = _geometry_forms(TestMeshGeometryReuse.mesh())[k]
         integral = form.integrals[0]
         test_dm, trial_dm = integral.test.space.dofmap, integral.trial.space.dofmap
-        triplets, drops, coo = self.spy(monkeypatch)
+        factors, drops = self.spy(monkeypatch)
         A = assemble(form)
-        ((vals, rows, cols, shape),), (cell_max,) = triplets, drops
-        assert rows.dtype == cols.dtype == np.int32
-        # the int64 triplets of the cell-major local tensors, in their order
-        rows64 = np.repeat(test_dm.ravel(), trial_dm.shape[1])
-        cols64 = np.tile(trial_dm, test_dm.shape[1]).ravel()
-        assert rows64.dtype == np.int64
-        assert np.array_equal(rows, rows64) and np.array_equal(cols, cols64)
-        full = coo((vals, (rows64, cols64)), shape=shape).tocsr()
+        ((incidence, local),), (cell_max,) = factors, drops
+        for m in (incidence, local):
+            assert m.indices.dtype == m.indptr.dtype == np.int32
+        # D_V^T has a single 1 in column (c, t), at test dof t of cell c;
+        # row (c, t) of W D_U lies at the trial dofs of cell c
+        (C, nT), nU = test_dm.shape, trial_dm.shape[1]
+        D = sp.csr_matrix((np.ones(C * nT), test_dm.ravel(), np.arange(C * nT + 1)),
+                          shape=incidence.T.shape)
+        assert _same_bits(incidence.T.tocsr(), D)
+        assert np.array_equal(local.indices, np.repeat(trial_dm, nT, axis=0).ravel())
+        assert np.array_equal(local.indptr, np.arange(0, C * nT * nU + 1, nU))
+        # scipy multiplies in the width of its widest factor
+        full = _int64(incidence) @ _int64(local)
+        full.sort_indices()
         assert _same_bits(A, self.dropped(full, cell_max, test_dm, trial_dm))
         if k == "cube":
-            assert A.nnz < full.nnz        # the rebuilt CSR is compared too
+            # the triplets' COO sum stores the exact zeros the product does not
+            rows64 = np.repeat(test_dm.ravel(), nU)
+            cols64 = np.tile(trial_dm, nT).ravel()
+            coo = sp.coo_matrix((local.data, (rows64, cols64)), shape=A.shape).tocsr()
+            assert A.nnz == full.nnz < coo.nnz
         if k == "layered":
             # the test side's scale in place of the trial side's keeps residue
             assert A.nnz < self.dropped(full, cell_max, test_dm, test_dm).nnz
@@ -367,7 +397,7 @@ class TestThirtyTwoBitScatter:
     def test_reduction_matrix_is_the_int64_one(self, kind, monkeypatch):
         V = build_space(unit_cube_mesh(6), lagrange(1))
         Q = build_space(bench._gamma_line(6), lagrange(1))
-        triplets, _, coo = self.spy(monkeypatch)
+        triplets, coo = self.spy_coo(monkeypatch)
         R = trace_matrix(V, Q) if kind == "trace" else average_matrix(V, Q, 0.2, 16)
         ((vals, rows, cols, shape),) = triplets
         assert rows.dtype == cols.dtype == np.int32
@@ -376,16 +406,21 @@ class TestThirtyTwoBitScatter:
         assert _same_bits(R, ref)
 
     def test_width_rule(self):
-        # decided from the dimensions alone: no array of 2**31 entries
+        # decided from the sizes alone: no array of 2**31 entries
         index_dtype = assemble_module._index_dtype
         assert index_dtype((2**31 - 1, 3)) is np.int32
         assert index_dtype((2**31, 3)) is index_dtype((3, 2**31)) is np.int64
+        assert index_dtype((3, 3, 2**31)) is np.int64      # entries past int32
         dofmap = np.array([[0, 1], [1, 2]])
-        for dim, width in [(3, np.int32), (2**31, np.int64)]:
-            rows, cols = assemble_module._triplet_indices(dofmap, dofmap, (dim, dim))
-            assert rows.dtype == cols.dtype == width
-            assert rows.tolist() == [0, 0, 1, 1, 1, 1, 2, 2]
-            assert cols.tolist() == [0, 1, 0, 1, 1, 2, 1, 2]
+        vals = np.arange(8.0)
+        incidence, local = assemble_module._product_operands(vals, dofmap, dofmap, (3, 3))
+        for m in (incidence, local):
+            assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert incidence.toarray().tolist() == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+        assert local.toarray().tolist() == [[0, 1, 0], [2, 3, 0], [0, 4, 5], [0, 6, 7]]
+        assert (incidence @ local).toarray().tolist() == [[0, 1, 0], [2, 7, 5], [0, 6, 7]]
+        _, local = assemble_module._product_operands(vals, dofmap, dofmap, (3, 2**31))
+        assert local.indices.dtype == local.indptr.dtype == np.int64
 
 
 class TestFusedGroups:
@@ -393,7 +428,7 @@ class TestFusedGroups:
     def mesh():
         return TestMeshGeometryReuse.mesh()
 
-    def test_one_coo_to_csr_per_group(self, monkeypatch):
+    def test_one_product_per_group(self, monkeypatch):
         # groups: (m1, V, V), (m1, W, V) and (m2, X, X), two integrals each
         m1, m2 = unit_square_mesh(4, 3), unit_square_mesh(4, 3, offset=(2.0, 0.0))
         V, W, X = (build_space(m, lagrange(1)) for m in (m1, m1, m2))
@@ -405,9 +440,9 @@ class TestFusedGroups:
                 + inner(grad(u), grad(w)) * dx1)
         separate = [assemble(Form([i])) for i in form]
         calls = []
-        tocsr = sp.coo_matrix.tocsr
-        monkeypatch.setattr(sp.coo_matrix, "tocsr",
-                            lambda self, *a, **k: calls.append(self.shape) or tocsr(self, *a, **k))
+        matmul = sp.csr_matrix.__matmul__
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__",
+                            lambda a, b: calls.append((a.shape[0], b.shape[1])) or matmul(a, b))
         fused = assemble(form)
         assert calls == [(V.dim, V.dim)] * 3
         assert abs(fused - sum(separate[1:], separate[0])).max() <= 4e-16 * abs(fused).max()
@@ -435,7 +470,9 @@ class TestFusedGroups:
     def test_single_integrals_bitwise_the_per_integral_assembler(self):
         # digests of what the assembler gave when it assembled, scattered and
         # summed each integral on its own, in chunks of 512 cells: a group of
-        # one integral is assembled as one integral was
+        # one integral is assembled as one integral was.  The P1 mass, P1
+        # stiffness and vector-P2 sym-grad digests are those of the sum in
+        # cell order (the incidence product); the rest kept their bits
         mesh = self.mesh()
         dx = Measure(mesh)
         V1, V2, R = (build_space(mesh, e) for e in (lagrange(1), vector_lagrange(2), rt0()))
@@ -444,9 +481,9 @@ class TestFusedGroups:
         s, t = TrialFunction(R), TestFunction(R)
         load = Analytic(lambda p: p[:, 0] ** 2 * p[:, 1] - p[:, 1], degree=3)
         forms = {
-            "886c110faae5c84e": inner(u, v) * dx,
-            "a96b8657a425a0f1": inner(grad(u), grad(v)) * dx,
-            "512b2eb1bd7e605c": inner(sym(grad(w)), sym(grad(z))) * dx,
+            "a130ebf01d43799d": inner(u, v) * dx,
+            "3d72beaa91f1ed2a": inner(grad(u), grad(v)) * dx,
+            "6f969e36a995eae5": inner(sym(grad(w)), sym(grad(z))) * dx,
             "d51d76a5d0afb094": inner(s, t) * dx,
             "f565770481f2bd96": inner(div(s), div(t)) * dx,
             "d375a7c154507054": inner(load, v) * dx,
@@ -494,13 +531,29 @@ def _cube_stiffness(n, scale=1.0):
 
 class TestCancellationResidue:
     # The Kuhn-cube P1 stiffness couples some vertex pairs with weight zero;
-    # summed, those couplings leave stored zeros (or residue, with a less
-    # exact gradient transform) at n=12 and 24 and cancel exactly at n=16.
+    # summed as COO triplets, those couplings leave stored zeros (or
+    # residue, with a less exact gradient transform) at n=12 and 24 and
+    # cancel exactly at n=16.  The product that sums them stores no zero.
     @pytest.mark.parametrize("n", [12, 24])
-    def test_only_residue_is_dropped(self, n, unpruned):
-        pruned = assemble(_cube_stiffness(n))
+    def test_only_residue_is_dropped(self, n, unpruned, monkeypatch):
         full = unpruned(assemble, _cube_stiffness(n))
-        assert dropped_residue(pruned, full) > 0.3 * full.nnz
+        factors, _ = TestThirtyTwoBitScatter.spy(monkeypatch)
+        form = _cube_stiffness(n)
+        pruned = assemble(form)
+        ((_, local),) = factors
+        dm = form.integrals[0].test.space.dofmap
+        coo = sp.coo_matrix((local.data, (np.repeat(dm.ravel(), 4), np.tile(dm, 4).ravel())),
+                            shape=pruned.shape).tocsr()
+        # the product less its residue, kept entries bitwise
+        assert np.all(full.data != 0)
+        dropped_residue(pruned, full)
+        # the COO sum less its exact zeros and residue, each kept entry
+        # within 4 eps of it: the two sum in different orders
+        eps = np.finfo(float).eps
+        assert dropped_residue(pruned, coo, kept_rtol=4 * eps) > 0.3 * coo.nnz
+        at = pruned.tocoo()
+        ref = np.asarray(coo[at.row, at.col]).ravel()
+        assert np.all(np.abs(at.data - ref) <= 4 * eps * np.abs(ref))
 
     def test_exact_cancellation_keeps_every_nonzero(self, unpruned):
         full = unpruned(assemble, _cube_stiffness(16))
@@ -525,6 +578,80 @@ class TestCancellationResidue:
         assert plain.nnz == 14_365
         assert np.array_equal(scaled.indptr, plain.indptr)
         assert np.array_equal(scaled.indices, plain.indices)
+
+
+def _cell_order_sum(vals, test_dm, trial_dm, shape):
+    """The sum of the cell-major local matrices ``vals`` in plain Python:
+    each cell's local matrix added into a dict of (i, j) in cell order from
+    zero, then exact zeros and residue dropped by the rule at
+    ``_RESIDUE_ULPS``.  Returns the CSR and the number of exact zeros."""
+    C, nT = test_dm.shape
+    nU = trial_dm.shape[1]
+    local, tests, trials = vals.reshape(C, nT, nU).tolist(), test_dm.tolist(), trial_dm.tolist()
+    sums, r, c = {}, [0.0] * shape[0], [0.0] * shape[1]
+    for K in range(C):
+        m_K = max(abs(a) for row in local[K] for a in row)
+        for t, i in enumerate(tests[K]):
+            r[i] += m_K
+            for u, j in enumerate(trials[K]):
+                sums[i, j] = sums.get((i, j), 0.0) + local[K][t][u]
+        for j in trials[K]:
+            c[j] += m_K
+    tol = assemble_module._RESIDUE_ULPS * np.finfo(float).eps
+    kept = sorted((ij, a) for ij, a in sums.items() if abs(a) > min(r[ij[0]], c[ij[1]]) * tol)
+    rows = np.array([i for (i, _), _ in kept], dtype=np.int64)
+    cols = np.array([j for (_, j), _ in kept], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    zeros = sum(a == 0 for a in sums.values())
+    return sp.csr_matrix((np.array([a for _, a in kept]), cols, indptr), shape=shape), zeros
+
+
+def _canonical(A):
+    """Sorted indices, no duplicate and no stored zero in any row."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    same_row = rows[1:] == rows[:-1]
+    return bool(A.has_sorted_indices and np.all(np.diff(A.indices)[same_row] > 0)
+                and np.all(A.data != 0))
+
+
+class TestCellOrderOracle:
+    """Every matrix is bitwise the cell-order sum of its local matrices,
+    less its exact zeros and residue, in canonical form, whatever the
+    chunks its local matrices are evaluated in."""
+
+    @staticmethod
+    def form(name):
+        mesh = unit_square_mesh(4, 3, offset=(0.25, -0.5), extent=(1.5, 0.75))
+        if name == "kuhn-cube":
+            return _cube_stiffness(3)
+        if name == "rt0-p1":
+            return TestThirtyTwoBitScatter.layered()
+        if name == "p2-p1":
+            V, W = (build_space(mesh, lagrange(d)) for d in (1, 2))
+            u, w = TrialFunction(V), TestFunction(W)
+            return inner(grad(u), grad(w)) * Measure(mesh) + inner(u, w) * Measure(mesh)
+        # P1 stiffness + mass, vector-P2 sym-grad + mass, RT0 mass + div-div
+        return _geometry_forms(mesh)[{"p1": 1, "vector-p2": 2, "rt0": 3}[name]]
+
+    @pytest.mark.parametrize("name", ["p1", "kuhn-cube", "vector-p2", "rt0", "p2-p1", "rt0-p1"])
+    def test_product_is_the_cell_order_sum(self, name, monkeypatch):
+        form = self.form(name)
+        calls, operands = [], assemble_module._product_operands
+        monkeypatch.setattr(assemble_module, "_product_operands",
+                            lambda *args: calls.append(args) or operands(*args))
+        A = assemble(form)
+        ((vals, test_dm, trial_dm, shape),) = calls
+        ref, zeros = _cell_order_sum(vals, test_dm, trial_dm, shape)
+        assert _same_bits(A, ref) and _canonical(A)
+        if name == "kuhn-cube":
+            assert zeros > 0
+        if name == "rt0-p1":
+            # the residue the rule drops
+            assert ref.nnz < len(np.unique(test_dm[:, :, None] * shape[1]
+                                           + trial_dm[:, None, :]))
+        # one-cell chunks
+        monkeypatch.setattr(assemble_module, "_CHUNK_ENTRIES", 7)
+        assert _same_bits(assemble(form), ref)
 
 
 class TestAnalyticContract:

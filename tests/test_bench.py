@@ -221,7 +221,8 @@ class TestPerfusionCase:
         # solution is freed before level 2 is solved.  The rows are those
         # of a study that kept every level, level 1 to the bit and level 2
         # within an ulp (the bulk and vessel norms add as a hypot, which
-        # rounds apart from the square root of their squares' sum)
+        # rounds apart from the square root of their squares' sum); both
+        # are those of matrices summed in cell order
         solve, levels = bench._solve_perfusion, []
 
         def tracked(n, *args):
@@ -235,8 +236,8 @@ class TestPerfusionCase:
         rec = run_case(CaseConfig(case="perfusion", n=4, levels=3))
         assert len(levels) == 3 and [r["dofs_total"] for r in rec.rows] == [738, 4930]
         one, two = rec.errors("diff")
-        assert one == float.fromhex("0x1.bef0ad7379942p-7")
-        ref = float.fromhex("0x1.8977861000147p-7")
+        assert one == float.fromhex("0x1.bef0ad73798f5p-7")
+        ref = float.fromhex("0x1.89778610000aep-7")
         assert abs(two - ref) <= math.ulp(ref)
 
     def test_single_level_raises_before_solving(self, monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -242,6 +243,27 @@ class TestClosedFormGeometry:
         gap = np.abs(mesh.gradient_transform - G).max(axis=(1, 2))
         assert np.all(gap <= tol * np.abs(G).max(axis=(1, 2)))
         assert np.all(np.abs(mesh.jacobian_measure - measure) <= tol * measure)
+
+    @pytest.mark.parametrize("kind", ["tet", "triangle", "triangle in 3d", "segment in 3d"])
+    def test_one_adjugate_and_one_det_per_mesh(self, kind, monkeypatch):
+        # the measure and the gradient transform share the adjugate of E
+        # (of E E^T on manifolds), each entry computed once, and the det
+        # taken from its first column
+        cube = unit_cube_mesh(1)
+        vertices, cells, t = {
+            "tet": (cube.vertices, cube.cells, 3),
+            "triangle": (cube.vertices[:, :2], [[0, 1, 3]], 2),
+            "triangle in 3d": (cube.vertices, cube.facets, 2),
+            "segment in 3d": (cube.vertices, cube.edges, 1),
+        }[kind]
+        module = importlib.import_module("multifem.mesh")
+        adjugate, det, calls = module._adjugate, module._det, []
+        monkeypatch.setattr(module, "_adjugate",
+                            lambda a, i, j: calls.append((i, j)) or adjugate(a, i, j))
+        monkeypatch.setattr(module, "_det", lambda *args: calls.append("det") or det(*args))
+        Mesh(vertices, cells)
+        assert sorted(calls, key=str) == sorted(
+            [(i, j) for i in range(t) for j in range(t)] + ["det"], key=str)
 
     @given(data=st.data())
     def test_degenerate_cell_raises(self, data):

@@ -94,3 +94,18 @@ def test_form_above_maximum_degree_raises():
     f = Analytic(lambda p: p[:, 0] ** 3, degree=3)
     with pytest.raises(ValueError, match="degree 4 for tdim=3"):
         assemble(inner(f, TestFunction(V)) * Measure(V.mesh))
+
+
+@pytest.mark.parametrize("tdim", [1, 2, 3])
+def test_rules_tabulated_once_and_read_only(tdim, monkeypatch):
+    # every rule is built at import: a lookup calls no Gauss-Legendre
+    # routine, returns the same arrays each time, and they cannot be written
+    def no_leggauss(*args):
+        raise AssertionError("leggauss called after import")
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_leggauss)
+    for degree in range(1, MAX_DEGREE[tdim] + 1):
+        pts, wts = rule(tdim, degree)
+        assert rule(tdim, degree)[0] is pts and rule(tdim, degree)[1] is wts
+        for a in (pts, wts):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0

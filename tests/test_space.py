@@ -7,7 +7,7 @@ from multifem.mesh import (
 from multifem.space import (
     Element, Function, FunctionSpace, UnsupportedElementError, basis_row,
     build_space, dg0, evaluate, interpolate, lagrange, rt0, vector_dg0,
-    tabulate_lagrange, vector_lagrange,
+    tabulate_lagrange, vector_lagrange, _dof_values,
 )
 
 
@@ -95,6 +95,27 @@ class TestInterpolationEvaluation:
         f = interpolate(V, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
         val = evaluate(f, np.array([0.4, 0.6]))
         assert np.allclose(val, [0.4, -0.6], atol=1e-13)
+
+    def test_vector_field_called_once_per_node(self):
+        # vector P2 on the 4x4 square: 162 dofs at 81 nodes.  The field is
+        # called once, on the nodes, and each dof is its component of the
+        # value there, bitwise what a call on every dof's coordinate gives
+        V = build_space(unit_square_mesh(4), vector_lagrange(2))
+
+        def field(p):
+            return np.stack([np.sin(3 * p[:, 0]) * p[:, 1], np.exp(p[:, 1]) - p[:, 0]], axis=1)
+        calls = []
+        f = interpolate(V, lambda p: calls.append(len(p)) or field(p))
+        assert V.dim == 162 and calls == [81]
+        every = field(V.dof_coords)[np.arange(V.dim), V.dof_component]
+        assert np.array_equal(f.coefficients, every)
+        # a selection of dofs, as a boundary condition makes, one call on
+        # the nodes they sit at
+        dofs = np.arange(1, V.dim, 3)
+        calls.clear()
+        vals = _dof_values(V, lambda p: calls.append(len(p)) or field(p), dofs)
+        assert calls == [len(np.unique(dofs // 2))]
+        assert np.array_equal(vals, every[dofs])
 
     def test_p0_value_constant_on_cell(self, square):
         V = build_space(square, dg0())
