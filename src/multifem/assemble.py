@@ -477,7 +477,8 @@ def apply_bc_block(block_op, rhs_blocks, bcs_by_block, *, symmetric):
                     rhs[j] -= row[i].matvec(gi)
 
     keep = {i: 1.0 - mask for i, (_, mask) in vectors.items()}
-    new_rows = [[_constrain(blk, keep.get(i), keep.get(j) if symmetric else None)
+    masked = {}
+    new_rows = [[_constrain(blk, keep.get(i), keep.get(j) if symmetric else None, masked)
                  for j, blk in enumerate(row)] for i, row in enumerate(rows)]
     for i, (gi, mask) in vectors.items():
         diag, unit = new_rows[i][i], Matrix(sp.diags(mask).tocsr())
@@ -486,30 +487,36 @@ def apply_bc_block(block_op, rhs_blocks, bcs_by_block, *, symmetric):
     return BlockMat(new_rows), rhs
 
 
-def _constrain(op, rows, cols):
+def _constrain(op, rows, cols, masked):
     """``op`` with its rows scaled by the 0/1 mask ``rows`` and its columns
     by ``cols`` (None: unmasked).  Each masked sparse leaf is a copy whose
     data is scaled in place, keeping the order in which products and
-    matvecs sum; the leaves of ``op`` are shared and stay unchanged."""
+    matvecs sum; the leaves of ``op`` are shared and stay unchanged.
+    ``masked`` holds the copies made so far, by leaf and masks, so a leaf
+    masked alike in several blocks (a coupling and its transpose under
+    symmetric conditions, a reduction matrix) is copied once."""
     if isinstance(op, Zero) or (rows is None and cols is None):
         return op
     if isinstance(op, Sum):
-        return Sum([_constrain(t, rows, cols) for t in op.terms])
+        return Sum([_constrain(t, rows, cols, masked) for t in op.terms])
     if isinstance(op, Product):
         f = list(op.factors)
-        f[-1] = _constrain(f[-1], None, cols)
-        f[0] = _constrain(f[0], rows, None)
+        f[-1] = _constrain(f[-1], None, cols, masked)
+        f[0] = _constrain(f[0], rows, None, masked)
         return Product(f)
     if isinstance(op, Transpose):
-        return Transpose(_constrain(op.child, cols, rows))
+        return Transpose(_constrain(op.child, cols, rows, masked))
     if isinstance(op, Matrix) and sp.issparse(op.a):
-        a = op.a.tocsr(copy=True)
-        if rows is not None:
-            a.data *= np.repeat(rows, np.diff(a.indptr))
-        if cols is not None:
-            a.data *= cols[a.indices]
-        a.eliminate_zeros()
-        return Matrix(a)
+        key = (id(op.a), id(rows), id(cols))
+        if key not in masked:
+            a = op.a.tocsr(copy=True)
+            if rows is not None:
+                a.data *= np.repeat(rows, np.diff(a.indptr))
+            if cols is not None:
+                a.data *= cols[a.indices]
+            a.eliminate_zeros()
+            masked[key] = Matrix(a)
+        return masked[key]
     raise OpError(f"Dirichlet conditions cannot constrain {type(op).__name__} nodes")
 
 

@@ -17,6 +17,15 @@ The groups' contributions are summed in group order.  A reduction-free
 form is the single ``(None, None)`` group, so its matrix is bitwise that
 of the base assembler.  A block form lowers its forms in row-major order
 of their block keys, whatever order they were added in.
+
+A block form's coupling (j, i), j > i, that holds the integrals of (i, j)
+in the same order with test and trial swapped (``_is_transpose``) is not
+lowered again: its entry is the transpose of the lowered (i, j), taken
+down to its matrix leaves (``_transpose``): a product's factors reversed,
+a sum's terms in order, ``Transpose(Transpose(M))`` is ``M``.  This is
+bitwise the lowering of (j, i): each assembled entry sums the same local
+values over the same cells in cell order, and the residue bound
+min(r_i, c_j) is symmetric.
 """
 from __future__ import annotations
 
@@ -26,7 +35,10 @@ import numbers
 import numpy as np
 
 from .assemble import assemble
-from .forms import Argument, BlockForm, Coefficient, Form, FormError, Integral, replace
+from .forms import (
+    Analytic, Argument, BlockForm, Coefficient, Constant, Form, FormError, Inner, Integral,
+    Reduced, Scale, replace,
+)
 from .opalg import BlockMat, Matrix, Product, Sum, Transpose, Zero, as_op
 from .reduction import ReductionCache, reduction_key
 from .space import Function
@@ -107,11 +119,63 @@ def _lower_block_form(bf, cache):
         raise FormError("block form has no forms to assemble")
     dims = [V.dim for V in bf.spaces]
     n = len(dims)
-    entries = [_lower(bf.table[key], cache) if key in bf.table else _zero([dims[k] for k in key])
+    lowered = {}
+    for key in itertools.product(range(n), repeat=bf.arity):
+        if key not in bf.table:
+            continue
+        partner = key[::-1]            # in ``lowered`` when it precedes key
+        if partner in lowered and _is_transpose(bf.table[key], bf.table[partner]):
+            lowered[key] = _transpose(lowered[partner])
+        else:
+            lowered[key] = _lower(bf.table[key], cache)
+    entries = [lowered[key] if key in lowered else _zero([dims[k] for k in key])
                for key in itertools.product(range(n), repeat=bf.arity)]
     if bf.arity == 1:
         return entries
     return BlockMat([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _is_transpose(form, other):
+    """Whether ``form`` holds the integrals of ``other`` in the same order,
+    each on the same measure mesh with test and trial swapped."""
+    return len(form.integrals) == len(other.integrals) and all(
+        a.mesh is b.mesh and _swapped(a.integrand, b.integrand)
+        for a, b in zip(form, other))
+
+
+def _swapped(a, b):
+    """Whether the expression ``a`` is ``b`` with test and trial swapped:
+    the same tree over the same spaces and the same data (functions,
+    callbacks and reductions by identity, equal constants and scalings),
+    where an ``Inner`` may hold its operands in either order."""
+    if type(a) is not type(b) or a.shape != b.shape:
+        return False
+    if isinstance(a, Argument):
+        return a.space is b.space and a.block == b.block and a.role != b.role
+    if isinstance(a, Coefficient):
+        return a.function is b.function
+    if isinstance(a, Constant):
+        return np.array_equal(a.value, b.value)
+    if isinstance(a, Analytic):
+        return a.fn is b.fn and a.degree == b.degree
+    if isinstance(a, Reduced) and (a.kind != b.kind or a.target_mesh is not b.target_mesh):
+        return False
+    if isinstance(a, Scale) and a.alpha != b.alpha:
+        return False
+    if isinstance(a, Inner) and all(map(_swapped, a.children, b.children[::-1])):
+        return True
+    return all(map(_swapped, a.children, b.children))
+
+
+def _transpose(e):
+    """The transpose of a lowered matrix entry, taken down to its leaves."""
+    if isinstance(e, Transpose):
+        return e.child
+    if isinstance(e, Product):
+        return Product([_transpose(f) for f in reversed(e.factors)])
+    if isinstance(e, Sum):
+        return Sum([_transpose(t) for t in e.terms])
+    return Transpose(as_op(e))
 
 
 def _zero(shape):

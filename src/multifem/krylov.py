@@ -33,7 +33,8 @@ import scipy.sparse.linalg as spla
 from .assemble import assemble
 from .forms import Measure, grad, inner, TestFunction, TrialFunction
 from .opalg import (
-    Identity, InverseHandle, Matrix, OpExpr, Product, as_op, block_diag_mat, collapse,
+    Identity, InverseHandle, Matrix, OpError, OpExpr, Product, as_op, block_diag_mat,
+    collapse,
 )
 
 __all__ = [
@@ -517,6 +518,8 @@ def build_preconditioner(blocks):
     ``InverseHandle`` already is the inverse (an H^s norm's ``inverse``)
     and is used as it is; any other entry, sparse or lazy, is a block
     factorized in that order by ``inverse_handle(block, label)``."""
+    if not blocks:
+        raise OpError("preconditioner has no Riesz-map entries")
     return block_diag_mat([block if isinstance(block, InverseHandle)
                            else inverse_handle(block, label)
                            for label, block in blocks.items()])

@@ -3,13 +3,13 @@ transposes of matrix leaves, scalings, block structure and inverse handles.
 
 Expressions are immutable trees evaluated through their forward action
 (``matvec``) on flat vectors, or materialized with ``collapse``.  No
-simplification is performed.  The only transpose a lowering makes is that
-of a reduction matrix (``R^T`` in ``R^T o A o R``), so ``Transpose`` wraps
-matrix leaves only and no node has a transposed action.
+simplification is performed.  A lowering transposes matrix leaves only:
+a reduction matrix (``R^T`` in ``R^T o A o R``), and the leaves of a
+coupling lowered as the transpose of its partner block, whose products
+it reverses.  So ``Transpose`` wraps matrix leaves only and no node has
+a transposed action.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -155,8 +155,11 @@ class Product(OpExpr):
 
 
 class Transpose(OpExpr):
-    """Transpose of a matrix leaf, applied through the leaf's transposed
-    copy (CSR when sparse), built on first use."""
+    """Transpose of a matrix leaf, applied through a transposed view of
+    the leaf's array (a CSR leaf's is CSC), so it stores no copy.  A
+    sparse view's product adds each entry's terms in the order of the
+    leaf's rows, from zero, as the product of a CSR copy of the transpose
+    does: the two are bitwise equal."""
 
     def __init__(self, e):
         self.child = as_op(e)
@@ -164,11 +167,7 @@ class Transpose(OpExpr):
             raise OpError(f"only matrix leaves can be transposed, got "
                           f"{type(self.child).__name__}")
         self.shape = (self.child.cols, self.child.rows)
-
-    @functools.cached_property
-    def _at(self):
-        a = self.child.a
-        return a.T.tocsr() if sp.issparse(a) else a.T
+        self._at = self.child.a.T
 
     def matvec(self, x):
         return self._at @ _check_vec(self, x, self.cols)
@@ -202,7 +201,11 @@ class BlockMat(OpExpr):
     def __init__(self, blocks):
         self.blocks = [[as_op(b) for b in row] for row in blocks]
         nrows = len(self.blocks)
+        if not nrows:
+            raise OpError("block operator has no rows")
         ncols = len(self.blocks[0])
+        if not ncols:
+            raise OpError("block operator has an empty row")
         if any(len(row) != ncols for row in self.blocks):
             raise OpError("ragged block structure")
         self.row_dims = [self.blocks[i][0].rows for i in range(nrows)]
@@ -237,6 +240,8 @@ class BlockMat(OpExpr):
 def block_diag_mat(entries):
     """Diagonal block operator; off-diagonal blocks are symbolic zeros."""
     entries = [as_op(e) for e in entries]
+    if not entries:
+        raise OpError("block_diag_mat needs at least one diagonal block")
     for e in entries:
         if e.rows != e.cols:
             raise OpError(f"block_diag_mat needs square blocks, got {e.shape}")

@@ -906,12 +906,18 @@ class TestLeafConstraints:
 
     def test_no_mask_products(self, constrained):
         # the constrained tree is the lowered tree plus a Sum and a unit
-        # diagonal per constrained block: no mask product or mask leaf
+        # diagonal per constrained block: no mask product or mask leaf.
+        # Its four transposed couplings each hold a Transpose node where
+        # an assembled leaf stood (46 nodes when each was assembled), and
+        # share their leaves with their partners: a leaf masked alike in
+        # several blocks is one array (19 when each block had its own)
         sys, (block_op, _, bcs, _, _) = constrained("mixed", 32)
         nodes = len(list(_nodes(sys["A"])))
-        assert nodes <= 46
+        assert nodes <= 50
         assert nodes == len(list(_nodes(block_op))) + 2 * len(bcs)
-        stored = sum(m.a.nnz for m in _leaves(sys["A"]))
+        leaves = _leaves(sys["A"])
+        assert len({id(m.a) for m in leaves}) <= 11
+        stored = sum(m.a.nnz for m in leaves)
         assert stored <= 1.02 * collapse(sys["A"], force=True).nnz
 
     def test_inverse_handle_block_raises(self):

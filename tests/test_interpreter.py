@@ -8,7 +8,7 @@ from multifem import bench, interpreter, reduction
 
 from multifem.assemble import assemble
 from multifem.forms import (
-    Average, BlockForm, Coefficient, Constant, Form, FormError, Measure, ReductionKind,
+    Analytic, Average, BlockForm, Coefficient, Constant, Form, FormError, Measure, ReductionKind,
     Restrict, TestFunction, TestFunctions, Trace, TrialFunction,
     TrialFunctions, dot, grad, inner,
 )
@@ -442,8 +442,9 @@ class TestGroupedLowering:
         first = list(events)
         events.clear()
         reversed_ = multi_assemble(BlockForm(W).add(forms[0]).add(forms[1]).add(forms[2]))
+        # (1, 0) is (0, 1) with test and trial swapped: its transpose,
+        # assembled once
         assert events == first == [("assemble", mesh.num_cells, 1), ("trace_matrix",),
-                                   ("assemble", gamma.num_cells, 1),
                                    ("assemble", gamma.num_cells, 1)]
         for i in range(2):
             for j in range(2):
@@ -462,3 +463,125 @@ class TestGroupedLowering:
         mesh, gamma, V, Q = babuska_setup
         with pytest.raises(FormError, match="no forms"):
             multi_assemble(BlockForm([V, Q]))
+
+
+def _lowered_alone(bf, cache):
+    """The oracle of a bilinear block form: each block's form lowered on
+    its own."""
+    n = len(bf.spaces)
+    return BlockMat([[multi_assemble(bf.table[i, j], cache) if (i, j) in bf.table
+                      else Zero(bf.spaces[i].dim, bf.spaces[j].dim) for j in range(n)]
+                     for i in range(n)])
+
+
+def _arrays(op):
+    """The arrays stored in the matrix leaves of an operator, by id."""
+    if isinstance(op, Matrix):
+        return {id(op.a)}
+    children = [op.child] if isinstance(op, Transpose) else getattr(
+        op, "terms", getattr(op, "factors", []))
+    return set().union(*map(_arrays, children))
+
+
+def _transposed(A):
+    """The couplings (j, i), j > i, lowered as the transpose of (i, j):
+    built of its partner's arrays."""
+    n = len(A.blocks)
+    return [(j, i) for j in range(n) for i in range(j)
+            if not isinstance(A[j, i], Zero) and _arrays(A[j, i]) == _arrays(A[i, j])]
+
+
+def _assert_bitwise(A, oracle):
+    a, b = collapse(A, force=True), collapse(oracle, force=True)
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.tobytes() == y.tobytes()
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        x = rng.standard_normal(A.cols)
+        assert A.matvec(x).tobytes() == oracle.matvec(x).tobytes()
+
+
+def _field_a(x):
+    return np.stack([1.0 + x[:, 0], x[:, 1] ** 2], axis=1)
+
+
+def _field_b(x):
+    return np.stack([x[:, 1], 2.0 - x[:, 0]], axis=1)
+
+
+class TestTransposedCouplings:
+    """A block (j, i) that holds the integrals of (i, j) with test and trial
+    swapped is lowered as the transpose of the lowered (i, j); every system
+    is bitwise the one whose blocks are each lowered alone."""
+
+    @pytest.mark.parametrize("case, n, transposed", [
+        ("babuska", 8, [(1, 0)]),
+        ("ds-primal", 8, [(1, 0)]),                 # not its -1-scaled Darcy coupling
+        ("ds-mixed", 8, [(1, 0), (3, 2), (4, 0), (4, 2)]),
+        ("perfusion", 3, []),                       # Trace against Average
+    ])
+    def test_system_bitwise_as_its_blocks_lowered_alone(self, monkeypatch, case, n,
+                                                        transposed):
+        built, constrained = [], []
+        lower, constrain = bench.multi_assemble, bench.apply_bc_block
+        monkeypatch.setattr(bench, "multi_assemble", lambda obj, cache=None:
+                            built.append((obj, cache)) or lower(obj, cache))
+        monkeypatch.setattr(bench, "apply_bc_block", lambda *args, **kw:
+                            constrained.append((args, kw)) or constrain(*args, **kw))
+        sys = bench.CASES[case][1](n)
+        [(bf, cache)] = [(bf, cache) for bf, cache in built if bf.arity == 2]
+        oracle = _lowered_alone(bf, cache)
+        if constrained:
+            [((block_op, rhs, bcs), kw)] = constrained
+            assert _transposed(block_op) == transposed
+            _assert_bitwise(block_op, oracle)
+            oracle, oracle_rhs = constrain(oracle, rhs, bcs, **kw)
+            assert all(b.tobytes() == c.tobytes() for b, c in zip(sys["b"], oracle_rhs))
+        assert _transposed(sys["A"]) == transposed
+        _assert_bitwise(sys["A"], oracle)
+
+    @staticmethod
+    def pair(kind):
+        """The spaces, a coupling (0, 1), its transpose (1, 0), and a (1, 0)
+        that differs from the transpose in the data named by ``kind`` only."""
+        mesh = unit_square_mesh(4, 4)
+        W = [build_space(mesh, lagrange(1)), build_space(mesh, lagrange(2))]
+        u, p = TrialFunctions(W)
+        v, q = TestFunctions(W)
+        dx = Measure(mesh)
+        if kind in ("analytic", "coefficient", "constant"):
+            if kind == "analytic":
+                a, b = (Analytic(f, shape=(2,)) for f in (_field_a, _field_b))
+                same = Analytic(_field_a, shape=(2,))
+            elif kind == "coefficient":
+                V2 = build_space(mesh, vector_lagrange(1))
+                fa, fb = (interpolate(V2, f) for f in (_field_a, _field_b))
+                a, b, same = Coefficient(fa), Coefficient(fb), Coefficient(fa)
+            else:
+                a, b, same = Constant((1.0, 2.0)), Constant((2.0, 1.0)), Constant((1.0, 2.0))
+            return (W, inner(dot(a, grad(p)), v) * dx,
+                    inner(dot(same, grad(q)), u) * dx, inner(dot(b, grad(q)), u) * dx)
+        if kind == "measure":
+            left, bottom = (facet_submesh(mesh, lambda x, k=k: near(x[:, k], 0.0))
+                            for k in (0, 1))
+            return (W, inner(Trace(p, left), Trace(v, left)) * Measure(left),
+                    inner(Trace(q, left), Trace(u, left)) * Measure(left),
+                    inner(Trace(q, bottom), Trace(u, bottom)) * Measure(bottom))
+        if kind == "negated":                    # ds-primal's Darcy coupling
+            return W, inner(p, v) * dx, inner(q, u) * dx, -1.0 * inner(q, u) * dx
+        assert kind == "scaled"
+        return (W, 2.0 * inner(p, v) * dx, 2.0 * inner(q, u) * dx,
+                -2.0 * inner(q, u) * dx)
+
+    @pytest.mark.parametrize("kind", ["analytic", "coefficient", "constant", "measure",
+                                      "negated", "scaled"])
+    def test_couplings_that_differ_stay_separate(self, kind):
+        # a repr shows an Analytic by its shape only and every Coefficient
+        # as "coefficient": the data must be compared by identity
+        W, coupling, transpose, other = self.pair(kind)
+        for partner, transposed in ((transpose, [(1, 0)]), (other, [])):
+            bf = BlockForm(W).add(coupling).add(partner)
+            cache = ReductionCache()
+            A = multi_assemble(bf, cache)
+            assert _transposed(A) == transposed
+            _assert_bitwise(A, _lowered_alone(bf, cache))

@@ -13,7 +13,7 @@ from multifem.krylov import (
     hs_norm, inverse_handle, mass_matrix, minres,
 )
 from multifem.mesh import Mesh, facet_submesh, near, polyline_mesh, unit_square_mesh
-from multifem.opalg import Identity, Matrix, Scaled, collapse
+from multifem.opalg import Identity, Matrix, OpError, Scaled, collapse
 from multifem.space import build_space, dg0, lagrange
 
 
@@ -516,6 +516,11 @@ class TestInverseHandle:
 
 
 class TestPreconditioners:
+    def test_no_riesz_entries_named(self):
+        # once a bare IndexError from the empty block diagonal
+        with pytest.raises(OpError, match="no Riesz-map entries"):
+            build_preconditioner({})
+
     def test_babuska_blocks_spd_in_action(self, babuska16):
         B = build_preconditioner(babuska16["riesz"])
         rng = np.random.default_rng(18)

@@ -52,7 +52,7 @@ class TestActions:
         assert leaf.shape == (5, 6)
         ref = (A.toarray().T if dense else A.T.tocsr()) @ x
         assert np.array_equal(leaf.matvec(x), ref)
-        assert np.array_equal(leaf.matvec(x), ref)      # the cached copy
+        assert np.array_equal(leaf.matvec(x), ref)      # applied again
         with pytest.raises(OpError):
             leaf.matvec(np.zeros(5))
 
@@ -131,6 +131,17 @@ class TestStructure:
     def test_block_diag_requires_square(self, rng):
         with pytest.raises(OpError):
             block_diag_mat([Matrix(random_sparse(rng, 3, 4))])
+
+    @pytest.mark.parametrize("build, structure", [
+        (lambda: BlockMat([]), "no rows"),
+        (lambda: BlockMat([[]]), "an empty row"),
+        (lambda: BlockMat([[], []]), "an empty row"),
+        (lambda: block_diag_mat([]), "at least one diagonal block"),
+    ])
+    def test_empty_block_structure_named(self, build, structure):
+        # each once raised a bare IndexError
+        with pytest.raises(OpError, match=structure):
+            build()
 
     def test_block_shape_validation(self, rng):
         A = Matrix(random_sparse(rng, 3, 3))
